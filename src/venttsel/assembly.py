@@ -11,8 +11,8 @@ Euclidean chord distance. Assembly runs over segment pairs with three rules:
 * adjacent segments (shared node, collinear or across a corner): Duffy split
   at the shared node; the radial factor integrates exactly to u^{3-2s}/(3-2s),
   leaving a smooth 1D angular integral done with fixed Gauss;
-* separated segments: tensor Gauss with the order picked from the
-  distance-to-diameter ratio.
+* separated segments: tensor Gauss, order from the distance-to-diameter ratio
+  (one ladder and one kernel, shared with the form-based load in verify).
 
 Every pair contribution is a Gram-type block with positive quadrature weights,
 so the assembled operator is symmetric positive semidefinite and annihilates
@@ -155,9 +155,6 @@ class QuadraturePolicy:
     far_order: int = 4
     mid_order: int = 8
     near_order: int = 12
-    angular_order: int = 16
-    far_ratio: float = 4.0
-    mid_ratio: float = 1.0
     check_tolerance: float | None = None
     chunk_size: int = 4096
     threads: int = 1
@@ -258,10 +255,6 @@ def bulk_mass(mesh: Mesh) -> sp.csr_matrix:
 # --- boundary local operators ---------------------------------------------------
 
 
-def _local_pairs_global(bm: BoundaryMesh):
-    return bm.node_pairs  # (S, 2) global node indices
-
-
 def _scatter_boundary(bm: BoundaryMesh, local: np.ndarray) -> sp.csr_matrix:
     """Accumulate (S, 2, 2) per-segment blocks into an (S_nodes, S_nodes) csr
     over boundary-local numbering."""
@@ -283,7 +276,7 @@ def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
     return _scatter_boundary(bm, local)
 
 
-def _b_segment_values(bm: BoundaryMesh, b, order: int = 8):
+def _b_segment_values(bm: BoundaryMesh, b):
     """Resolve the boundary coefficient per segment.
 
     Returns ("const", (S,)) for scalar / per-side data or ("callable", fn).
@@ -303,7 +296,7 @@ def _b_segment_values(bm: BoundaryMesh, b, order: int = 8):
 
 def boundary_mass(bm: BoundaryMesh, b, order: int = 8) -> sp.csr_matrix:
     """b-weighted boundary mass matrix (exact for per-side constant b)."""
-    kind, data = _b_segment_values(bm, b, order)
+    kind, data = _b_segment_values(bm, b)
     if kind == "const":
         base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
         local = (data * bm.lengths)[:, None, None] * base[None, :, :]
@@ -345,7 +338,6 @@ def _segment_pair_dist(P0a, P1a, P0b, P1b):
 
 def _identical_blocks(Theta, bm, s):
     L = bm.lengths
-    S = bm.n_nodes
     entry = 2.0 * L ** (1.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
     lp = bm.local_pairs()
     i, j = lp[:, 0], lp[:, 1]
@@ -396,10 +388,42 @@ def _adjacent_blocks(Theta, bm, s, order):
     np.add.at(Theta, (dofs[:, :, None], dofs[:, None, :]), C)
 
 
-def _separated_chunk(bm, s, a, b, order):
-    """(Caa, Cbb, Cab) blocks for one chunk of separated pairs."""
+# Separated-pair order ladder: the distance-to-diameter ratio picks far
+# (ratio > _FAR_RATIO), mid or near (ratio <= _MID_RATIO) tensor Gauss orders.
+_FAR_RATIO = 4.0
+_MID_RATIO = 1.0
+# Gauss order of the smooth angular integral left by the adjacent-pair Duffy split
+_ANGULAR_ORDER = 16
+
+
+def _separated_pairs(bm, policy):
+    """Non-adjacent segment pairs a < b split by the ratio ladder.
+
+    Returns [(a, b, order)] for the far, mid and near classes, in that order.
+    """
+    S = bm.n_segments
+    a, b = np.triu_indices(S, k=1)
+    adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
+    a, b = a[~adjacent], b[~adjacent]
+    dist = _segment_pair_dist(
+        bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
+    )
+    ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
+    far, near = ratio > _FAR_RATIO, ratio <= _MID_RATIO
+    classes = ((far, policy.far_order), (~far & ~near, policy.mid_order), (near, policy.near_order))
+    return [(a[mask], b[mask], order) for mask, order in classes]
+
+
+def _chunks(a, b, size):
+    """Pair index arrays cut into consecutive chunks of at most size pairs."""
+    return [(a[lo : lo + size], b[lo : lo + size]) for lo in range(0, len(a), size)]
+
+
+def _separated_kernel(bm, s, a, b, order):
+    """Tensor Gauss points xq, yq (P, n, 2) on segments a and b, the weighted
+    kernel WK = (wa x wb) |x - y|^{-(1+2s)} (P, n, n) and the hats (n, 2)."""
     x, wx = gauss01(order)
-    hats = np.column_stack([1.0 - x, x])  # (n, 2)
+    hats = np.column_stack([1.0 - x, x])
     P0a, P1a = bm.segment_starts[a], bm.segment_ends[a]
     P0b, P1b = bm.segment_starts[b], bm.segment_ends[b]
     xq = P0a[:, None, :] + x[None, :, None] * (P1a - P0a)[:, None, :]
@@ -409,6 +433,12 @@ def _separated_chunk(bm, s, a, b, order):
     diff = xq[:, :, None, :] - yq[:, None, :, :]
     R2 = np.einsum("pijd,pijd->pij", diff, diff)
     WK = (wa[:, :, None] * wb[:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
+    return xq, yq, WK, hats
+
+
+def _separated_chunk(bm, s, a, b, order):
+    """(Caa, Cbb, Cab) blocks for one chunk of separated pairs."""
+    _, _, WK, hats = _separated_kernel(bm, s, a, b, order)
     Caa = np.einsum("pi,im,in->pmn", WK.sum(axis=2), hats, hats)
     Cbb = np.einsum("pj,jm,jn->pmn", WK.sum(axis=1), hats, hats)
     Cab = np.einsum("pij,im,jn->pmn", WK, hats, hats)
@@ -416,14 +446,8 @@ def _separated_chunk(bm, s, a, b, order):
 
 
 def _separated_blocks(Theta, bm, s, pairs_a, pairs_b, order, policy):
-    if len(pairs_a) == 0:
-        return
     lp = bm.local_pairs()
-    chunk = policy.chunk_size
-    jobs = [
-        (pairs_a[lo : lo + chunk], pairs_b[lo : lo + chunk])
-        for lo in range(0, len(pairs_a), chunk)
-    ]
+    jobs = _chunks(pairs_a, pairs_b, policy.chunk_size)
     if policy.threads > 1 and len(jobs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -440,26 +464,6 @@ def _separated_blocks(Theta, bm, s, pairs_a, pairs_b, order, policy):
         np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
         np.add.at(Theta, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
         np.add.at(Theta, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
-
-
-def _separated_block_values(bm, s, pairs_a, pairs_b, order):
-    """Standalone (P, 4, 4)-equivalent data for tolerance checking: returns the
-    three blocks (Caa, Cbb, Cab) per pair at the given order."""
-    x, wx = gauss01(order)
-    hats = np.column_stack([1.0 - x, x])
-    P0a, P1a = bm.segment_starts[pairs_a], bm.segment_ends[pairs_a]
-    P0b, P1b = bm.segment_starts[pairs_b], bm.segment_ends[pairs_b]
-    xq = P0a[:, None, :] + x[None, :, None] * (P1a - P0a)[:, None, :]
-    yq = P0b[:, None, :] + x[None, :, None] * (P1b - P0b)[:, None, :]
-    wa = bm.lengths[pairs_a][:, None] * wx[None, :]
-    wb = bm.lengths[pairs_b][:, None] * wx[None, :]
-    diff = xq[:, :, None, :] - yq[:, None, :, :]
-    R2 = np.einsum("pijd,pijd->pij", diff, diff)
-    WK = (wa[:, :, None] * wb[:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
-    Caa = np.einsum("pi,im,in->pmn", WK.sum(axis=2), hats, hats)
-    Cbb = np.einsum("pj,jm,jn->pmn", WK.sum(axis=1), hats, hats)
-    Cab = np.einsum("pij,im,jn->pmn", WK, hats, hats)
-    return Caa, Cbb, Cab
 
 
 def nonlocal_matrix(
@@ -480,41 +484,29 @@ def nonlocal_matrix(
     Theta = np.zeros((S, S))
 
     _identical_blocks(Theta, bm, s)
-    _adjacent_blocks(Theta, bm, s, policy.angular_order)
+    _adjacent_blocks(Theta, bm, s, _ANGULAR_ORDER)
 
-    a, b = np.triu_indices(S, k=1)
-    adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
-    a, b = a[~adjacent], b[~adjacent]
-    if len(a):
-        dist = _segment_pair_dist(
-            bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
-        )
-        ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
-        groups = [
-            (ratio > policy.far_ratio, policy.far_order),
-            ((ratio > policy.mid_ratio) & (ratio <= policy.far_ratio), policy.mid_order),
-            (ratio <= policy.mid_ratio, policy.near_order),
-        ]
-        for mask, order in groups:
-            _separated_blocks(Theta, bm, s, a[mask], b[mask], order, policy)
-        if policy.check_tolerance is not None:
-            scale = np.abs(Theta).max()
-            for mask, order in groups:
-                aa, bb = a[mask], b[mask]
-                for lo in range(0, len(aa), policy.chunk_size):
-                    sl = slice(lo, lo + policy.chunk_size)
-                    lo_blocks = _separated_block_values(bm, s, aa[sl], bb[sl], order)
-                    hi_blocks = _separated_block_values(bm, s, aa[sl], bb[sl], 2 * order)
-                    err = np.zeros(len(aa[sl]))
-                    for lb, hb in zip(lo_blocks, hi_blocks):
-                        err = np.maximum(err, np.abs(lb - hb).max(axis=(1, 2)))
-                    worst = int(np.argmax(err))
-                    if err[worst] > policy.check_tolerance * scale:
-                        raise QuadraturePairError(
-                            (int(aa[sl][worst]), int(bb[sl][worst])),
-                            f"order-{order} vs order-{2*order} discrepancy "
-                            f"{err[worst]:.3e} exceeds {policy.check_tolerance:.1e} * {scale:.3e}",
-                        )
+    groups = _separated_pairs(bm, policy)
+    for a, b, order in groups:
+        _separated_blocks(Theta, bm, s, a, b, order, policy)
+    if policy.check_tolerance is None:
+        return Theta
+    # order check: every separated pair's blocks at order against 2 * order
+    scale = np.abs(Theta).max()
+    for a, b, order in groups:
+        for aa, bb in _chunks(a, b, policy.chunk_size):
+            lo_blocks = _separated_chunk(bm, s, aa, bb, order)
+            hi_blocks = _separated_chunk(bm, s, aa, bb, 2 * order)
+            err = np.zeros(len(aa))
+            for lb, hb in zip(lo_blocks, hi_blocks):
+                err = np.maximum(err, np.abs(lb - hb).max(axis=(1, 2)))
+            worst = int(np.argmax(err))
+            if err[worst] > policy.check_tolerance * scale:
+                raise QuadraturePairError(
+                    (int(aa[worst]), int(bb[worst])),
+                    f"order-{order} vs order-{2*order} discrepancy "
+                    f"{err[worst]:.3e} exceeds {policy.check_tolerance:.1e} * {scale:.3e}",
+                )
     return Theta
 
 

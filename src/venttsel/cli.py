@@ -21,7 +21,7 @@ from . import analysis, singular, solver, verify
 from .assembly import NodalField, QuadraturePolicy, assemble_system, nonlocal_matrix
 from .errors import ConfigError, VenttselError
 from .geometry import Polygon, build_polygon, sigma_window
-from .meshing import extract_boundary, triangulate, write_field, write_mesh
+from .meshing import triangulate, write_field, write_mesh
 
 log = logging.getLogger("venttsel")
 
@@ -197,7 +197,7 @@ def _problem_for(config: RunConfig):
 def _cmd_solve(config: RunConfig) -> dict:
     problem = _problem_for(config)
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = extract_boundary(mesh)
+    bm = mesh.boundary
     system = assemble_system(mesh, bm, problem.spec(), config.policy)
     u, report = solver.solve(system, tol=config.tol, maxit=config.maxit)
     rep = analysis.norm_report(u, theta=system.Theta, sigma=config.sigma_value)
@@ -249,7 +249,7 @@ def _cmd_converge(config: RunConfig) -> dict:
 def _cmd_decompose(config: RunConfig) -> dict:
     problem = _problem_for(config)
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = extract_boundary(mesh)
+    bm = mesh.boundary
     system = assemble_system(mesh, bm, problem.spec(), config.policy)
     u, _ = solver.solve(system, tol=config.tol, maxit=config.maxit)
     dec = singular.decompose(u, config.polygon)
@@ -266,8 +266,10 @@ def _cmd_check(config: RunConfig) -> dict:
     equivalence (small boundaries only), Friedrichs sampling, scaling law."""
     checks = []
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = extract_boundary(mesh)
-    theta = nonlocal_matrix(bm, config.s)
+    bm = mesh.boundary
+    problem = _problem_for(config)
+    system = assemble_system(mesh, bm, problem.spec())
+    theta = system.Theta
     sym = float(np.abs(theta - theta.T).max())
     checks.append({"name": "theta_symmetric", "passed": bool(sym <= 1e-12 * max(1.0, np.abs(theta).max())), "value": sym})
     ann = float(np.abs(theta @ np.ones(bm.n_nodes)).max())
@@ -277,12 +279,10 @@ def _cmd_check(config: RunConfig) -> dict:
 
     scaled = build_polygon(config.polygon.vertices * 2.0)
     mesh2 = triangulate(scaled, config.h * 2.0, config.grading_q)
-    theta2 = nonlocal_matrix(extract_boundary(mesh2), config.s)
+    theta2 = nonlocal_matrix(mesh2.boundary, config.s)
     law = float(np.abs(theta2 - 2.0 ** (1.0 - 2.0 * config.s) * theta).max() / np.abs(theta).max())
     checks.append({"name": "theta_scaling_law", "passed": bool(law <= 1e-8), "value": law})
 
-    problem = _problem_for(config)
-    system = assemble_system(mesh, bm, problem.spec())
     if bm.n_nodes <= 512 and mesh.n_nodes <= 4000:
         lam, _ = solver.min_eigenpair(system)
         checks.append({"name": "coercive_lambda_min", "passed": bool(lam > 0), "value": lam})

@@ -131,11 +131,6 @@ class Polygon:
         xn, yn = np.roll(x, -1), np.roll(y, -1)
         return float(0.5 * np.sum(x * yn - xn * y))
 
-    @property
-    def vertex_arclengths(self) -> np.ndarray:
-        """Cumulative boundary arc length at each vertex, 0 at vertices[0]."""
-        return np.concatenate([[0.0], np.cumsum(self.side_lengths)[:-1]])
-
     def boundary_point(self, side: int, t: float | np.ndarray) -> np.ndarray:
         """Point(s) on `side` at arc distance t from its start vertex."""
         t = np.asarray(t, dtype=float)

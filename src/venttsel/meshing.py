@@ -125,12 +125,6 @@ class BoundaryMesh:
         return self.mesh.nodes[self.boundary_nodes]
 
     @cached_property
-    def global_to_local(self) -> np.ndarray:
-        m = np.full(self.mesh.n_nodes, -1, dtype=int)
-        m[self.boundary_nodes] = np.arange(self.n_nodes)
-        return m
-
-    @cached_property
     def segment_starts(self) -> np.ndarray:
         return self.mesh.nodes[self.node_pairs[:, 0]]
 

@@ -22,12 +22,15 @@ from .assembly import (
     NodalField,
     ProblemSpec,
     QuadraturePolicy,
+    _chunks,
     _p1_gradients,
+    _separated_kernel,
+    _separated_pairs,
     assemble_system,
 )
 from .errors import OracleError, VenttselError
 from .geometry import Polygon, build_polygon
-from .meshing import BoundaryMesh, Mesh, extract_boundary, refine, triangulate
+from .meshing import BoundaryMesh, Mesh, refine, triangulate
 from .quadrature import (
     adaptive_interval,
     adaptive_rectangle,
@@ -714,61 +717,16 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, policy: QuadraturePolicy):
     part2 = duffy_part(V, ones, (1.0 - V, V, -ones))  # xi = La U V, eta = Lb U
     np.add.at(out, dofs, 2.0 * (part1 + part2))
 
-    # separated pairs by the ratio ladder (orders bumped for the smooth factor)
-    a, b = np.triu_indices(S, k=1)
-    adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
-    a, b = a[~adjacent], b[~adjacent]
-    if len(a):
-        from .assembly import _segment_pair_dist
-
-        dist = _segment_pair_dist(
-            bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
-        )
-        ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
-        for mask, order in (
-            (ratio > policy.far_ratio, policy.far_order + 4),
-            ((ratio > policy.mid_ratio) & (ratio <= policy.far_ratio), policy.mid_order + 4),
-            (ratio <= policy.mid_ratio, policy.near_order + 4),
-        ):
-            aa, bb = a[mask], b[mask]
-            for lo in range(0, len(aa), policy.chunk_size):
-                _theta_load_separated(
-                    out,
-                    bm,
-                    problem.trace,
-                    s,
-                    aa[lo : lo + policy.chunk_size],
-                    bb[lo : lo + policy.chunk_size],
-                    order,
-                )
+    # separated pairs by the shared ratio ladder (orders bumped for the smooth factor)
+    for a, b, order in _separated_pairs(bm, policy):
+        for aa, bb in _chunks(a, b, policy.chunk_size):
+            xq, yq, WK, hats = _separated_kernel(bm, s, aa, bb, order + 4)
+            ux = np.asarray(problem.trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
+            uy = np.asarray(problem.trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
+            WKU = WK * (ux[:, :, None] - uy[:, None, :])
+            np.add.at(out, lp[aa], 2.0 * np.einsum("pij,im->pm", WKU, hats))
+            np.add.at(out, lp[bb], -2.0 * np.einsum("pij,jm->pm", WKU, hats))
     return out
-
-
-def _theta_load_separated(out, bm, trace, s, a, b, order):
-    if len(a) == 0:
-        return
-    x, wx = gauss01(order)
-    hats = np.column_stack([1.0 - x, x])
-    P0a, P1a = bm.segment_starts[a], bm.segment_ends[a]
-    P0b, P1b = bm.segment_starts[b], bm.segment_ends[b]
-    xq = P0a[:, None, :] + x[None, :, None] * (P1a - P0a)[:, None, :]
-    yq = P0b[:, None, :] + x[None, :, None] * (P1b - P0b)[:, None, :]
-    wa = bm.lengths[a][:, None] * wx[None, :]
-    wb = bm.lengths[b][:, None] * wx[None, :]
-    diff = xq[:, :, None, :] - yq[:, None, :, :]
-    R2 = np.einsum("pijd,pijd->pij", diff, diff)
-    ux = np.asarray(trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
-    uy = np.asarray(trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
-    WKU = (
-        (wa[:, :, None] * wb[:, None, :])
-        * R2 ** (-(1.0 + 2.0 * s) / 2.0)
-        * (ux[:, :, None] - uy[:, None, :])
-    )
-    ta = 2.0 * np.einsum("pij,im->pm", WKU, hats)
-    tb = -2.0 * np.einsum("pij,jm->pm", WKU, hats)
-    lp = bm.local_pairs()
-    np.add.at(out, lp[a], ta)
-    np.add.at(out, lp[b], tb)
 
 
 def energy_load_table(
@@ -991,19 +949,19 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _mesh_sequence(polygon: Polygon, h0: float, q: float, count: int):
-    meshes = []
-    if q == 1.0:
-        m = triangulate(polygon, h0, 1.0)
-        meshes.append(m)
-        for _ in range(count - 1):
-            m = refine(m)
-            meshes.append(m)
-    else:
-        # regenerated per level: keeps the corner-size law (h 2^-k)^q
-        for k in range(count):
-            meshes.append(triangulate(polygon, h0 * 0.5**k, q))
-    return meshes
+def _mesh_sequence(polygon: Polygon, h0: float, q: float, levels: list[int]):
+    """Meshes of size h0 2^-k for each k in levels.
+
+    Uniform meshes come from one refinement chain, so every level up to the
+    finest is built; graded meshes are regenerated per level (keeps the
+    corner-size law (h 2^-k)^q), so only the requested ones are.
+    """
+    if q != 1.0:
+        return [triangulate(polygon, h0 * 0.5**k, q) for k in levels]
+    chain = [triangulate(polygon, h0, 1.0)]
+    while len(chain) <= max(levels):
+        chain.append(refine(chain[-1]))
+    return [chain[k] for k in levels]
 
 
 def convergence_study(
@@ -1026,19 +984,18 @@ def convergence_study(
         raise VenttselError("a convergence study needs at least 3 levels")
     has_exact = isinstance(problem, ManufacturedProblem)
     n_meshes = levels if has_exact else levels + reference_extra
-    meshes = _mesh_sequence(problem.polygon, h0, q, n_meshes)
+    used = list(range(levels)) if has_exact else [*range(levels), n_meshes - 1]
+    meshes = _mesh_sequence(problem.polygon, h0, q, used)
 
     solutions = []
     for mesh in meshes[:levels]:
-        bm = extract_boundary(mesh)
-        system = assemble_system(mesh, bm, problem.spec(), policy)
+        system = assemble_system(mesh, mesh.boundary, problem.spec(), policy)
         u, _ = solve(system, tol=solver_tol)
         solutions.append(u)
     ref = None
     if not has_exact:
         mesh = meshes[-1]
-        bm = extract_boundary(mesh)
-        system = assemble_system(mesh, bm, problem.spec(), policy)
+        system = assemble_system(mesh, mesh.boundary, problem.spec(), policy)
         ref, _ = solve(system, tol=solver_tol)
 
     f_norm = source_l2_bulk(problem.f, meshes[levels - 1])

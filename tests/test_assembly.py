@@ -9,6 +9,7 @@ from venttsel.assembly import (
     NodalField,
     ProblemSpec,
     QuadraturePolicy,
+    _separated_pairs,
     assemble_system,
     boundary_mass,
     boundary_stiffness,
@@ -256,6 +257,19 @@ def test_nonlocal_thread_determinism(lshape):
     t1 = nonlocal_matrix(bm, 0.5, QuadraturePolicy(threads=1, chunk_size=128))
     t4 = nonlocal_matrix(bm, 0.5, QuadraturePolicy(threads=4, chunk_size=128))
     assert np.array_equal(t1, t4)
+
+
+@pytest.mark.parametrize("h, q", [(1.0 / 8.0, 1.0), (0.25, 1.0 / (1.0 - 0.42))])
+def test_separated_pairs_partition_non_adjacent_pairs(lshape, h, q):
+    bm = triangulate(lshape, h, q).boundary
+    S = bm.n_segments
+    groups = _separated_pairs(bm, QuadraturePolicy())
+    assert [order for _, _, order in groups] == [4, 8, 12]
+    assert all(len(a) > 0 for a, _, _ in groups)
+    pairs = [(int(i), int(j)) for a, b, _ in groups for i, j in zip(a, b)]
+    # disjoint classes whose union is exactly the non-adjacent pairs a < b
+    assert len(set(pairs)) == len(pairs) == S * (S - 3) // 2
+    assert all(i < j and 1 < j - i < S - 1 for i, j in pairs)
 
 
 def test_all_operator_blocks_symmetric(square_mesh, square_bm):

@@ -1,11 +1,15 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from venttsel import meshing
 from venttsel.cli import load_config, main, validate_config
 from venttsel.errors import ConfigError
+from venttsel.geometry import build_polygon
+from venttsel.verify import convergence_study, make_manufactured
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
@@ -87,6 +91,24 @@ def test_check_command(tmp_path):
     assert rep["all_passed"]
     names = {c["name"] for c in rep["checks"]}
     assert "theta_scaling_law" in names and "theta_oracle_equivalence" in names
+
+
+def test_one_boundary_extraction_per_mesh(tmp_path, monkeypatch):
+    seen = []  # holds the meshes, so their ids stay distinct
+    original = meshing.extract_boundary
+
+    def counting(mesh):
+        seen.append(mesh)
+        return original(mesh)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("venttsel") and getattr(module, "extract_boundary", None) is original:
+            monkeypatch.setattr(module, "extract_boundary", counting)
+    path = _write_config(tmp_path)
+    assert main(["solve", "--config", str(path)]) == 0
+    problem = make_manufactured("constant", build_polygon(SQUARE), 0.5, 1.0)
+    convergence_study(problem, 3, h0=0.5)
+    assert len(seen) == len({id(m) for m in seen}) == 4  # one solve mesh + three levels
 
 
 def test_sigma_window_rejected(tmp_path, capsys):

@@ -10,10 +10,12 @@ from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
 from venttsel.quadrature import gauss_interval
+from venttsel import verify
 from venttsel.verify import (
     ConvergenceTable,
     EnergyLoadSource,
     PointwiseBoundarySource,
+    convergence_study,
     lshape_benchmark,
     make_manufactured,
     random_smooth_fields,
@@ -270,3 +272,17 @@ def test_lshape_benchmark_data():
     assert bench.polygon.alpha_max == pytest.approx(1.5 * math.pi)
     spec = bench.spec()
     assert spec.coercive
+
+
+def test_graded_benchmark_study_meshes_only_used_levels(monkeypatch):
+    # levels 0..2 plus the reference two levels down; level 3 is never used
+    sizes = []
+    original = verify.triangulate
+
+    def counting(polygon, h, *args, **kwargs):
+        sizes.append(h)
+        return original(polygon, h, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "triangulate", counting)
+    convergence_study(lshape_benchmark(), 3, h0=1.0, q=1.0 / (1.0 - 0.42))
+    assert sizes == [1.0, 0.5, 0.25, 0.0625]
