@@ -3,9 +3,10 @@ corner norms, the nonlocal boundary energy, a per-side discrete boundary-H2
 diagnostic, and the Friedrichs ratio.
 
 Weighted integrals r^{2*sigma} * value^2 use per-element Gauss rules; elements
-or segments touching a corner get three dyadic radial layers plus an analytic
+touching a corner get three dyadic radial layers plus an analytic
 geometric-series tail (the layers are self-similar, so the remaining core
-integrates in closed form with the value frozen at the corner).
+integrates in closed form with the value frozen at the corner). On the
+boundary, callables are integrated side by side on corner-graded panels.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ def _ops(mesh: Mesh):
             "M": bulk_mass(mesh),
             "A_b": boundary_stiffness(bm),
             "M_1": boundary_mass(bm, 1.0),
-            "bm": bm,
         }
     return mesh._cache["norm_ops"]
 
@@ -73,13 +73,11 @@ def h1_bulk_semi(u: NodalField) -> float:
 
 
 def l2_bdry(u: NodalField) -> float:
-    ops = _ops(u.mesh)
-    return math.sqrt(max(0.0, _quad_form(ops["M_1"], u.boundary_values(ops["bm"]))))
+    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["M_1"], u.boundary_values())))
 
 
 def h1_bdry_semi(u: NodalField) -> float:
-    ops = _ops(u.mesh)
-    return math.sqrt(max(0.0, _quad_form(ops["A_b"], u.boundary_values(ops["bm"]))))
+    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["A_b"], u.boundary_values())))
 
 
 def v1_norm(u: NodalField) -> float:
@@ -172,11 +170,10 @@ def weighted_l2(
 ) -> float:
     """Weighted L2 norm ( integral of r^{2 sigma} value^2 )^(1/2).
 
-    target is a NodalField or a callable on point arrays. region is "bulk"
-    (needs a mesh when target is callable) or "boundary" (uses the boundary
-    mesh for fields; integrates side by side with corner-graded panels for
-    callables). Integrability demands sigma > -1 in the bulk and sigma > -1/2
-    on the boundary.
+    region is "bulk", where target is a NodalField or a callable (then a mesh
+    is needed), or "boundary", where target must be a callable, integrated
+    side by side with corner-graded panels. Integrability demands sigma > -1
+    in the bulk and sigma > -1/2 on the boundary.
     """
     if isinstance(target, NodalField):
         mesh = target.mesh
@@ -248,60 +245,12 @@ def weighted_l2(
         if sigma <= -0.5:
             raise VenttselError(f"sigma={sigma} <= -1/2: r^(2 sigma) not integrable on a curve")
         if isinstance(target, NodalField):
-            bm = mesh.boundary
-            vals_b = target.boundary_values(bm)
-            return math.sqrt(
-                max(0.0, _boundary_weighted_field(bm, vals_b, polygon, sigma, layers, degree))
-            )
+            raise VenttselError("boundary weighted norm needs a callable target, not a NodalField")
         return math.sqrt(
             max(0.0, _boundary_weighted_callable(target, polygon, sigma, boundary_order))
         )
 
     raise VenttselError(f"unknown region {region!r}")
-
-
-def _boundary_weighted_field(bm, vals_b, polygon, sigma, layers, degree):
-    tol = 1e-12 * max(1.0, polygon.perimeter)
-    x, w = gauss01(max(4, degree))
-    p0, p1 = bm.segment_starts, bm.segment_ends
-    v0 = vals_b
-    v1 = vals_b[np.roll(np.arange(bm.n_nodes), -1)]
-    c0 = _corner_vertex_ids(polygon, p0, tol)
-    c1 = _corner_vertex_ids(polygon, p1, tol)
-    total = 0.0
-    for k in range(bm.n_segments):
-        L = bm.lengths[k]
-
-        def ev(t):  # value at arc offset t from segment start
-            return v0[k] + (v1[k] - v0[k]) * t / L
-
-        if sigma != 0.0 and (c0[k] >= 0 or c1[k] >= 0):
-            corner_t = 0.0 if c0[k] >= 0 else L
-            total += _layered_segment(bm, k, corner_t, ev, polygon, sigma, layers, x, w)
-        else:
-            pts = p0[k] + np.outer(x * L, bm.tangents[k])
-            rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma) if sigma != 0.0 else 1.0
-            total += float(np.sum(L * w * rw * ev(x * L) ** 2))
-    return total
-
-
-def _layered_segment(bm, k, corner_t, ev, polygon, sigma, layers, x, w):
-    L = bm.lengths[k]
-    total = 0.0
-    layer0 = 0.0
-    for j in range(layers):
-        hi, lo = L * 0.5**j, L * 0.5 ** (j + 1)
-        a, b = (corner_t + lo, corner_t + hi) if corner_t == 0.0 else (corner_t - hi, corner_t - lo)
-        ts = a + (b - a) * x
-        pts = bm.segment_starts[k] + np.outer(ts, bm.tangents[k])
-        rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma)
-        total += float(np.sum((b - a) * w * rw * ev(ts) ** 2))
-        if j == 0:
-            layer0 = float(np.sum((b - a) * w * rw))
-    rho = 2.0 ** (-(1.0 + 2.0 * sigma))
-    vc = float(np.asarray(ev(np.array([corner_t])))[0])
-    total += vc**2 * layer0 * rho**layers / (1.0 - rho)
-    return total
 
 
 def _boundary_weighted_callable(func, polygon, sigma, order, n_layers: int = 40):
@@ -460,17 +409,16 @@ class NormReport:
 
 def norm_report(u: NodalField, *, theta: np.ndarray | None = None, sigma: float | None = None) -> NormReport:
     """Assemble every norm observable for one field."""
-    ops = _ops(u.mesh)
     rep = NormReport(
         l2_bulk=l2_bulk(u),
         h1_bulk_semi=h1_bulk_semi(u),
         l2_bdry=l2_bdry(u),
         h1_bdry_semi=h1_bdry_semi(u),
         v1=v1_norm(u),
-        bdry_h2_diag=boundary_h2_diagnostic(u.boundary_values(ops["bm"]), ops["bm"]),
+        bdry_h2_diag=boundary_h2_diagnostic(u.boundary_values(), u.mesh.boundary),
     )
     if theta is not None:
-        rep.gagliardo_s = gagliardo_energy(u.boundary_values(ops["bm"]), theta)
+        rep.gagliardo_s = gagliardo_energy(u.boundary_values(), theta)
     if sigma is not None:
         rep.weighted_l2_sigma = weighted_l2(u, sigma, "bulk")
         rep.weighted_hess_diag = weighted_hessian_diagnostic(u, sigma)

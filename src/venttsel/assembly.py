@@ -21,8 +21,7 @@ constants to roundoff by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,31 +64,41 @@ class NodalField:
                 f"field length {len(self.values)} != node count {self.mesh.n_nodes}"
             )
 
-    def boundary_values(self, bm: BoundaryMesh | None = None) -> np.ndarray:
+    def boundary_values(self) -> np.ndarray:
         """Trace on boundary nodes, in the boundary mesh's cyclic order."""
-        bm = bm if bm is not None else self.mesh.boundary
-        return self.values[bm.boundary_nodes]
+        return self.values[self.mesh.boundary.boundary_nodes]
+
+
+def _b_array(b) -> np.ndarray:
+    """Boundary coefficient data as a flat float array, checked b >= 0."""
+    try:
+        vals = np.atleast_1d(np.asarray(b, dtype=float))
+    except (TypeError, ValueError):
+        raise AssemblyError(
+            f"boundary coefficient b must be a number or one number per side, got {b!r}"
+        ) from None
+    if np.any(vals < 0):
+        raise AssemblyError("boundary coefficient b must be >= 0")
+    return vals
 
 
 @dataclass(eq=False)
 class ProblemSpec:
     """Data of one Venttsel problem instance.
 
-    s     : fractional order in (0, 1); orders >= 3/4 trigger a warning (the
-            boundary-H2 diagnostics lose their theoretical backing there)
-    b     : boundary coefficient, scalar >= 0, per-side array, or callable
-    f     : bulk source, callable on (k, 2) point arrays (scalars accepted)
-    g     : boundary source: callable, scalar, per-side array, a
-            BoundaryQuadratureTable / BoundaryLoadTable, or a factory object
-            with .build(boundary_mesh) returning one of those
-    sigma : weight exponent for weighted diagnostics (optional)
+    s : fractional order in (0, 1); orders >= 3/4 trigger a warning (the
+        boundary-H2 diagnostics lose their theoretical backing there)
+    b : boundary coefficient >= 0, a scalar or one value per polygon side
+    f : bulk source, callable on (k, 2) point arrays (scalars accepted)
+    g : boundary source: callable, scalar, per-side array, a
+        BoundaryQuadratureTable / BoundaryLoadTable, or a factory object
+        with .build(boundary_mesh) returning one of those
     """
 
     s: float
     b: object
     f: object
     g: object
-    sigma: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -100,10 +109,7 @@ class ProblemSpec:
                 RegularityRegimeWarning,
                 stacklevel=2,
             )
-        if not callable(self.b):
-            bvals = np.atleast_1d(np.asarray(self.b, dtype=float))
-            if np.any(bvals < 0):
-                raise AssemblyError("boundary coefficient b must be >= 0")
+        _b_array(self.b)
 
     @property
     def regularity_regime(self) -> bool:
@@ -111,28 +117,25 @@ class ProblemSpec:
 
     @property
     def coercive(self) -> bool:
-        """b not identically zero (callable b is trusted and checked at assembly)."""
-        if callable(self.b):
-            return True
-        return bool(np.any(np.atleast_1d(np.asarray(self.b, dtype=float)) > 0))
+        """b not identically zero."""
+        return bool(np.any(_b_array(self.b) > 0))
 
 
 @dataclass(eq=False)
 class BoundaryQuadratureTable:
     """Boundary source tabulated at per-segment quadrature nodes of one mesh.
 
-    The default layout is the order-point Gauss rule on every segment. A
-    composite layout (e.g. graded toward corners) supplies `nodes` (normalized
-    positions in [0, 1] per segment) and `weights` (absolute, summing to the
-    segment length) instead. point_masses optionally carries (boundary-local
-    node index, weight) pairs for point-supported parts of the data (they land
-    on single basis functions since the carriers are mesh nodes).
+    `nodes` are normalized positions in [0, 1] per segment and `weights` are
+    absolute (summing to the segment length), so a segment may carry any
+    layout, e.g. composite Gauss graded toward a corner. point_masses
+    optionally carries (boundary-local node index, weight) pairs for
+    point-supported parts of the data (they land on single basis functions
+    since the carriers are mesh nodes).
     """
 
-    order: int
     values: np.ndarray  # (S, K)
-    nodes: np.ndarray | None = None  # (S, K) normalized, None -> Gauss(order)
-    weights: np.ndarray | None = None  # (S, K) absolute
+    nodes: np.ndarray  # (S, K) normalized
+    weights: np.ndarray  # (S, K) absolute
     point_masses: list | None = None
 
 
@@ -165,7 +168,7 @@ class DiscreteSystem:
     """Assembled operator blocks and load of the discrete weak formulation.
 
     The global operator is A_bulk plus the boundary blocks
-    (A_bdry + M_b + Theta) embedded through boundary_nodes.
+    (A_bdry + M_b + Theta) embedded through mesh.boundary.boundary_nodes.
     """
 
     A_bulk: sp.csr_matrix
@@ -173,9 +176,7 @@ class DiscreteSystem:
     M_b: sp.csr_matrix
     Theta: np.ndarray
     load: np.ndarray
-    boundary_nodes: np.ndarray
     mesh: Mesh
-    bmesh: BoundaryMesh
     spec: ProblemSpec
 
     @property
@@ -187,22 +188,23 @@ class DiscreteSystem:
         return self.A_bdry.toarray() + self.M_b.toarray() + self.Theta
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        bidx = self.mesh.boundary.boundary_nodes
         out = self.A_bulk @ v
-        vb = v[self.boundary_nodes]
+        vb = v[bidx]
         out_b = self.A_bdry @ vb + self.M_b @ vb + self.Theta @ vb
-        np.add.at(out, self.boundary_nodes, out_b)
+        np.add.at(out, bidx, out_b)
         return out
 
     def diagonal(self) -> np.ndarray:
         d = self.A_bulk.diagonal().copy()
         db = self.A_bdry.diagonal() + self.M_b.diagonal() + np.diag(self.Theta)
-        d[self.boundary_nodes] += db
+        d[self.mesh.boundary.boundary_nodes] += db
         return d
 
     def dense(self) -> np.ndarray:
         """Full dense operator (small systems only)."""
         A = self.A_bulk.toarray()
-        bidx = self.boundary_nodes
+        bidx = self.mesh.boundary.boundary_nodes
         A[np.ix_(bidx, bidx)] += self.boundary_block()
         return A
 
@@ -276,36 +278,21 @@ def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
     return _scatter_boundary(bm, local)
 
 
-def _b_segment_values(bm: BoundaryMesh, b):
-    """Resolve the boundary coefficient per segment.
-
-    Returns ("const", (S,)) for scalar / per-side data or ("callable", fn).
-    """
-    if callable(b):
-        return "callable", b
-    vals = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(vals < 0):
-        raise AssemblyError("boundary coefficient b must be >= 0")
+def _b_segment_values(bm: BoundaryMesh, b) -> np.ndarray:
+    """Boundary coefficient per segment from scalar or per-side data."""
+    vals = _b_array(b)
     if vals.size == 1:
-        return "const", np.full(bm.n_segments, float(vals[0]))
+        return np.full(bm.n_segments, float(vals[0]))
     nsides = bm.mesh.polygon.n_sides
     if vals.size != nsides:
         raise AssemblyError(f"per-side b needs {nsides} values, got {vals.size}")
-    return "const", vals[bm.side_ids]
+    return vals[bm.side_ids]
 
 
-def boundary_mass(bm: BoundaryMesh, b, order: int = 8) -> sp.csr_matrix:
-    """b-weighted boundary mass matrix (exact for per-side constant b)."""
-    kind, data = _b_segment_values(bm, b)
-    if kind == "const":
-        base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        local = (data * bm.lengths)[:, None, None] * base[None, :, :]
-    else:
-        pts, wts, hats = bm.gauss_points(order)
-        bv = data(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        if np.any(bv < -1e-14):
-            raise AssemblyError("boundary coefficient b must be >= 0 (negative sample)")
-        local = np.einsum("sk,sk,km,kn->smn", wts, bv, hats, hats)
+def boundary_mass(bm: BoundaryMesh, b) -> sp.csr_matrix:
+    """b-weighted boundary mass matrix; exact (b is constant per side)."""
+    base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    local = (_b_segment_values(bm, b) * bm.lengths)[:, None, None] * base[None, :, :]
     return _scatter_boundary(bm, local)
 
 
@@ -520,11 +507,14 @@ def _as_bulk_source(f):
     return lambda pts: np.full(len(np.atleast_2d(pts)), c)
 
 
-def load_vector(
-    mesh: Mesh, bm: BoundaryMesh, f, g, boundary_order: int = 8
-) -> np.ndarray:
-    """Load vector: 3-point (degree-2) triangle rule for f, per-segment Gauss
-    (default order 8) or a supplied table for g."""
+# Gauss order per boundary segment for a callable, scalar or per-side g
+_BOUNDARY_ORDER = 8
+
+
+def load_vector(mesh: Mesh, f, g) -> np.ndarray:
+    """Load vector: 3-point (degree-2) triangle rule for f; per-segment Gauss
+    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary."""
+    bm = mesh.boundary
     load = np.zeros(mesh.n_nodes)
 
     fsrc = _as_bulk_source(f)
@@ -551,27 +541,17 @@ def load_vector(
 
     if isinstance(g, BoundaryQuadratureTable):
         gv = np.asarray(g.values, dtype=float)
+        x = np.asarray(g.nodes, dtype=float)
+        wts = np.asarray(g.weights, dtype=float)
         if gv.shape[0] != bm.n_segments:
             raise AssemblyError("boundary quadrature table shape mismatch")
         if g.point_masses:
             for local, weight in g.point_masses:
                 load[bm.boundary_nodes[local]] += weight
-        if g.nodes is not None:
-            x = np.asarray(g.nodes, dtype=float)
-            wts = np.asarray(g.weights, dtype=float)
-            hats = np.stack([1.0 - x, x], axis=2)  # (S, K, 2)
-            seg_contrib = np.einsum("sk,sk,skm->sm", wts, gv, hats)
-            gpairs = bm.node_pairs
-            np.add.at(load, gpairs[:, 0], seg_contrib[:, 0])
-            np.add.at(load, gpairs[:, 1], seg_contrib[:, 1])
-            return load
-        order = g.order
-        if gv.shape != (bm.n_segments, order):
-            raise AssemblyError("boundary quadrature table shape mismatch")
-        pts_b, wts, hats = bm.gauss_points(order)
+        hats = np.stack([1.0 - x, x], axis=2)  # (S, K, 2)
+        seg_contrib = np.einsum("sk,sk,skm->sm", wts, gv, hats)
     else:
-        order = boundary_order
-        pts_b, wts, hats = bm.gauss_points(order)
+        pts_b, wts, hats = bm.gauss_points(_BOUNDARY_ORDER)
         if callable(g):
             try:
                 gv = np.asarray(g(pts_b.reshape(-1, 2)), dtype=float).reshape(pts_b.shape[:2])
@@ -582,14 +562,14 @@ def load_vector(
             if vals.size == 1:
                 gv = np.full(pts_b.shape[:2], float(vals[0]))
             elif vals.size == bm.mesh.polygon.n_sides:
-                gv = np.repeat(vals[bm.side_ids][:, None], order, axis=1)
+                gv = np.repeat(vals[bm.side_ids][:, None], _BOUNDARY_ORDER, axis=1)
             else:
                 raise AssemblyError("boundary source array must be scalar or per-side")
         if not np.all(np.isfinite(gv)):
             si, ki = np.argwhere(~np.isfinite(gv))[0]
             raise AssemblyError(f"boundary source not finite at {pts_b[si, ki]}")
+        seg_contrib = np.einsum("sk,sk,km->sm", wts, gv, hats)
 
-    seg_contrib = np.einsum("sk,sk,km->sm", wts, gv, hats)
     gpairs = bm.node_pairs
     np.add.at(load, gpairs[:, 0], seg_contrib[:, 0])
     np.add.at(load, gpairs[:, 1], seg_contrib[:, 1])
@@ -597,20 +577,17 @@ def load_vector(
 
 
 def assemble_system(
-    mesh: Mesh,
-    bm: BoundaryMesh,
-    spec: ProblemSpec,
-    policy: QuadraturePolicy | None = None,
+    mesh: Mesh, spec: ProblemSpec, policy: QuadraturePolicy | None = None
 ) -> DiscreteSystem:
-    """Assemble all operator blocks and the load for a problem instance."""
+    """Assemble all operator blocks and the load for a problem instance; the
+    boundary blocks live on mesh.boundary."""
+    bm = mesh.boundary
     return DiscreteSystem(
         A_bulk=bulk_stiffness(mesh),
         A_bdry=boundary_stiffness(bm),
         M_b=boundary_mass(bm, spec.b),
         Theta=nonlocal_matrix(bm, spec.s, policy),
-        load=load_vector(mesh, bm, spec.f, spec.g),
-        boundary_nodes=bm.boundary_nodes,
+        load=load_vector(mesh, spec.f, spec.g),
         mesh=mesh,
-        bmesh=bm,
         spec=spec,
     )

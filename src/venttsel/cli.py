@@ -194,11 +194,16 @@ def _problem_for(config: RunConfig):
 # --- commands ---------------------------------------------------------------
 
 
-def _cmd_solve(config: RunConfig) -> dict:
+def _discretise(config: RunConfig):
+    """The config's problem and its system assembled on the config's mesh."""
     problem = _problem_for(config)
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = mesh.boundary
-    system = assemble_system(mesh, bm, problem.spec(), config.policy)
+    return problem, assemble_system(mesh, problem.spec(), config.policy)
+
+
+def _cmd_solve(config: RunConfig) -> dict:
+    problem, system = _discretise(config)
+    mesh = system.mesh
     u, report = solver.solve(system, tol=config.tol, maxit=config.maxit)
     rep = analysis.norm_report(u, theta=system.Theta, sigma=config.sigma_value)
     out = config.out_dir
@@ -209,7 +214,7 @@ def _cmd_solve(config: RunConfig) -> dict:
         "problem": config.problem,
         "s": config.s,
         "unknowns": mesh.n_nodes,
-        "boundary_nodes": bm.n_nodes,
+        "boundary_nodes": mesh.boundary.n_nodes,
         "iterations": report.iterations,
         "relative_residual": report.relative_residual,
         "solve_seconds": report.solve_seconds,
@@ -247,16 +252,13 @@ def _cmd_converge(config: RunConfig) -> dict:
 
 
 def _cmd_decompose(config: RunConfig) -> dict:
-    problem = _problem_for(config)
-    mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = mesh.boundary
-    system = assemble_system(mesh, bm, problem.spec(), config.policy)
+    _, system = _discretise(config)
     u, _ = solver.solve(system, tol=config.tol, maxit=config.maxit)
     dec = singular.decompose(u, config.polygon)
     out = config.out_dir
     _write_json(os.path.join(out, "decomposition.json"), {"corners": dec.summary()})
     if config.dump_fields:
-        write_mesh(os.path.join(out, "mesh.txt"), mesh)
+        write_mesh(os.path.join(out, "mesh.txt"), system.mesh)
         write_field(os.path.join(out, "regular_part.txt"), dec.regular_part.values)
     return {"corners": dec.summary()}
 
@@ -265,11 +267,8 @@ def _cmd_check(config: RunConfig) -> dict:
     """Config-sized invariant suite: operator laws, coercivity, oracle
     equivalence (small boundaries only), Friedrichs sampling, scaling law."""
     checks = []
-    mesh = triangulate(config.polygon, config.h, config.grading_q)
-    bm = mesh.boundary
-    problem = _problem_for(config)
-    system = assemble_system(mesh, bm, problem.spec())
-    theta = system.Theta
+    _, system = _discretise(config)
+    mesh, bm, theta = system.mesh, system.mesh.boundary, system.Theta
     sym = float(np.abs(theta - theta.T).max())
     checks.append({"name": "theta_symmetric", "passed": bool(sym <= 1e-12 * max(1.0, np.abs(theta).max())), "value": sym})
     ann = float(np.abs(theta @ np.ones(bm.n_nodes)).max())
@@ -279,7 +278,7 @@ def _cmd_check(config: RunConfig) -> dict:
 
     scaled = build_polygon(config.polygon.vertices * 2.0)
     mesh2 = triangulate(scaled, config.h * 2.0, config.grading_q)
-    theta2 = nonlocal_matrix(mesh2.boundary, config.s)
+    theta2 = nonlocal_matrix(mesh2.boundary, config.s, config.policy)
     law = float(np.abs(theta2 - 2.0 ** (1.0 - 2.0 * config.s) * theta).max() / np.abs(theta).max())
     checks.append({"name": "theta_scaling_law", "passed": bool(law <= 1e-8), "value": law})
 

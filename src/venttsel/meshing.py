@@ -154,10 +154,6 @@ class BoundaryMesh:
             self._cache[key] = (pts, wts, hats)
         return self._cache[key]
 
-    def trace(self, values: np.ndarray) -> np.ndarray:
-        """Restrict a nodal vector over the mesh to boundary nodes (cyclic order)."""
-        return np.asarray(values)[self.boundary_nodes]
-
 
 # --- size function and layouts ----------------------------------------------
 

@@ -135,7 +135,7 @@ def direct_solve(system: DiscreteSystem, max_unknowns: int = 2000) -> NodalField
 
 
 def _global_sparse(system: DiscreteSystem) -> sp.csr_matrix:
-    bidx = system.boundary_nodes
+    bidx = system.mesh.boundary.boundary_nodes
     block = sp.coo_matrix(system.boundary_block())
     emb = sp.coo_matrix(
         (block.data, (bidx[block.row], bidx[block.col])),
@@ -146,10 +146,10 @@ def _global_sparse(system: DiscreteSystem) -> sp.csr_matrix:
 
 def min_eigenpair(system: DiscreteSystem, boundary_cap: int = 512):
     """Smallest eigenvalue and eigenvector of the global operator."""
-    if system.bmesh.n_nodes > boundary_cap:
+    n_boundary = system.mesh.boundary.n_nodes
+    if n_boundary > boundary_cap:
         raise SolverError(
-            f"min_eigenvalue capped at {boundary_cap} boundary nodes "
-            f"(got {system.bmesh.n_nodes})"
+            f"min_eigenvalue capped at {boundary_cap} boundary nodes (got {n_boundary})"
         )
     if system.n <= 4000:
         w, v = scipy.linalg.eigh(_global_sparse(system).toarray())

@@ -35,7 +35,6 @@ from .quadrature import (
     adaptive_interval,
     adaptive_rectangle,
     gauss01,
-    gauss_interval,
     graded_breakpoints,
     tri_rule,
 )
@@ -424,7 +423,13 @@ class ManufacturedProblem:
             g = EnergyLoadSource(self)
         else:
             raise VenttselError(f"unknown g route {self.g_route!r}")
-        return ProblemSpec(s=self.s, b=self.b, f=self.f, g=g, sigma=None)
+        return ProblemSpec(s=self.s, b=self.b, f=self.f, g=g)
+
+
+# Pointwise table layout: Gauss order on segments away from the corners, and
+# dyadic layers of 6-point panels toward a corner on the segments touching one
+_POINTWISE_ORDER = 8
+_CORNER_LAYERS = 8
 
 
 class PointwiseBoundarySource:
@@ -433,25 +438,18 @@ class PointwiseBoundarySource:
     Segments touching a corner get composite Gauss nodes graded toward the
     corner: the tabulated g inherits an r^{1-2s}-type kink there from the
     nonlocal term, which plain Gauss cannot integrate to the load-route
-    equivalence tolerance.
+    equivalence tolerance. tol is the pointwise oracle tolerance (None: the
+    problem's oracle_tol).
     """
 
-    def __init__(
-        self,
-        problem: ManufacturedProblem,
-        order: int = 8,
-        tol: float | None = None,
-        corner_layers: int = 8,
-    ):
+    def __init__(self, problem: ManufacturedProblem, tol: float | None = None):
         self.problem = problem
-        self.order = order
         self.tol = tol
-        self.corner_layers = corner_layers
 
     def build(self, bm: BoundaryMesh) -> BoundaryQuadratureTable:
         poly = self.problem.polygon
         tolv = 1e-12 * max(1.0, poly.perimeter)
-        x0, w0 = gauss01(self.order)
+        x0, w0 = gauss01(_POINTWISE_ORDER)
         xc, wc = gauss01(6)
 
         def is_corner(p):
@@ -471,7 +469,7 @@ class PointwiseBoundarySource:
                 continue
             brk = np.array([0.0, 1.0])
             for e in ends:
-                brk = np.union1d(brk, graded_breakpoints(0.0, 1.0, e, self.corner_layers))
+                brk = np.union1d(brk, graded_breakpoints(0.0, 1.0, e, _CORNER_LAYERS))
             xs, ws = [], []
             for a_, b_ in zip(brk[:-1], brk[1:]):
                 xs.append(a_ + (b_ - a_) * xc)
@@ -494,7 +492,6 @@ class PointwiseBoundarySource:
             pts.reshape(-1, 2), side_ids, self.tol
         ).reshape(S, width)
         return BoundaryQuadratureTable(
-            order=self.order,
             values=vals,
             nodes=nodes,
             weights=weights,
@@ -505,12 +502,11 @@ class PointwiseBoundarySource:
 class EnergyLoadSource:
     """Per-basis boundary load computed from the continuum form (all s)."""
 
-    def __init__(self, problem: ManufacturedProblem, policy: QuadraturePolicy | None = None):
+    def __init__(self, problem: ManufacturedProblem):
         self.problem = problem
-        self.policy = policy or QuadraturePolicy()
 
     def build(self, bm: BoundaryMesh) -> BoundaryLoadTable:
-        return energy_load_table(self.problem, bm, policy=self.policy)
+        return energy_load_table(self.problem, bm)
 
 
 def _corner_masses(problem: ManufacturedProblem, bm: BoundaryMesh):
@@ -631,6 +627,13 @@ def lshape_benchmark() -> BenchmarkProblem:
 # --- form-based load table --------------------------------------------------------
 
 
+# Form-based load rules: triangle degree for the bulk terms, Gauss order per
+# segment for the local boundary terms, and the default separated-pair ladder
+_LOAD_BULK_DEGREE = 9
+_LOAD_BDRY_ORDER = 16
+_LOAD_POLICY = QuadraturePolicy()
+
+
 def _power_gauss(n: int, p: int):
     x, w = gauss01(n)
     return x**p, w * p * x ** (p - 1)
@@ -659,7 +662,7 @@ def _stable_diff(problem, x1, x2):
     return du.reshape(shape)
 
 
-def _theta_load(bm: BoundaryMesh, problem, s: float, policy: QuadraturePolicy):
+def _theta_load(bm: BoundaryMesh, problem, s: float):
     """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes."""
     S = bm.n_nodes
     out = np.zeros(S)
@@ -718,8 +721,8 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, policy: QuadraturePolicy):
     np.add.at(out, dofs, 2.0 * (part1 + part2))
 
     # separated pairs by the shared ratio ladder (orders bumped for the smooth factor)
-    for a, b, order in _separated_pairs(bm, policy):
-        for aa, bb in _chunks(a, b, policy.chunk_size):
+    for a, b, order in _separated_pairs(bm, _LOAD_POLICY):
+        for aa, bb in _chunks(a, b, _LOAD_POLICY.chunk_size):
             xq, yq, WK, hats = _separated_kernel(bm, s, aa, bb, order + 4)
             ux = np.asarray(problem.trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
             uy = np.asarray(problem.trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
@@ -729,22 +732,14 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, policy: QuadraturePolicy):
     return out
 
 
-def energy_load_table(
-    problem: ManufacturedProblem,
-    bm: BoundaryMesh,
-    *,
-    bulk_degree: int = 9,
-    bdry_order: int = 16,
-    policy: QuadraturePolicy | None = None,
-) -> BoundaryLoadTable:
+def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> BoundaryLoadTable:
     """Boundary load entries E(u, phi_i) - Int f phi_i from the continuum form.
 
     Valid for every s in (0, 1); sidesteps pointwise corner blow-up because
     only the absolutely convergent double integrals are evaluated.
     """
-    policy = policy or QuadraturePolicy()
     mesh = bm.mesh
-    lam, wq = tri_rule(bulk_degree)
+    lam, wq = tri_rule(_LOAD_BULK_DEGREE)
     pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
     flat = pts.reshape(-1, 2)
     w = mesh.areas[:, None] * wq[None, :]
@@ -761,7 +756,7 @@ def energy_load_table(
     f_term = np.zeros(mesh.n_nodes)
     np.add.at(f_term, mesh.triangles.ravel(), np.einsum("tk,tk,kl->tl", w, fv, lam).ravel())
 
-    pts_b, wts, hats = bm.gauss_points(bdry_order)
+    pts_b, wts, hats = bm.gauss_points(_LOAD_BDRY_ORDER)
     flat_b = pts_b.reshape(-1, 2)
     gub = np.asarray(problem.grad_u(flat_b), dtype=float).reshape(
         pts_b.shape[0], pts_b.shape[1], 2
@@ -777,7 +772,7 @@ def energy_load_table(
     np.add.at(bdry_term, lp[:, 0], -int_utan / bm.lengths + mass_term_local[:, 0])
     np.add.at(bdry_term, lp[:, 1], int_utan / bm.lengths + mass_term_local[:, 1])
 
-    theta_term = _theta_load(bm, problem, problem.s, policy)
+    theta_term = _theta_load(bm, problem, problem.s)
 
     vals = (
         bulk_term[bm.boundary_nodes]
@@ -867,7 +862,7 @@ def errors_vs_exact(u: NodalField, problem: ManufacturedProblem, degree: int = 4
 
     bm = mesh.boundary
     pts_b, wts, hats = bm.gauss_points(8)
-    vb = u.boundary_values(bm)
+    vb = u.boundary_values()
     uh_b = np.einsum("km,sm->sk", hats, np.column_stack([vb, vb[np.roll(np.arange(bm.n_nodes), -1)]]))
     uex_b = np.asarray(problem.trace(pts_b.reshape(-1, 2)), dtype=float).reshape(pts_b.shape[:2])
     err_l2_b = math.sqrt(max(0.0, float(np.sum(wts * (uh_b - uex_b) ** 2))))
@@ -898,11 +893,11 @@ def errors_vs_reference(u: NodalField, ref: NodalField):
     rbm = rmesh.boundary
     cbm = u.mesh.boundary
     pts_b, wts, hats = rbm.gauss_points(4)
-    vref = ref.boundary_values(rbm)
+    vref = ref.boundary_values()
     uref_b = np.einsum("km,sm->sk", hats, np.column_stack([vref, vref[np.roll(np.arange(rbm.n_nodes), -1)]]))
     x, _ = gauss01(4)
     arc = rbm.arclength_coords[:, None] + x[None, :] * rbm.lengths[:, None]
-    vb = u.boundary_values(cbm)
+    vb = u.boundary_values()
     uh_b, duh_b = boundary_interp(cbm, vb, arc.ravel())
     uh_b = uh_b.reshape(arc.shape)
     duh_b = duh_b.reshape(arc.shape)
@@ -987,22 +982,17 @@ def convergence_study(
     used = list(range(levels)) if has_exact else [*range(levels), n_meshes - 1]
     meshes = _mesh_sequence(problem.polygon, h0, q, used)
 
-    solutions = []
-    for mesh in meshes[:levels]:
-        system = assemble_system(mesh, mesh.boundary, problem.spec(), policy)
-        u, _ = solve(system, tol=solver_tol)
-        solutions.append(u)
-    ref = None
-    if not has_exact:
-        mesh = meshes[-1]
-        system = assemble_system(mesh, mesh.boundary, problem.spec(), policy)
-        ref, _ = solve(system, tol=solver_tol)
+    fields = []
+    for mesh in meshes:
+        u, _ = solve(assemble_system(mesh, problem.spec(), policy), tol=solver_tol)
+        fields.append(u)
+    ref = None if has_exact else fields[-1]
 
     f_norm = source_l2_bulk(problem.f, meshes[levels - 1])
     g_norm = manufactured_g_l2(problem) if has_exact else benchmark_g_l2(problem)
 
     rows = []
-    for k, u in enumerate(solutions):
+    for k, u in enumerate(fields[:levels]):
         if has_exact:
             e2, eh1, e2b, eh1b = errors_vs_exact(u, problem)
         else:
@@ -1017,7 +1007,7 @@ def convergence_study(
                 "err_h1_bulk": eh1,
                 "err_l2_bdry": e2b,
                 "err_h1_bdry": eh1b,
-                "bdry_h2_diag": boundary_h2_diagnostic(u.boundary_values(bm), bm),
+                "bdry_h2_diag": boundary_h2_diagnostic(u.boundary_values(), bm),
                 "stability_ratio": stability_ratio(u, problem, f_norm, g_norm)
                 if (f_norm + g_norm) > 0
                 else math.nan,

@@ -97,8 +97,7 @@ def uniform_chain(bench):
         meshes.append(refine(meshes[-1]))
     sols = {}
     for lvl in range(1, 6):
-        bm = extract_boundary(meshes[lvl])
-        u, _ = solve(assemble_system(meshes[lvl], bm, bench.spec()), tol=1e-10)
+        u, _ = solve(assemble_system(meshes[lvl], bench.spec()), tol=1e-10)
         sols[lvl] = u
     return sols
 
@@ -107,10 +106,9 @@ def test_criterion_1_patch(square, lshape):
     worst = 0.0
     for poly in (square, lshape):
         mesh = triangulate(poly, 0.25)
-        bm = extract_boundary(mesh)
         for s in S_VALUES:
             prob = make_manufactured("constant", poly, s, 1.0)
-            u, _ = solve(assemble_system(mesh, bm, prob.spec()), tol=1e-13)
+            u, _ = solve(assemble_system(mesh, prob.spec()), tol=1e-13)
             worst = max(worst, float(np.abs(u.values - 1.0).max()))
     ok = worst <= 1e-10
     assert _report(1, "patch test", ok, f"max |u - 1| = {worst:.2e}")
@@ -166,10 +164,9 @@ def test_criterion_4_coercivity(square, lshape):
     for poly in (square, lshape):
         for h in (0.25, 0.125):
             mesh = triangulate(poly, h)
-            bm = extract_boundary(mesh)
-            sys1 = assemble_system(mesh, bm, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+            sys1 = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
             lam_pos = min(lam_pos, min_eigenpair(sys1)[0])
-            sys0 = assemble_system(mesh, bm, ProblemSpec(s=0.5, b=0.0, f=0.0, g=0.0))
+            sys0 = assemble_system(mesh, ProblemSpec(s=0.5, b=0.0, f=0.0, g=0.0))
             lam, vec = min_eigenpair(sys0)
             lam_zero = max(lam_zero, abs(lam))
             cos_min = min(

@@ -111,6 +111,12 @@ def test_weighted_l2_integrability_guards(square_mesh):
         weighted_l2(one, -0.5, "boundary")
 
 
+def test_weighted_l2_boundary_rejects_nodal_field(square_mesh):
+    one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
+    with pytest.raises(VenttselError, match="callable target"):
+        weighted_l2(one, 0.25, "boundary")
+
+
 def test_weighted_l2_boundary_callable(square):
     # Int over boundary of r^{2 sigma}: per-side graded panels + tails
     val = weighted_l2(lambda p: np.ones(len(p)), 0.25, "boundary", polygon=square)
@@ -150,7 +156,7 @@ def test_gagliardo_bounded_by_boundary_norm(square, rng):
         worst = 0.0
         for u in random_smooth_fields(mesh, 40, 3):
             den = h1_bdry_semi(u) ** 2 + l2_bdry(u) ** 2
-            worst = max(worst, gagliardo_energy(u.boundary_values(bm), theta) / den)
+            worst = max(worst, gagliardo_energy(u.boundary_values(), theta) / den)
         cs.append(worst)
         mesh = refine(mesh)
     assert max(cs) / min(cs) < 2.0
@@ -184,7 +190,7 @@ def test_boundary_h2_affine_and_warning(square):
     bm = extract_boundary(mesh)
     # trace of a globally affine function: affine in arc length on every side
     u = NodalField(0.7 * mesh.nodes[:, 0] - 0.2 * mesh.nodes[:, 1], mesh)
-    assert boundary_h2_diagnostic(u.boundary_values(bm), bm) <= 1e-12
+    assert boundary_h2_diagnostic(u.boundary_values(), bm) <= 1e-12
 
     coarse = extract_boundary(triangulate(square, 1.0))  # 2 nodes per side
     with warnings.catch_warnings(record=True) as rec:

@@ -104,6 +104,9 @@ def test_problem_spec_validation():
     spec = ProblemSpec(s=0.5, b=0.0, f=0.0, g=0.0)
     assert not spec.coercive
     assert ProblemSpec(s=0.5, b=[0.0, 1.0, 0.0, 0.0], f=0.0, g=0.0).coercive
+    for bad_b in (lambda p: np.ones(len(p)), "one"):
+        with pytest.raises(AssemblyError, match="b must be a number or one number per side"):
+            ProblemSpec(s=0.5, b=bad_b, f=0.0, g=0.0)
 
 
 def test_nonlocal_constants_and_symmetry(square_bm):
@@ -159,40 +162,33 @@ def test_nonlocal_check_tolerance_path(square_bm):
 
 def test_load_vector_reference_triangle():
     m = _single_triangle_mesh()
-    bm = extract_boundary(m)
-    lv = load_vector(m, bm, 1.0, 0.0)
+    lv = load_vector(m, 1.0, 0.0)
     assert np.allclose(lv, [1 / 6, 1 / 6, 1 / 6], atol=1e-14)
 
 
 def test_load_vector_boundary_partition(square):
     poly = build_polygon([(0, 0), (0.25, 0), (0.25, 0.25), (0, 0.25)])
     m = triangulate(poly, 0.25)
-    bm = extract_boundary(m)
-    lv = load_vector(m, bm, 0.0, 1.0)
+    lv = load_vector(m, 0.0, 1.0)
     assert lv.sum() == pytest.approx(1.0, rel=1e-12)  # unit perimeter
-    assert np.abs(load_vector(m, bm, 0.0, 0.0)).max() == 0.0
+    assert np.abs(load_vector(m, 0.0, 0.0)).max() == 0.0
 
 
-def test_load_vector_eval_failure(square_mesh, square_bm):
+def test_load_vector_eval_failure(square_mesh):
     def bad(pts):
         raise ValueError("boom")
 
     with pytest.raises(AssemblyError):
-        load_vector(square_mesh, square_bm, bad, 0.0)
+        load_vector(square_mesh, bad, 0.0)
     with pytest.raises(AssemblyError):
-        load_vector(square_mesh, square_bm, 0.0, bad)
+        load_vector(square_mesh, 0.0, bad)
     with pytest.raises(AssemblyError):
-        load_vector(
-            square_mesh,
-            square_bm,
-            lambda p: np.full(len(np.atleast_2d(p)), np.nan),
-            0.0,
-        )
+        load_vector(square_mesh, lambda p: np.full(len(np.atleast_2d(p)), np.nan), 0.0)
 
 
 def test_load_table_route(square_mesh, square_bm):
     tab = BoundaryLoadTable(values=np.ones(square_bm.n_nodes))
-    lv = load_vector(square_mesh, square_bm, 0.0, tab)
+    lv = load_vector(square_mesh, 0.0, tab)
     assert lv[square_bm.boundary_nodes].sum() == pytest.approx(square_bm.n_nodes)
     interior = np.setdiff1d(np.arange(square_mesh.n_nodes), square_bm.boundary_nodes)
     assert np.abs(lv[interior]).max() == 0.0
@@ -200,13 +196,13 @@ def test_load_table_route(square_mesh, square_bm):
 
 def test_assemble_system_nullspace_and_pd(square_mesh, square_bm):
     spec0 = ProblemSpec(s=0.5, b=0.0, f=0.0, g=0.0)
-    sys0 = assemble_system(square_mesh, square_bm, spec0)
+    sys0 = assemble_system(square_mesh, spec0)
     w = np.linalg.eigvalsh(sys0.dense())
     assert abs(w[0]) <= 1e-10
     assert w[1] > 1e-6  # nullspace is exactly span{1}
 
     spec1 = ProblemSpec(s=0.5, b=1.0, f=0.0, g=1.0)
-    sys1 = assemble_system(square_mesh, square_bm, spec1)
+    sys1 = assemble_system(square_mesh, spec1)
     w1 = np.linalg.eigvalsh(sys1.dense())
     assert w1[0] > 0
 
@@ -219,9 +215,9 @@ def test_assemble_system_nullspace_and_pd(square_mesh, square_bm):
     assert np.abs(sys1.matvec(ones) - expected).max() <= 1e-10
 
 
-def test_matvec_matches_dense(square_mesh, square_bm, rng):
+def test_matvec_matches_dense(square_mesh, rng):
     spec = ProblemSpec(s=0.4, b=2.0, f=0.0, g=0.0)
-    system = assemble_system(square_mesh, square_bm, spec)
+    system = assemble_system(square_mesh, spec)
     dense = system.dense()
     for _ in range(3):
         v = rng.normal(size=system.n)
@@ -237,8 +233,7 @@ def test_rayleigh_quotient_equivalence(square, rng):
     bounds = []
     mesh = triangulate(square, 0.25)
     for _ in range(2):
-        bm = extract_boundary(mesh)
-        system = assemble_system(mesh, bm, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+        system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
         ratios = []
         for _ in range(100):
             u = NodalField(rng.normal(size=mesh.n_nodes), mesh)
@@ -272,8 +267,8 @@ def test_separated_pairs_partition_non_adjacent_pairs(lshape, h, q):
     assert all(i < j and 1 < j - i < S - 1 for i, j in pairs)
 
 
-def test_all_operator_blocks_symmetric(square_mesh, square_bm):
-    system = assemble_system(square_mesh, square_bm, ProblemSpec(s=0.6, b=1.5, f=0.0, g=0.0))
+def test_all_operator_blocks_symmetric(square_mesh):
+    system = assemble_system(square_mesh, ProblemSpec(s=0.6, b=1.5, f=0.0, g=0.0))
     for block in (system.A_bulk.toarray(), system.A_bdry.toarray(), system.M_b.toarray(), system.Theta):
         scale = max(np.abs(block).max(), 1e-30)
         assert np.abs(block - block.T).max() <= 1e-12 * scale

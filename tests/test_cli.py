@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from venttsel import meshing
+from venttsel import assembly, meshing
 from venttsel.cli import load_config, main, validate_config
 from venttsel.errors import ConfigError
 from venttsel.geometry import build_polygon
@@ -109,6 +109,29 @@ def test_one_boundary_extraction_per_mesh(tmp_path, monkeypatch):
     problem = make_manufactured("constant", build_polygon(SQUARE), 0.5, 1.0)
     convergence_study(problem, 3, h0=0.5)
     assert len(seen) == len({id(m) for m in seen}) == 4  # one solve mesh + three levels
+
+
+def test_check_threads_reach_both_theta_builds(tmp_path, monkeypatch):
+    threads = []
+    original = assembly.nonlocal_matrix
+
+    def recording(bm, s, policy=None):
+        threads.append((policy or assembly.QuadraturePolicy()).threads)
+        return original(bm, s, policy)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("venttsel") and getattr(module, "nonlocal_matrix", None) is original:
+            monkeypatch.setattr(module, "nonlocal_matrix", recording)
+    # h = 1/32: the far pairs span more than one chunk, so two threads do run
+    mesh = {"h": 1.0 / 32.0, "grading_q": 1.0, "levels": 1}
+    reports = []
+    for n in ("1", "2"):
+        path = _write_config(tmp_path, mesh=mesh, output={"directory": str(tmp_path / n)})
+        threads.clear()
+        assert main(["check", "--config", str(path), "--threads", n]) == 0
+        assert threads == [int(n)] * 2  # the system's Theta and the scaled polygon's
+        reports.append((tmp_path / n / "check.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_sigma_window_rejected(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from venttsel.assembly import NodalField, ProblemSpec, assemble_system
 from venttsel.errors import GeometryError, SingularFitError
 from venttsel.geometry import build_polygon
-from venttsel.meshing import extract_boundary, triangulate
+from venttsel.meshing import triangulate
 from venttsel.singular import (
     decompose,
     fit_coefficient,
@@ -29,9 +29,8 @@ def lshape_mesh16(lshape):
 
 @pytest.fixture(scope="module")
 def solved_benchmark(lshape, lshape_mesh16):
-    bm = extract_boundary(lshape_mesh16)
     spec = ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0)
-    u, _ = solve(assemble_system(lshape_mesh16, bm, spec), tol=1e-11)
+    u, _ = solve(assemble_system(lshape_mesh16, spec), tol=1e-11)
     return u
 
 
@@ -178,9 +177,8 @@ def test_regular_part_is_smoother(lshape, solved_benchmark, term):
         return float(np.sqrt(np.sum(m.areas[mask] * frob2[mask])))
 
     fine_mesh = refine(solved_benchmark.mesh)
-    bm = extract_boundary(fine_mesh)
     spec = ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0)
-    u_fine, _ = _solve(assemble_system(fine_mesh, bm, spec), tol=1e-10)
+    u_fine, _ = _solve(assemble_system(fine_mesh, spec), tol=1e-10)
 
     growth_u = corner_hessian(u_fine) / corner_hessian(solved_benchmark)
     growth_w = corner_hessian(decompose(u_fine).regular_part) / corner_hessian(

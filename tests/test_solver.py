@@ -15,9 +15,9 @@ from venttsel.solver import (
 
 
 @pytest.fixture(scope="module")
-def patch_system(square_mesh, square_bm):
+def patch_system(square_mesh):
     spec = ProblemSpec(s=0.5, b=1.0, f=0.0, g=1.0)
-    return assemble_system(square_mesh, square_bm, spec)
+    return assemble_system(square_mesh, spec)
 
 
 def test_patch_solution_is_one(patch_system):
@@ -33,23 +33,23 @@ def test_direct_solve_cross_check(patch_system):
     assert np.abs(u.values - 1.0).max() <= 1e-10
 
 
-def test_zero_load_zero_solution(square_mesh, square_bm):
+def test_zero_load_zero_solution(square_mesh):
     spec = ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0)
-    u, report = solve(assemble_system(square_mesh, square_bm, spec))
+    u, report = solve(assemble_system(square_mesh, spec))
     assert np.abs(u.values).max() == 0.0
     assert report.iterations == 0
 
 
-def test_solve_rejects_non_coercive(square_mesh, square_bm):
+def test_solve_rejects_non_coercive(square_mesh):
     spec = ProblemSpec(s=0.5, b=0.0, f=1.0, g=0.0)
-    system = assemble_system(square_mesh, square_bm, spec)
+    system = assemble_system(square_mesh, spec)
     with pytest.raises(SolverError, match="b"):
         solve(system)
 
 
-def test_maxit_exceeded_carries_history(square_mesh, square_bm):
+def test_maxit_exceeded_carries_history(square_mesh):
     spec = ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0)
-    system = assemble_system(square_mesh, square_bm, spec)
+    system = assemble_system(square_mesh, spec)
     with pytest.raises(SolverError) as exc:
         solve(system, tol=1e-14, maxit=2)
     assert exc.value.residual_history is not None
@@ -58,13 +58,13 @@ def test_maxit_exceeded_carries_history(square_mesh, square_bm):
 
 def test_negative_curvature_detected(square_mesh, square_bm):
     spec = ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0)
-    system = assemble_system(square_mesh, square_bm, spec)
+    system = assemble_system(square_mesh, spec)
     system.Theta = -50.0 * np.eye(square_bm.n_nodes)  # sabotage: indefinite block
     with pytest.raises(SolverError, match="curvature|diagonal"):
         solve(system)
 
 
-def test_solver_linearity(square_mesh, square_bm):
+def test_solver_linearity(square_mesh):
     f1 = lambda p: np.atleast_2d(p)[:, 0]
     f2 = lambda p: np.cos(np.atleast_2d(p)[:, 1])
     spec1 = ProblemSpec(s=0.4, b=1.0, f=f1, g=0.0)
@@ -72,45 +72,44 @@ def test_solver_linearity(square_mesh, square_bm):
     spec12 = ProblemSpec(
         s=0.4, b=1.0, f=lambda p: f1(p) + f2(p), g=0.0
     )
-    u1, _ = solve(assemble_system(square_mesh, square_bm, spec1), tol=1e-12)
-    u2, _ = solve(assemble_system(square_mesh, square_bm, spec2), tol=1e-12)
-    u12, _ = solve(assemble_system(square_mesh, square_bm, spec12), tol=1e-12)
+    u1, _ = solve(assemble_system(square_mesh, spec1), tol=1e-12)
+    u2, _ = solve(assemble_system(square_mesh, spec2), tol=1e-12)
+    u12, _ = solve(assemble_system(square_mesh, spec12), tol=1e-12)
     scale = np.abs(u12.values).max()
     assert np.abs(u12.values - u1.values - u2.values).max() <= 1e-9 * scale
 
 
-def test_galerkin_residual(square_mesh, square_bm):
+def test_galerkin_residual(square_mesh):
     spec = ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.5)
-    system = assemble_system(square_mesh, square_bm, spec)
+    system = assemble_system(square_mesh, spec)
     tol = 1e-11
     u, _ = solve(system, tol=tol)
     res = system.matvec(u.values) - system.load
     assert np.linalg.norm(res) <= tol * np.linalg.norm(system.load)
 
 
-def test_min_eigenvalue_degenerate(square_mesh, square_bm):
+def test_min_eigenvalue_degenerate(square_mesh):
     spec = ProblemSpec(s=0.5, b=0.0, f=0.0, g=0.0)
-    lam, vec = min_eigenpair(assemble_system(square_mesh, square_bm, spec))
+    lam, vec = min_eigenpair(assemble_system(square_mesh, spec))
     assert abs(lam) <= 1e-10
     cos = abs(vec @ np.ones(len(vec))) / (np.linalg.norm(vec) * np.sqrt(len(vec)))
     assert cos >= 1.0 - 1e-8
 
 
-def test_min_eigenvalue_coercive_and_monotone(square, square_mesh, square_bm):
+def test_min_eigenvalue_coercive_and_monotone(square, square_mesh):
     lam1 = min_eigenvalue(
-        assemble_system(square_mesh, square_bm, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+        assemble_system(square_mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
     )
     assert lam1 > 0
     lam2 = min_eigenvalue(
-        assemble_system(square_mesh, square_bm, ProblemSpec(s=0.5, b=2.0, f=0.0, g=0.0))
+        assemble_system(square_mesh, ProblemSpec(s=0.5, b=2.0, f=0.0, g=0.0))
     )
     assert lam2 >= lam1 - 1e-14
 
 
 def test_min_eigenvalue_cap(square):
     mesh = triangulate(square, 0.25)
-    bm = extract_boundary(mesh)
-    system = assemble_system(mesh, bm, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+    system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
     with pytest.raises(SolverError):
         min_eigenvalue(system, boundary_cap=4)
 
@@ -123,7 +122,7 @@ def test_coercivity_persistence(square):
     mesh = triangulate(square, 0.5)
     for _ in range(3):
         bm = extract_boundary(mesh)
-        system = assemble_system(mesh, bm, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+        system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
         lam = min_eigenvalue(system)
         mass_floor = np.linalg.eigvalsh(boundary_mass(bm, 1.0).toarray())[0]
         vals.append(lam / mass_floor)
@@ -138,9 +137,7 @@ def test_stability_ratio_examples(patch_system):
     # f = 0, g = 1 on perimeter 4: ||g|| = 2, ||u||_V1 = 2
     assert stability_ratio(u, spec, 0.0, 2.0) == pytest.approx(1.0, abs=1e-9)
     # scaling the data leaves the ratio unchanged
-    doubled = assemble_system(
-        patch_system.mesh, patch_system.bmesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=2.0)
-    )
+    doubled = assemble_system(patch_system.mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=2.0))
     u2, _ = solve(doubled, tol=1e-12)
     assert stability_ratio(u2, spec, 0.0, 4.0) == pytest.approx(
         stability_ratio(u, spec, 0.0, 2.0), rel=1e-9

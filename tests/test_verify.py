@@ -174,8 +174,8 @@ def test_load_route_equivalence(square):
     mesh = triangulate(square, 0.25)
     bm = extract_boundary(mesh)
     prob = make_manufactured("cubic", square, 0.25, 1.0)
-    lv_pw = load_vector(mesh, bm, prob.f, PointwiseBoundarySource(prob, tol=1e-10))
-    lv_lt = load_vector(mesh, bm, prob.f, EnergyLoadSource(prob))
+    lv_pw = load_vector(mesh, prob.f, PointwiseBoundarySource(prob, tol=1e-10))
+    lv_lt = load_vector(mesh, prob.f, EnergyLoadSource(prob))
     scale = np.abs(lv_pw[bm.boundary_nodes]).max()
     assert np.abs(lv_pw - lv_lt).max() <= 1e-6 * scale
 
