@@ -192,7 +192,7 @@ class DiscreteSystem:
         out = self.A_bulk @ v
         vb = v[bidx]
         out_b = self.A_bdry @ vb + self.M_b @ vb + self.Theta @ vb
-        np.add.at(out, bidx, out_b)
+        out[bidx] += out_b  # boundary nodes are unique
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -545,6 +545,10 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
         wts = np.asarray(g.weights, dtype=float)
         if gv.shape[0] != bm.n_segments:
             raise AssemblyError("boundary quadrature table shape mismatch")
+        if not np.all(np.isfinite(gv)):
+            si, ki = np.argwhere(~np.isfinite(gv))[0]
+            p0, p1 = bm.segment_starts[si], bm.segment_ends[si]
+            raise AssemblyError(f"boundary source not finite at {p0 + x[si, ki] * (p1 - p0)}")
         if g.point_masses:
             for local, weight in g.point_masses:
                 load[bm.boundary_nodes[local]] += weight

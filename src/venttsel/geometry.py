@@ -136,18 +136,27 @@ class Polygon:
         t = np.asarray(t, dtype=float)
         return self.side_starts[side] + np.multiply.outer(t, self.side_tangents[side])
 
-    def locate_boundary_point(self, x, tol: float = 1e-9) -> tuple[int, float]:
-        """Return (side index, arc offset from side start) of a boundary point x."""
+    def locate_boundary_point(self, x, tol: float = 1e-9):
+        """Return (side index, arc offset from side start) of a boundary point x;
+        for points x of shape (P, 2), an index array and an offset array."""
         x = np.asarray(x, dtype=float)
-        d = x[None, :] - self.side_starts
-        t = np.einsum("ij,ij->i", d, self.side_tangents)
+        pts = np.atleast_2d(x)
+        d = pts[:, None, :] - self.side_starts[None, :, :]
+        t = d[:, :, 0] * self.side_tangents[:, 0] + d[:, :, 1] * self.side_tangents[:, 1]
         t = np.clip(t, 0.0, self.side_lengths)
-        feet = self.side_starts + t[:, None] * self.side_tangents
-        dist = np.linalg.norm(feet - x[None, :], axis=1)
-        k = int(np.argmin(dist))
-        if dist[k] > tol * max(1.0, self.perimeter):
-            raise GeometryError(f"point {x} is not on the boundary (distance {dist[k]:.3e})")
-        return k, float(t[k])
+        feet = self.side_starts + t[:, :, None] * self.side_tangents
+        dist = np.linalg.norm(feet - pts[:, None, :], axis=2)
+        rows = np.arange(len(pts))
+        k = np.argmin(dist, axis=1)
+        off = dist[rows, k] > tol * max(1.0, self.perimeter)
+        if np.any(off):
+            i = int(np.argmax(off))
+            raise GeometryError(
+                f"point {pts[i]} is not on the boundary (distance {dist[i, k[i]]:.3e})"
+            )
+        if x.ndim == 1:
+            return int(k[0]), float(t[0, k[0]])
+        return k, t[rows, k]
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Crossing-number inside test; points on the boundary are unreliable."""

@@ -457,7 +457,7 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
         raise MeshError("zero-length boundary segment")
 
     mids = 0.5 * (p0 + p1)
-    side_ids = np.array([poly.locate_boundary_point(m)[0] for m in mids], dtype=int)
+    side_ids = poly.locate_boundary_point(mids)[0]
     normals = poly.side_normals[side_ids]
     if abs(lengths.sum() - poly.perimeter) > 1e-10 * poly.perimeter:
         raise MeshError("boundary length does not match the polygon perimeter")

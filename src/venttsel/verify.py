@@ -61,30 +61,129 @@ __all__ = [
 
 # --- pointwise oracle -----------------------------------------------------------
 
+# Points per array pass of the pointwise oracle: a block bounds its largest
+# temporary (points x Gauss nodes on one side, at most 32 x 2,496) to 0.6 MB
+_ORACLE_BLOCK = 32
 
-def _numeric_tangential_derivative(trace, polygon, side, t_x, h_rel=1e-5):
+
+def _numeric_tangential_derivative(trace, polygon, side, t, h_rel=1e-5):
+    """Fourth-order differences of the trace along each point's side; the
+    stencil is shifted inward near a corner."""
     L = polygon.side_lengths[side]
     h = h_rel * L
-    lo = min(t_x, L - t_x)
-    if lo < 2 * h:  # shift the stencil inward near a corner
-        center = np.clip(t_x, 2 * h, L - 2 * h)
-    else:
-        center = t_x
-    ts = center + h * np.array([-2.0, -1.0, 1.0, 2.0])
-    vals = np.asarray(trace(polygon.boundary_point(side, ts)), dtype=float)
-    return float((vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h))
+    center = np.where(np.minimum(t, L - t) < 2 * h, np.clip(t, 2 * h, L - 2 * h), t)
+    ts = center[:, None] + h[:, None] * np.array([-2.0, -1.0, 1.0, 2.0])
+    y = polygon.side_starts[side][:, None, :] + (
+        ts[:, :, None] * polygon.side_tangents[side][:, None, :]
+    )
+    vals = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
+    return (vals[:, 0] - 8 * vals[:, 1] + 8 * vals[:, 2] - vals[:, 3]) / (12 * h)
 
 
-def _panel_sum(fvec, panels, order):
-    """Per-panel Gauss values, one vectorized integrand call for all panels."""
-    panels = np.asarray(panels, dtype=float)
+def _panel_nodes(a, b, order):
+    """Gauss nodes and weights, shape (..., order), on panels [a, b]."""
     x, w = gauss01(order)
-    a = panels[:, 0:1]
-    b = panels[:, 1:2]
-    ts = a + (b - a) * x[None, :]
-    ws = (b - a) * w[None, :]
-    vals = np.asarray(fvec(ts.ravel())).reshape(ts.shape)
-    return list((vals * ws).sum(axis=1))
+    a = a[..., None]
+    b = b[..., None]
+    return a + (b - a) * x, (b - a) * w
+
+
+def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_corner):
+    """One quadrature pass of the pointwise oracle over a block of points.
+
+    Returns 2 Int (u(x) - u(y)) |x-y|^{-(1+2s)} dl(y) at Gauss order `order`
+    and its error estimate against order // 2 plus the tail-fit bound. Points
+    sharing a panel layout on a side share one trace call; every value depends
+    on its own point only.
+    """
+    orders = (order, order // 2)
+    totals = np.zeros((2, len(t)))
+    err_extra = np.zeros(len(t))
+    expo = -(1.0 + 2.0 * s)
+    # decay ratios of the dyadic panel series toward t: the leading integrand
+    # power is 2 - 2s (regularized) or 1 - 2s (Lipschitz, at a corner)
+    lead = np.where(at_corner, 1.0 - 2.0 * s, 2.0 - 2.0 * s)
+    rho1 = 2.0 ** (-lead)
+    rho2 = 2.0 ** (-(lead + 1.0))
+    L_x = polygon.side_lengths[side]
+    eps_corner = 1e-12 * np.maximum(1.0, L_x)
+    for j in range(polygon.n_sides):
+        L = polygon.side_lengths[j]
+        p0 = polygon.side_starts[j]
+        tan = polygon.side_tangents[j]
+
+        # other sides: panels graded toward both corners, deeper the nearer x
+        other = np.flatnonzero(side != j)
+        dmin = np.minimum(
+            np.linalg.norm(x[other] - p0, axis=1),
+            np.linalg.norm(x[other] - polygon.side_ends[j], axis=1),
+        )
+        k_end = np.ceil(np.log2(L / np.maximum(dmin, 1e-14))) + 6
+        k_end = np.minimum(layers, np.maximum(10, k_end))
+        for k in np.unique(k_end).astype(int):
+            g = other[k_end == k]
+            brk = np.union1d(
+                graded_breakpoints(0.0, L, 0.0, k),
+                graded_breakpoints(0.0, L, L, k),
+            )
+            for m, n in enumerate(orders):
+                ts, ws = _panel_nodes(brk[:-1], brk[1:], n)
+                y = p0 + ts.reshape(-1, 1) * tan
+                dx = y[:, 0] - x[g, 0:1]
+                dy = y[:, 1] - x[g, 1:2]
+                d2 = dx * dx + dy * dy
+                f = (ux[g, None] - np.asarray(trace(y), dtype=float)) * d2 ** (expo / 2.0)
+                totals[m, g] += (f.reshape(len(g), *ts.shape) * ws).sum(axis=2).sum(axis=1)
+
+        # own side: subtract the tangential linearization (slope 0 at a corner)
+        own = np.flatnonzero(side == j)
+        for left in (True, False):
+            length = t[own] if left else L - t[own]
+            half = np.flatnonzero(length > eps_corner[own])  # x is not this end
+            # stop the layers around 1e-5 of the side length: deeper panels
+            # drown in roundoff of the regularized difference
+            k_own = np.clip(np.ceil(np.log2(length[half] / (1e-5 * L))), 5, layers)
+            for k in np.unique(k_own).astype(int):
+                sel = half[k_own == k]
+                g = own[sel]
+                tg = t[g][:, None]
+                offs = length[sel][:, None] * 0.5 ** np.arange(k + 1)
+                # breakpoints toward t; the core panel touching t is dropped
+                brk = tg - offs if left else tg + offs[:, ::-1]
+                sums = []
+                for n in orders:
+                    ts, ws = _panel_nodes(brk[:, :-1], brk[:, 1:], n)
+                    y = p0 + ts[..., None] * tan
+                    uy = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
+                    dt = ts - tg[:, :, None]
+                    f = (ux[g, None, None] - uy + slope[g, None, None] * dt) * np.abs(dt) ** expo
+                    sums.append((f * ws).sum(axis=2))
+                # close the dropped geometric tail with a two-term fit at the
+                # theoretical ratios; the one-term value bounds its error
+                hi = sums[0]
+                p_last, p_prev = (hi[:, -1], hi[:, -2]) if left else (hi[:, 0], hi[:, 1])
+                r1 = rho1[g]
+                r2 = rho2[g]
+                X = (p_prev - p_last / r2) / (1.0 / r1 - 1.0 / r2)
+                Y = p_last - X
+                tail2 = X * r1 / (1.0 - r1) + Y * r2 / (1.0 - r2)
+                tail1 = p_last * r1 / (1.0 - r1)
+                for m in range(2):
+                    totals[m, g] += sums[m].sum(axis=1)
+                    totals[m, g] += tail2
+                # |tail2 - tail1| is the first-order tail correction; the
+                # two-term residual is another order down
+                err_extra[g] += 0.2 * np.abs(tail2 - tail1) + 1e-15 * (1.0 + np.abs(tail2))
+
+        # analytic principal value of the subtracted linearization
+        reg = own[~at_corner[own]]
+        tr = t[reg]
+        if abs(s - 0.5) < 1e-14:
+            corr = np.log((L - tr) / tr)
+        else:
+            corr = ((L - tr) ** (1.0 - 2.0 * s) - tr ** (1.0 - 2.0 * s)) / (1.0 - 2.0 * s)
+        totals[:, reg] -= slope[reg] * corr
+    return 2.0 * totals[0], 2.0 * np.abs(totals[0] - totals[1]) + 2.0 * err_extra
 
 
 def theta_pointwise_oracle(
@@ -94,7 +193,7 @@ def theta_pointwise_oracle(
     s: float,
     tol: float = 1e-8,
     *,
-    tangential_derivative: float | None = None,
+    tangential_derivative: float | np.ndarray | None = None,
     return_error: bool = False,
 ):
     """Pointwise nonlocal operator value 2 Int (u(x) - u(y)) |x-y|^{-(1+2s)} dl(y).
@@ -104,7 +203,15 @@ def theta_pointwise_oracle(
     tangential linearization of the trace is subtracted and reintegrated as an
     analytic principal-value correction, which makes the scheme uniformly
     accurate in s; the leftover dyadic cores are summed by geometric
-    extrapolation. Tolerance is absolute plus relative.
+    extrapolation. Tolerance is absolute plus relative; points whose estimate
+    misses it are recomputed once at higher order and depth.
+
+    x is one boundary point or an array of points (P, 2); the trace must
+    accept (M, 2) arrays. tangential_derivative (the trace's derivative along
+    the side at x; numeric differences when None) is a scalar or one value per
+    point. Returns a float, or P values, to match x, with the error estimates
+    when return_error. Points are evaluated in blocks of _ORACLE_BLOCK, and a
+    value does not depend on the other points of the call.
 
     Preconditions: the trace is Lipschitz near x for s < 1/2 and C1 along the
     boundary near x for s >= 1/2; for s >= 1/2, x must not be a corner.
@@ -112,122 +219,46 @@ def theta_pointwise_oracle(
     if not 0.0 < s < 1.0:
         raise OracleError(f"s={s} outside (0, 1)")
     x = np.asarray(x, dtype=float)
-    side_x, t_x = polygon.locate_boundary_point(x)
-    L_x = polygon.side_lengths[side_x]
-    eps_corner = 1e-12 * max(1.0, L_x)
-    at_corner = t_x <= eps_corner or t_x >= L_x - eps_corner
-    if at_corner and s >= 0.5:
+    # contiguous rows: a strided input can take another ufunc loop and move the
+    # last bit of a value with the layout of the call
+    pts = np.ascontiguousarray(np.atleast_2d(x))
+    side, t = polygon.locate_boundary_point(pts)
+    L_x = polygon.side_lengths[side]
+    eps_corner = 1e-12 * np.maximum(1.0, L_x)
+    at_corner = (t <= eps_corner) | (t >= L_x - eps_corner)
+    if s >= 0.5 and np.any(at_corner):
         raise OracleError(
-            "pointwise nonlocal value may be unbounded at a corner for s >= 1/2; "
-            "use the form-based load route instead"
+            "pointwise nonlocal value may be unbounded at a corner for s >= 1/2 "
+            f"(x={pts[np.argmax(at_corner)]}); use the form-based load route instead"
         )
-    ux = float(np.asarray(trace(x[None, :]))[0])
+    ux = np.asarray(trace(pts), dtype=float)
+    if tangential_derivative is None:
+        slope = _numeric_tangential_derivative(trace, polygon, side, t)
+    else:
+        slope = np.broadcast_to(np.asarray(tangential_derivative, dtype=float), t.shape)
+    slope = np.where(at_corner, 0.0, slope)  # Lipschitz path: no subtraction
 
-    def run(order, layers):
-        total_hi = 0.0
-        total_lo = 0.0
-        err_extra = 0.0
-        for side in range(polygon.n_sides):
-            L = polygon.side_lengths[side]
-            p0 = polygon.side_starts[side]
-            tan = polygon.side_tangents[side]
-
-            def integrand(ts, side=side, p0=p0, tan=tan):
-                y = p0[None, :] + ts[:, None] * tan[None, :]
-                dx = y[:, 0] - x[0]
-                dy = y[:, 1] - x[1]
-                d2 = dx * dx + dy * dy
-                return (ux - np.asarray(trace(y))) * d2 ** (-(1.0 + 2.0 * s) / 2.0)
-
-            if side != side_x:
-                dmin = min(
-                    np.linalg.norm(polygon.side_starts[side] - x),
-                    np.linalg.norm(polygon.side_ends[side] - x),
-                )
-                k_end = int(min(layers, max(10, math.ceil(math.log2(L / max(dmin, 1e-14))) + 6)))
-                brk = np.union1d(
-                    graded_breakpoints(0.0, L, 0.0, k_end),
-                    graded_breakpoints(0.0, L, L, k_end),
-                )
-                panels = list(zip(brk[:-1], brk[1:]))
-                hi = _panel_sum(integrand, panels, order)
-                lo = _panel_sum(integrand, panels, order // 2)
-                total_hi += sum(hi)
-                total_lo += sum(lo)
-                continue
-
-            # own side: subtract the tangential linearization
-            if at_corner:
-                a_slope = None  # Lipschitz path: no subtraction, s < 1/2 here
-            else:
-                a_slope = (
-                    tangential_derivative
-                    if tangential_derivative is not None
-                    else _numeric_tangential_derivative(trace, polygon, side, t_x)
-                )
-
-            def reg_integrand(ts):
-                y = p0[None, :] + ts[:, None] * tan[None, :]
-                d = np.abs(ts - t_x)
-                vals = ux - np.asarray(trace(y))
-                if a_slope is not None:
-                    vals = vals + a_slope * (ts - t_x)
-                return vals * d ** (-(1.0 + 2.0 * s))
-
-            # decay ratios of the dyadic panel series toward t_x: the leading
-            # integrand power is 2 - 2s (regularized) or 1 - 2s (Lipschitz)
-            lead = 2.0 - 2.0 * s if a_slope is not None else 1.0 - 2.0 * s
-            rho1 = 2.0 ** (-lead)
-            rho2 = 2.0 ** (-(lead + 1.0))
-            for lo_end, hi_end in ((0.0, t_x), (t_x, L)):
-                length = hi_end - lo_end
-                if length <= eps_corner:
-                    continue
-                # stop the layers around 1e-5 of the side length: deeper panels
-                # drown in roundoff of the regularized difference
-                k_own = int(np.clip(math.ceil(math.log2(length / (1e-5 * L))), 5, layers))
-                brk = graded_breakpoints(lo_end, hi_end, t_x, k_own)
-                panels = list(zip(brk[:-1], brk[1:]))
-                if t_x == lo_end:
-                    panels = panels[1:]  # drop the core touching t_x
-                else:
-                    panels = panels[:-1]
-                hi = _panel_sum(reg_integrand, panels, order)
-                lo = _panel_sum(reg_integrand, panels, order // 2)
-                total_hi += sum(hi)
-                total_lo += sum(lo)
-                # close the dropped geometric tail with a two-term fit at the
-                # theoretical ratios; the one-term value bounds its error
-                p_last = hi[0] if t_x == lo_end else hi[-1]
-                p_prev = hi[1] if t_x == lo_end else hi[-2]
-                X = (p_prev - p_last / rho2) / (1.0 / rho1 - 1.0 / rho2)
-                Y = p_last - X
-                tail2 = X * rho1 / (1.0 - rho1) + Y * rho2 / (1.0 - rho2)
-                tail1 = p_last * rho1 / (1.0 - rho1)
-                total_hi += tail2
-                total_lo += tail2
-                # |tail2 - tail1| is the first-order tail correction; the
-                # two-term residual is another order down
-                err_extra += 0.2 * abs(tail2 - tail1) + 1e-15 * (1.0 + abs(tail2))
-
-            if a_slope is not None:
-                if abs(s - 0.5) < 1e-14:
-                    corr = math.log((L - t_x) / t_x)
-                else:
-                    corr = ((L - t_x) ** (1.0 - 2.0 * s) - t_x ** (1.0 - 2.0 * s)) / (
-                        1.0 - 2.0 * s
-                    )
-                total_hi -= a_slope * corr
-                total_lo -= a_slope * corr
-        return 2.0 * total_hi, 2.0 * abs(total_hi - total_lo) + 2.0 * err_extra
-
-    value, err = run(16, 44)
-    if err > tol * (1.0 + abs(value)):
-        value, err = run(24, 52)
-    if err > tol * (1.0 + abs(value)):
+    value = np.empty(len(pts))
+    err = np.empty(len(pts))
+    todo = np.arange(len(pts))
+    for order, layers in ((16, 44), (24, 52)):
+        for lo in range(0, len(todo), _ORACLE_BLOCK):
+            b = todo[lo : lo + _ORACLE_BLOCK]
+            value[b], err[b] = _oracle_pass(
+                polygon, trace, s, order, layers,
+                pts[b], side[b], t[b], ux[b], slope[b], at_corner[b],
+            )
+        # a NaN estimate misses too
+        todo = np.flatnonzero(~(err <= tol * (1.0 + np.abs(value))))
+        if todo.size == 0:
+            break
+    else:
+        i = todo[0]
         raise OracleError(
-            f"pointwise oracle error estimate {err:.3e} exceeds tol at x={x}"
+            f"pointwise oracle error estimate {err[i]:.3e} exceeds tol at x={pts[i]}"
         )
+    if x.ndim == 1:
+        value, err = float(value[0]), float(err[0])
     return (value, err) if return_error else value
 
 
@@ -397,20 +428,15 @@ class ManufacturedProblem:
         dn = np.einsum("pd,pd->p", nu, np.asarray(self.grad_u(pts), dtype=float))
         bu = self.b_per_side()[side_ids] * self.trace(pts)
         tol = tol if tol is not None else self.oracle_tol
-        theta = np.array(
-            [
-                theta_pointwise_oracle(
-                    poly,
-                    self.trace,
-                    p,
-                    self.s,
-                    tol,
-                    tangential_derivative=float(
-                        np.asarray(self.grad_u(p[None, :]))[0] @ tau[k]
-                    ),
-                )
-                for k, p in enumerate(pts)
-            ]
+        theta = theta_pointwise_oracle(
+            poly,
+            self.trace,
+            pts,
+            self.s,
+            tol,
+            tangential_derivative=np.einsum(
+                "pd,pd->p", np.asarray(self.grad_u(pts), dtype=float), tau
+            ),
         )
         return -lap_ell + dn + bu + theta
 
@@ -456,7 +482,6 @@ class PointwiseBoundarySource:
             return np.min(np.linalg.norm(poly.vertices - p[None, :], axis=1)) <= tolv
 
         nodes_rows, weights_rows = [], []
-        width = None
         for k in range(bm.n_segments):
             ends = []
             if is_corner(bm.segment_starts[k]):
@@ -487,10 +512,11 @@ class PointwiseBoundarySource:
         pts = bm.segment_starts[:, None, :] + nodes[:, :, None] * (
             bm.segment_ends - bm.segment_starts
         )[:, None, :]
-        side_ids = np.repeat(bm.side_ids, width)
-        vals = self.problem.boundary_g_values(
-            pts.reshape(-1, 2), side_ids, self.tol
-        ).reshape(S, width)
+        side_ids = np.repeat(bm.side_ids[:, None], width, axis=1)
+        # padded entries carry weight 0: store 0 there instead of evaluating g
+        used = weights > 0
+        vals = np.zeros((S, width))
+        vals[used] = self.problem.boundary_g_values(pts[used], side_ids[used], self.tol)
         return BoundaryQuadratureTable(
             values=vals,
             nodes=nodes,
@@ -816,12 +842,12 @@ def manufactured_g_l2(problem: ManufacturedProblem, *, n_layers: int = 12, order
             graded_breakpoints(0.0, L, 0.0, n_layers),
             graded_breakpoints(0.0, L, L, n_layers),
         )
-        panel_vals = []
-        for a_, b_ in zip(brk[:-1], brk[1:]):
-            ts = a_ + (b_ - a_) * x
-            pts = poly.boundary_point(side, ts)
-            gv = problem.boundary_g_values(pts, np.full(len(ts), side), tol=1e-6)
-            panel_vals.append(float(np.sum((b_ - a_) * w * gv**2)))
+        a_, b_ = brk[:-1, None], brk[1:, None]
+        ts = a_ + (b_ - a_) * x
+        gv = problem.boundary_g_values(
+            poly.boundary_point(side, ts.ravel()), np.full(ts.size, side), tol=1e-6
+        ).reshape(ts.shape)
+        panel_vals = list(np.sum((b_ - a_) * w * gv**2, axis=1))
         total += sum(panel_vals)
         # geometric tails at both corners
         for inner, nxt in ((panel_vals[0], panel_vals[1]), (panel_vals[-1], panel_vals[-2])):

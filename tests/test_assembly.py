@@ -6,6 +6,7 @@ import pytest
 
 from venttsel.assembly import (
     BoundaryLoadTable,
+    BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
     QuadraturePolicy,
@@ -184,6 +185,19 @@ def test_load_vector_eval_failure(square_mesh):
         load_vector(square_mesh, 0.0, bad)
     with pytest.raises(AssemblyError):
         load_vector(square_mesh, lambda p: np.full(len(np.atleast_2d(p)), np.nan), 0.0)
+
+
+def test_load_quadrature_table_not_finite(square_mesh, square_bm):
+    x = np.full((square_bm.n_segments, 2), 0.25)
+    x[:, 1] = 0.75
+    w = np.outer(square_bm.lengths, [0.5, 0.5])
+    vals = np.ones_like(x)
+    vals[3, 1] = np.nan
+    with pytest.raises(AssemblyError, match="boundary source not finite at"):
+        load_vector(square_mesh, 0.0, BoundaryQuadratureTable(values=vals, nodes=x, weights=w))
+    vals[3, 1] = 1.0
+    lv = load_vector(square_mesh, 0.0, BoundaryQuadratureTable(values=vals, nodes=x, weights=w))
+    assert lv.sum() == pytest.approx(square_bm.lengths.sum())
 
 
 def test_load_table_route(square_mesh, square_bm):

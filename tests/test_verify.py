@@ -1,11 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venttsel.assembly import QuadraturePolicy, load_vector, nonlocal_matrix
+from venttsel.assembly import (
+    BoundaryQuadratureTable,
+    QuadraturePolicy,
+    load_vector,
+    nonlocal_matrix,
+)
 from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
@@ -82,6 +88,107 @@ def test_pointwise_corner_rules(square):
         theta_pointwise_oracle(square, trace, (0.0, 0.0), 0.6, 1e-8)
     v = theta_pointwise_oracle(square, trace, (0.0, 0.0), 0.25, 1e-6)
     assert np.isfinite(v)
+
+
+_TRACES = {
+    "cubic": lambda p: np.atleast_2d(p)[:, 0] ** 3 + np.atleast_2d(p)[:, 1] ** 3,
+    "harmonic": lambda p: np.exp(np.atleast_2d(p)[:, 0]) * np.sin(np.atleast_2d(p)[:, 1]),
+    "wave": lambda p: np.sin(12 * np.atleast_2d(p)[:, 0]) * np.cos(9 * np.atleast_2d(p)[:, 1]),
+}
+
+# (polygon, trace, s, x, tol, value): values of the one-point-at-a-time
+# oracle this batched one replaced (panel layout, orders, tail fit and retry
+# unchanged), recorded as literals. Points within 1e-6 of a corner use a
+# tolerance their error estimate meets at that s.
+_GOLDEN = [
+    ("square", "cubic", 0.25, (0.3, 0.0), 1e-08, -7.152336569356318),
+    ("square", "cubic", 0.25, (1.0, 0.37), 1e-08, 2.3268006210709204),
+    ("square", "cubic", 0.25, (0.62, 1.0), 1e-08, 2.9587301381160493),
+    ("square", "cubic", 0.25, (0.9999995, 0.0), 1e-08, 8.817621999546862),
+    ("square", "cubic", 0.25, (1.0, 3e-07), 1e-08, 8.830668481486082),
+    ("lshape", "harmonic", 0.25, (0.0, 1.3), 1e-08, -5.472000099748046),
+    ("lshape", "harmonic", 0.25, (1.0, 1.0000004), 1e-08, -3.674055700726581),
+    ("square", "cubic", 0.5, (0.3, 0.0), 1e-08, -8.47908219746093),
+    ("square", "cubic", 0.5, (1.0, 0.37), 1e-08, 1.734598449606697),
+    ("square", "cubic", 0.5, (0.62, 1.0), 1e-08, 1.1846786704524002),
+    ("square", "cubic", 0.5, (0.9999995, 0.0), 1e-06, 72.41746629237016),
+    ("square", "cubic", 0.5, (1.0, 3e-07), 1e-06, 84.90873225200393),
+    ("lshape", "harmonic", 0.5, (0.0, 1.3), 1e-08, -4.131133097161146),
+    ("lshape", "harmonic", 0.5, (1.0, 1.0000004), 1e-06, -95.58963065151906),
+    ("square", "cubic", 0.7, (0.3, 0.0), 1e-08, -11.006270058564573),
+    ("square", "cubic", 0.7, (1.0, 0.37), 1e-08, -0.24463782871986095),
+    ("square", "cubic", 0.7, (0.62, 1.0), 1e-08, -3.1400086574713146),
+    ("square", "cubic", 0.7, (0.9999995, 0.0), 0.0001, 2454.6622028291044),
+    ("square", "cubic", 0.7, (1.0, 3e-07), 0.0001, 6074.536744318748),
+    ("lshape", "harmonic", 0.7, (0.0, 1.3), 1e-08, -2.438822448987395),
+    ("lshape", "harmonic", 0.7, (1.0, 1.0000004), 0.0001, -5443.00072430304),
+    ("square", "cubic", 0.25, (0.0, 0.0), 1e-06, -5.615390712708651),
+    ("lshape", "harmonic", 0.25, (1.0, 1.0), 1e-06, -3.6884337288916944),
+]
+
+
+@pytest.fixture(scope="module")
+def polygons(square, lshape):
+    return {"square": square, "lshape": lshape}
+
+
+def test_pointwise_golden_values(polygons):
+    groups = {}
+    for poly, trace, s, x, tol, value in _GOLDEN:
+        groups.setdefault((poly, trace, s, tol), []).append((x, value))
+    for (poly, trace, s, tol), cases in groups.items():
+        pts = np.array([x for x, _ in cases])
+        golden = np.array([v for _, v in cases])
+        batch = theta_pointwise_oracle(polygons[poly], _TRACES[trace], pts, s, tol)
+        single = [theta_pointwise_oracle(polygons[poly], _TRACES[trace], x, s, tol) for x in pts]
+        assert isinstance(single[0], float) and batch.shape == golden.shape
+        assert np.all(np.abs(batch - golden) <= 1e-12 * np.abs(golden))
+        assert np.array_equal(batch, single)
+
+
+def test_pointwise_batch_invariance(lshape):
+    trace = _TRACES["harmonic"]
+    rng = np.random.default_rng(7)
+    sides = rng.integers(0, lshape.n_sides, 40)
+    offs = rng.uniform(0.0, 1.0, 40) * lshape.side_lengths[sides]
+    offs[:8] = 10.0 ** rng.uniform(-9.0, -4.0, 8)  # near the start corners
+    near = lshape.side_starts[sides] + offs[:, None] * lshape.side_tangents[sides]
+    near[8] = lshape.vertices[3]  # the reentrant corner itself, s < 1/2 only
+    for s, pts in ((0.25, near), (0.4, np.delete(near, 8, axis=0))):
+        together, err = theta_pointwise_oracle(lshape, trace, pts, s, 1e-6, return_error=True)
+        assert np.all(err <= 1e-6 * (1.0 + np.abs(together)))
+        alone = [theta_pointwise_oracle(lshape, trace, p, s, 1e-6) for p in pts]
+        assert np.array_equal(together, alone)
+        reversed_ = theta_pointwise_oracle(lshape, trace, pts[::-1], s, 1e-6)[::-1]
+        assert np.array_equal(together, reversed_)
+        # leading points move the block boundaries to other places among these
+        for lead in (1, 13, verify._ORACLE_BLOCK - 5):
+            shifted = np.vstack([np.repeat(pts[-1:], lead, axis=0), pts])
+            values = theta_pointwise_oracle(lshape, trace, shifted, s, 1e-6)
+            assert np.array_equal(together, values[lead:])
+
+
+def test_pointwise_array_corner_rule(square):
+    pts = np.array([[0.3, 0.0], [1.0, 0.37], [0.0, 1.0], [0.62, 1.0]])
+    with pytest.raises(OracleError, match=re.escape(str(pts[2]))):
+        theta_pointwise_oracle(square, _TRACES["cubic"], pts, 0.6, 1e-6)
+
+
+def test_pointwise_retry(square):
+    # the order-16 pass misses 1e-14 at this point; the order-24 pass meets it
+    trace, x, s, tol, golden = _TRACES["wave"], (0.0, 0.81), 0.5, 1e-14, 4.2980933672585016
+    first, first_err = theta_pointwise_oracle(square, trace, x, s, 1.0, return_error=True)
+    assert first_err > tol * (1.0 + abs(first))
+    value, err = theta_pointwise_oracle(square, trace, x, s, tol, return_error=True)
+    assert err <= tol * (1.0 + abs(value))
+    assert abs(value - golden) <= tol * (1.0 + abs(golden))
+
+
+def test_pointwise_nan_estimate_raises(lshape):
+    # the retry's deepest corner panels round onto the corner itself
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(OracleError, match="exceeds tol"):
+            theta_pointwise_oracle(lshape, _TRACES["harmonic"], (0.0, 0.0), 0.4, 1e-7)
 
 
 # --- entry oracle --------------------------------------------------------------
@@ -178,6 +285,30 @@ def test_load_route_equivalence(square):
     lv_lt = load_vector(mesh, prob.f, EnergyLoadSource(prob))
     scale = np.abs(lv_pw[bm.boundary_nodes]).max()
     assert np.abs(lv_pw - lv_lt).max() <= 1e-6 * scale
+
+
+def test_pointwise_table_skips_padding(square, monkeypatch):
+    mesh = triangulate(square, 0.25)
+    prob = make_manufactured("cubic", square, 0.25, 1.0)
+    evaluated = []
+    original = verify.theta_pointwise_oracle
+
+    def counting(polygon, trace, x, *args, **kwargs):
+        evaluated.append(len(np.atleast_2d(x)))
+        return original(polygon, trace, x, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "theta_pointwise_oracle", counting)
+    table = PointwiseBoundarySource(prob).build(mesh.boundary)
+    pad = table.weights == 0
+    assert pad.any() and evaluated == [np.count_nonzero(~pad)]
+    assert np.all(table.values[pad] == 0.0)
+    filled = BoundaryQuadratureTable(
+        values=np.where(pad, 1e3, table.values),
+        nodes=table.nodes,
+        weights=table.weights,
+        point_masses=table.point_masses,
+    )
+    assert np.array_equal(load_vector(mesh, prob.f, table), load_vector(mesh, prob.f, filled))
 
 
 def test_default_g_routes(square):
