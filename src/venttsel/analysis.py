@@ -2,10 +2,13 @@
 corner norms, the nonlocal boundary energy, a per-side discrete boundary-H2
 diagnostic, and the Friedrichs ratio.
 
-Weighted integrals r^{2*sigma} * value^2 use per-element Gauss rules; elements
-touching a corner get three dyadic radial layers plus an analytic
-geometric-series tail (the layers are self-similar, so the remaining core
-integrates in closed form with the value frozen at the corner). On the
+Bulk weighted integrals r^{2*sigma} * value^2 use one rule per (mesh, sigma),
+cached on the mesh and shared by weighted_l2 and the weighted Hessian
+diagnostic. It has three element groups: degree-6 Gauss away from the corners,
+degree 13 within three diameters of a corner, and on elements touching a
+corner three dyadic radial layers plus one corner point that carries the
+analytic geometric-series tail (the layers are self-similar, so the remaining
+core integrates in closed form with the value frozen at the corner). On the
 boundary, callables are integrated side by side on corner-graded panels.
 """
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .assembly import (
 from .errors import VenttselError
 from .geometry import Polygon, dist_to_vertices
 from .meshing import BoundaryMesh, Mesh
-from .quadrature import gauss01, graded_breakpoints, tri_rule
+from .quadrature import gauss01, graded_breakpoints, tri_points_weights, tri_rule
 
 __all__ = [
     "NormReport",
@@ -105,56 +108,79 @@ def friedrichs_ratio(u: NodalField) -> float:
 
 # --- weighted integrals --------------------------------------------------------
 
-
-def _corner_vertex_ids(polygon: Polygon, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Index of the polygon corner each point coincides with, else -1."""
-    d = np.linalg.norm(pts[:, None, :] - polygon.vertices[None, :, :], axis=2)
-    k = np.argmin(d, axis=1)
-    k[d[np.arange(len(pts)), k] > tol] = -1
-    return k
+_DEGREE = 6  # Gauss degree away from the corners
+_NEAR_DEGREE = 13  # r^{2 sigma} has unbounded derivatives near a corner
+_LAYERS = 3
+_BOUNDARY_ORDER = 8
 
 
-def _layered_triangle(corner, a1, a2, evaluate, polygon, sigma, layers, degree):
-    """Integral of r^{2 sigma} * evaluate(p)^2 over triangle (corner, corner+a1,
-    corner+a2) with dyadic layers toward the corner and an analytic tail."""
-    lam, wq = tri_rule(degree)
-    total = 0.0
-    layer0_weight = 0.0
+@dataclass(frozen=True, eq=False)
+class _RuleGroup:
+    """Elements that share one barycentric rule within a weighted rule."""
+
+    elems: np.ndarray  # (E,) element ids
+    tris: np.ndarray  # (E, 3) node triples the barycentric points refer to
+    lam: np.ndarray  # (K, 3) barycentric points
+    w: np.ndarray  # (E, K) quadrature weights times r^{2 sigma}
+
+
+def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
+    """Cached rule for integrals of r^{2 sigma} times an elementwise value.
+
+    sigma = 0 gives the plain degree-6 rule. Otherwise far elements use degree
+    6 and elements within three diameters of a corner degree 13. An element
+    touching a corner, listed corner first, gets `layers` dyadic layers toward
+    the corner plus one point at the corner for the analytic tail: the layers
+    are self-similar, so the remaining core is layer 0 times the geometric
+    series rho^L / (1 - rho), with the value frozen at the corner.
+    """
+    key = ("weighted_rule", sigma, layers)
+    if key in mesh._cache:
+        return mesh._cache[key]
+    polygon = mesh.polygon
+
+    def weighted(pts, w):
+        return w * dist_to_vertices(polygon, pts.reshape(-1, 2)).reshape(w.shape) ** (2.0 * sigma)
+
+    def group(mask, degree):
+        pts, w = tri_points_weights(verts[mask], degree)
+        if sigma != 0.0:
+            w = weighted(pts, w)
+        return _RuleGroup(elems[mask], mesh.triangles[mask], tri_rule(degree)[0], w)
+
+    elems = np.arange(len(mesh.triangles))
+    verts = mesh.tri_verts
+    if sigma == 0.0:
+        mesh._cache[key] = [group(slice(None), _DEGREE)]
+        return mesh._cache[key]
+
+    tol = 1e-12 * max(1.0, polygon.perimeter)
+    at_corner = (dist_to_vertices(polygon, mesh.nodes) <= tol)[mesh.triangles]
+    corner = at_corner.any(axis=1)
+    near = ~corner & (dist_to_vertices(polygon, verts.mean(axis=1)) <= 3.0 * mesh.diameters())
+    rule = [group(~corner & ~near, _DEGREE), group(near, _NEAR_DEGREE)]
+
+    # a corner element is (c, c + a1, c + a2); layer k is cut into two triangles,
+    # given by their (a1, a2) coefficients, between 2^-(k+1) and 2^-k
+    ab = []
     for k in range(layers):
         hi, lo = 0.5**k, 0.5 ** (k + 1)
-        tris = np.array(
-            [
-                [corner + lo * a1, corner + hi * a1, corner + hi * a2],
-                [corner + lo * a1, corner + hi * a2, corner + lo * a2],
-            ]
-        )
-        e1 = tris[:, 1] - tris[:, 0]
-        e2 = tris[:, 2] - tris[:, 0]
-        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        pts = np.einsum("kl,tld->tkd", lam, tris).reshape(-1, 2)
-        w = (areas[:, None] * wq[None, :]).ravel()
-        rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma)
-        total += float(np.sum(w * rw * evaluate(pts) ** 2))
-        if k == 0:
-            layer0_weight = float(np.sum(w * rw))
+        ab += [[[lo, 0.0], [hi, 0.0], [0.0, hi]], [[lo, 0.0], [0.0, hi], [0.0, lo]]]
+    ab = np.array(ab)
+    ce = elems[corner]
+    loc = np.argmax(at_corner[corner], axis=1)
+    tris = mesh.triangles[ce[:, None], (loc[:, None] + np.arange(3)) % 3]
+    c = mesh.nodes[tris[:, 0]]
+    sub = c[:, None, None, :] + np.einsum("jvc,ecd->ejvd", ab, mesh.nodes[tris[:, 1:]] - c[:, None, :])
+    pts, w = tri_points_weights(sub.reshape(-1, 3, 2), _DEGREE)
+    w = weighted(pts, w).reshape(len(ce), len(ab) * pts.shape[1])
     rho = 2.0 ** (-(2.0 + 2.0 * sigma))
-    vc = float(evaluate(corner[None, :])[0])
-    total += vc**2 * layer0_weight * rho**layers / (1.0 - rho)
-    return total
-
-
-def _field_evaluator_on_element(mesh: Mesh, values: np.ndarray, t: int):
-    """Affine evaluator of a P1 field restricted to element t (valid inside)."""
-    g = _p1_gradients(mesh)[t]
-    tri = mesh.triangles[t]
-    v0 = mesh.nodes[tri[0]]
-    grad = values[tri] @ g
-    c0 = values[tri[0]]
-
-    def ev(pts):
-        return c0 + (np.atleast_2d(pts) - v0) @ grad
-
-    return ev
+    tail = w[:, : 2 * pts.shape[1]].sum(axis=1) * rho**layers / (1.0 - rho)
+    bary = np.concatenate([1.0 - ab.sum(axis=2, keepdims=True), ab], axis=2)
+    lam = np.einsum("kl,jlm->jkm", tri_rule(_DEGREE)[0], bary).reshape(-1, 3)
+    rule.append(_RuleGroup(ce, tris, np.vstack([lam, [1.0, 0.0, 0.0]]), np.column_stack([w, tail])))
+    mesh._cache[key] = rule
+    return rule
 
 
 def weighted_l2(
@@ -162,83 +188,25 @@ def weighted_l2(
     sigma: float,
     region: str = "bulk",
     *,
-    mesh: Mesh | None = None,
     polygon: Polygon | None = None,
-    degree: int = 6,
-    layers: int = 3,
-    boundary_order: int = 8,
+    layers: int = _LAYERS,
 ) -> float:
     """Weighted L2 norm ( integral of r^{2 sigma} value^2 )^(1/2).
 
-    region is "bulk", where target is a NodalField or a callable (then a mesh
-    is needed), or "boundary", where target must be a callable, integrated
-    side by side with corner-graded panels. Integrability demands sigma > -1
-    in the bulk and sigma > -1/2 on the boundary.
+    region is "bulk", where target is a NodalField integrated with the mesh's
+    cached weighted rule, or "boundary", where target is a callable integrated
+    side by side on corner-graded panels of `polygon`. Integrability demands
+    sigma > -1 in the bulk and sigma > -1/2 on the boundary.
     """
-    if isinstance(target, NodalField):
-        mesh = target.mesh
-    if mesh is not None and polygon is None:
-        polygon = mesh.polygon
-    if polygon is None:
-        raise VenttselError("weighted_l2 needs a mesh or a polygon")
-
     if region == "bulk":
         if sigma <= -1.0:
             raise VenttselError(f"sigma={sigma} <= -1: r^(2 sigma) not integrable in 2D")
-        if mesh is None:
-            raise VenttselError("bulk weighted norm needs a mesh to integrate on")
-        values = target.values if isinstance(target, NodalField) else None
-        func = None if values is not None else target
-        lam, wq = tri_rule(degree)
-        pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
-        flat = pts.reshape(-1, 2)
-        if values is not None:
-            vals = np.einsum("kl,tl->tk", lam, values[mesh.triangles])
-        else:
-            vals = np.asarray(func(flat), dtype=float).reshape(pts.shape[:2])
-        w = mesh.areas[:, None] * wq[None, :]
-        if sigma == 0.0:
-            return math.sqrt(max(0.0, float(np.sum(w * vals**2))))
-        rw = dist_to_vertices(polygon, flat).reshape(pts.shape[:2]) ** (2.0 * sigma)
-        tol = 1e-12 * max(1.0, polygon.perimeter)
-        corner_of = _corner_vertex_ids(polygon, mesh.nodes, tol)
-        tri_corner_vertex = corner_of[mesh.triangles]  # (T, 3)
-        is_corner_elem = (tri_corner_vertex >= 0).any(axis=1)
-        # elements near (but not touching) a corner see an r^{2 sigma} weight
-        # with unbounded derivatives: use a denser collapsed rule there
-        cent = mesh.tri_verts.mean(axis=1)
-        near = (~is_corner_elem) & (
-            dist_to_vertices(polygon, cent) <= 3.0 * mesh.diameters()
+        if not isinstance(target, NodalField):
+            raise VenttselError("bulk weighted norm needs a NodalField")
+        total = sum(
+            float(np.sum(g.w * np.einsum("kl,tl->tk", g.lam, target.values[g.tris]) ** 2))
+            for g in _weighted_rule(target.mesh, sigma, layers)
         )
-        far = ~is_corner_elem & ~near
-        total = float(np.sum(w[far] * rw[far] * vals[far] ** 2))
-        if near.any():
-            lam_hi, wq_hi = tri_rule(13)
-            pts_hi = np.einsum("kl,tld->tkd", lam_hi, mesh.tri_verts[near])
-            w_hi = mesh.areas[near][:, None] * wq_hi[None, :]
-            rw_hi = dist_to_vertices(polygon, pts_hi.reshape(-1, 2)).reshape(
-                pts_hi.shape[:2]
-            ) ** (2.0 * sigma)
-            if values is not None:
-                vals_hi = np.einsum("kl,tl->tk", lam_hi, values[mesh.triangles[near]])
-            else:
-                vals_hi = np.asarray(func(pts_hi.reshape(-1, 2)), dtype=float).reshape(
-                    pts_hi.shape[:2]
-                )
-            total += float(np.sum(w_hi * rw_hi * vals_hi**2))
-        for t in np.nonzero(is_corner_elem)[0]:
-            loc = int(np.argmax(tri_corner_vertex[t] >= 0))
-            tri = mesh.triangles[t]
-            corner = mesh.nodes[tri[loc]]
-            others = [tri[(loc + 1) % 3], tri[(loc + 2) % 3]]
-            a1 = mesh.nodes[others[0]] - corner
-            a2 = mesh.nodes[others[1]] - corner
-            ev = (
-                _field_evaluator_on_element(mesh, values, t)
-                if values is not None
-                else func
-            )
-            total += _layered_triangle(corner, a1, a2, ev, polygon, sigma, layers, degree)
         return math.sqrt(max(0.0, total))
 
     if region == "boundary":
@@ -246,16 +214,16 @@ def weighted_l2(
             raise VenttselError(f"sigma={sigma} <= -1/2: r^(2 sigma) not integrable on a curve")
         if isinstance(target, NodalField):
             raise VenttselError("boundary weighted norm needs a callable target, not a NodalField")
-        return math.sqrt(
-            max(0.0, _boundary_weighted_callable(target, polygon, sigma, boundary_order))
-        )
+        if polygon is None:
+            raise VenttselError("boundary weighted norm needs a polygon")
+        return math.sqrt(max(0.0, _boundary_weighted_callable(target, polygon, sigma)))
 
     raise VenttselError(f"unknown region {region!r}")
 
 
-def _boundary_weighted_callable(func, polygon, sigma, order, n_layers: int = 40):
+def _boundary_weighted_callable(func, polygon, sigma, n_layers: int = 40):
     total = 0.0
-    x, w = gauss01(order)
+    x, w = gauss01(_BOUNDARY_ORDER)
     for side in range(polygon.n_sides):
         L = polygon.side_lengths[side]
         brk = np.union1d(
@@ -334,39 +302,19 @@ def recovered_hessian(u: NodalField) -> np.ndarray:
     return np.einsum("tid,tic->tdc", g, nodal_grad[mesh.triangles])
 
 
-def weighted_hessian_diagnostic(u: NodalField, sigma: float, *, layers: int = 3, degree: int = 6) -> float:
+def weighted_hessian_diagnostic(u: NodalField, sigma: float) -> float:
     """Recovered-Hessian surrogate of the weighted second-derivative norm.
 
     This is a diagnostic observable (the exact elementwise Hessian of a P1
     field vanishes), not a convergent norm estimator.
     """
-    mesh = u.mesh
-    H = recovered_hessian(u)
-    frob2 = np.einsum("tdc,tdc->t", H, H)
     if sigma <= -1.0:
         raise VenttselError(f"sigma={sigma} <= -1: weight not integrable")
-    if sigma == 0.0:
-        return math.sqrt(max(0.0, float(np.sum(mesh.areas * frob2))))
-    polygon = mesh.polygon
-    lam, wq = tri_rule(degree)
-    pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
-    rw = dist_to_vertices(polygon, pts.reshape(-1, 2)).reshape(pts.shape[:2]) ** (2.0 * sigma)
-    w = mesh.areas[:, None] * wq[None, :]
-    tol = 1e-12 * max(1.0, polygon.perimeter)
-    corner_of = _corner_vertex_ids(polygon, mesh.nodes, tol)
-    tri_corner_vertex = corner_of[mesh.triangles]
-    is_corner = (tri_corner_vertex >= 0).any(axis=1)
-    total = float(np.sum((w * rw)[~is_corner] * frob2[~is_corner, None]))
-    for t in np.nonzero(is_corner)[0]:
-        loc = int(np.argmax(tri_corner_vertex[t] >= 0))
-        tri = mesh.triangles[t]
-        corner = mesh.nodes[tri[loc]]
-        a1 = mesh.nodes[tri[(loc + 1) % 3]] - corner
-        a2 = mesh.nodes[tri[(loc + 2) % 3]] - corner
-        c = math.sqrt(frob2[t])
-        total += _layered_triangle(
-            corner, a1, a2, lambda p, c=c: np.full(len(np.atleast_2d(p)), c), polygon, sigma, layers, degree
-        )
+    H = recovered_hessian(u)
+    frob2 = np.einsum("tdc,tdc->t", H, H)
+    total = sum(
+        float(np.sum(g.w * frob2[g.elems, None])) for g in _weighted_rule(u.mesh, sigma, _LAYERS)
+    )
     return math.sqrt(max(0.0, total))
 
 

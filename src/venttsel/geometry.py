@@ -313,5 +313,8 @@ def dist_to_vertices(p: Polygon, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    d = np.linalg.norm(pts[:, None, :] - p.vertices[None, :, :], axis=2).min(axis=1)
+    d2 = np.full(len(pts), np.inf)
+    for vx, vy in p.vertices:
+        np.minimum(d2, (pts[:, 0] - vx) ** 2 + (pts[:, 1] - vy) ** 2, out=d2)
+    d = np.sqrt(d2)
     return float(d[0]) if single else d

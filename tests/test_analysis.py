@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venttsel import analysis
 from venttsel.analysis import (
     boundary_h2_diagnostic,
     friedrichs_ratio,
@@ -17,12 +18,13 @@ from venttsel.analysis import (
     weighted_hessian_diagnostic,
     weighted_l2,
 )
-from venttsel.assembly import NodalField, nonlocal_matrix
+from venttsel.assembly import NodalField, assemble_system, nonlocal_matrix
 from venttsel.errors import VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, refine, triangulate
 from venttsel.quadrature import adaptive_rectangle, gauss_interval
-from venttsel.verify import random_smooth_fields, theta_entry_oracle
+from venttsel.solver import solve
+from venttsel.verify import lshape_benchmark, random_smooth_fields, theta_entry_oracle
 
 
 def test_v1_of_constant(square_mesh):
@@ -103,18 +105,81 @@ def test_weighted_l2_layer_self_check(square_mesh):
     assert abs(v3 - v5) <= 1e-4 * abs(v3)
 
 
-def test_weighted_l2_integrability_guards(square_mesh):
+def test_weighted_l2_integrability_guards(square_mesh, monkeypatch):
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
     with pytest.raises(VenttselError):
         weighted_l2(one, -1.0, "bulk")
     with pytest.raises(VenttselError):
         weighted_l2(one, -0.5, "boundary")
+    # rejected before the recovered Hessian is computed
+    monkeypatch.setattr(analysis, "recovered_hessian", None)
+    with pytest.raises(VenttselError):
+        weighted_hessian_diagnostic(one, -1.0)
 
 
 def test_weighted_l2_boundary_rejects_nodal_field(square_mesh):
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
     with pytest.raises(VenttselError, match="callable target"):
         weighted_l2(one, 0.25, "boundary")
+    with pytest.raises(VenttselError, match="bulk weighted norm needs a NodalField"):
+        weighted_l2(lambda p: np.ones(len(p)), 0.25, "bulk")
+
+
+@pytest.fixture(scope="module")
+def lshape_chain_solutions():
+    """Benchmark solutions on levels 1 and 3 of the refine chain from h = 1/2."""
+    bench = lshape_benchmark()
+    meshes = [triangulate(bench.polygon, 0.5)]
+    for _ in range(3):
+        meshes.append(refine(meshes[-1]))
+    return {
+        lvl: solve(assemble_system(meshes[lvl], bench.spec()), tol=1e-10)[0] for lvl in (1, 3)
+    }
+
+
+# Recorded from the per-element rules with a Python loop over corner elements
+# that preceded the cached weighted rule. The Hessian diagnostic now also uses
+# the degree-13 near-corner rule, which moved it by +8.1e-5 (level 1, T = 96)
+# and -1.1e-8 (level 3) relative.
+_GOLDEN_WEIGHTED = [
+    (1, 0.42, 0.5695088205933061, 0.8973701793551232, 1e-4),
+    (1, 5.0 / 12.0, 0.5707140285175538, 0.8997340954398517, 1e-4),
+    (3, 0.42, 0.5795763289493953, 1.1696605700086797, 1e-7),
+    (3, 5.0 / 12.0, 0.5808019953476259, 1.1730134823525047, 1e-7),
+]
+
+
+@pytest.mark.parametrize("level,sigma,l2,hess,hess_rtol", _GOLDEN_WEIGHTED)
+def test_weighted_norms_golden_values(lshape_chain_solutions, level, sigma, l2, hess, hess_rtol):
+    u = lshape_chain_solutions[level]
+    assert weighted_l2(u, sigma, "bulk") == pytest.approx(l2, rel=1e-13)
+    assert weighted_hessian_diagnostic(u, sigma) == pytest.approx(hess, rel=hess_rtol)
+
+
+def test_weighted_l2_constant_golden_value(square_mesh):
+    one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
+    assert weighted_l2(one, 0.4, "bulk") == pytest.approx(0.6764712440400256, rel=1e-13)
+
+
+def test_norm_report_builds_weighted_rule_once(lshape, monkeypatch):
+    mesh = triangulate(lshape, 0.25)
+    u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
+    calls = []
+    real = analysis.tri_points_weights
+    monkeypatch.setattr(
+        analysis, "tri_points_weights", lambda *a: calls.append(a) or real(*a)
+    )
+
+    def rules():
+        return sorted(k for k in mesh._cache if isinstance(k, tuple))
+
+    norm_report(u, sigma=0.42)
+    per_build = len(calls)
+    assert per_build > 0 and rules() == [("weighted_rule", 0.42, 3)]
+    norm_report(u, sigma=0.42)
+    assert len(calls) == per_build and len(rules()) == 1
+    norm_report(u, sigma=5.0 / 12.0)
+    assert len(calls) == 2 * per_build and len(rules()) == 2
 
 
 def test_weighted_l2_boundary_callable(square):

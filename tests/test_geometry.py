@@ -88,6 +88,16 @@ def test_dist_to_vertices_examples(square, lshape):
     assert dist_to_vertices(square, (0.5, 0.5)) == pytest.approx(math.sqrt(0.5))
     assert dist_to_vertices(square, (1.0, 0.0)) == 0.0
     assert dist_to_vertices(lshape, (1.0, 1.0)) == 0.0
+    # bitwise equal to the norm over all corners, then the minimum
+    rng = np.random.default_rng(7)
+    for poly in (square, lshape):
+        sides = [
+            poly.boundary_point(k, rng.uniform(0.0, poly.side_lengths[k], 10))
+            for k in range(poly.n_sides)
+        ]
+        pts = np.vstack([rng.uniform(-1.0, 3.0, (200, 2)), poly.vertices, *sides])
+        ref = np.linalg.norm(pts[:, None, :] - poly.vertices[None, :, :], axis=2).min(axis=1)
+        assert np.array_equal(dist_to_vertices(poly, pts), ref)
 
 
 def test_sigma_window_monotone_in_alpha():
