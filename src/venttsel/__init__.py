@@ -17,11 +17,11 @@ from .assembly import (
     DiscreteSystem,
     NodalField,
     ProblemSpec,
-    QuadraturePolicy,
     assemble_system,
     boundary_mass,
     boundary_stiffness,
     bulk_stiffness,
+    check_theta_orders,
     load_vector,
     nonlocal_matrix,
 )

@@ -21,20 +21,21 @@ constants to roundoff by construction.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, QuadraturePairError, RegularityRegimeWarning
 from .meshing import BoundaryMesh, Mesh
-from .quadrature import gauss01, tri_rule
+from .quadrature import gauss01, tri_points_weights, tri_rule
 
 __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "NodalField",
-    "QuadraturePolicy",
     "BoundaryQuadratureTable",
     "BoundaryLoadTable",
     "bulk_stiffness",
@@ -42,6 +43,7 @@ __all__ = [
     "boundary_stiffness",
     "boundary_mass",
     "nonlocal_matrix",
+    "check_theta_orders",
     "load_vector",
     "assemble_system",
 ]
@@ -92,7 +94,7 @@ class ProblemSpec:
     f : bulk source, callable on (k, 2) point arrays (scalars accepted)
     g : boundary source: callable, scalar, per-side array, a
         BoundaryQuadratureTable / BoundaryLoadTable, or a factory object
-        with .build(boundary_mesh) returning one of those
+        with .build(boundary_mesh, threads) returning one of those
     """
 
     s: float
@@ -144,23 +146,6 @@ class BoundaryLoadTable:
     """Per-basis-function boundary load entries, boundary-local cyclic order."""
 
     values: np.ndarray  # (S,)
-
-
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Order ladder for the separated-pair tensor Gauss rules.
-
-    threads > 1 evaluates separated-pair chunks in a thread pool; the chunk
-    blocks are reduced in a fixed order, so results are bitwise identical
-    across thread counts.
-    """
-
-    far_order: int = 4
-    mid_order: int = 8
-    near_order: int = 12
-    check_tolerance: float | None = None
-    chunk_size: int = 4096
-    threads: int = 1
 
 
 @dataclass(eq=False)
@@ -375,15 +360,18 @@ def _adjacent_blocks(Theta, bm, s, order):
     np.add.at(Theta, (dofs[:, :, None], dofs[:, None, :]), C)
 
 
-# Separated-pair order ladder: the distance-to-diameter ratio picks far
-# (ratio > _FAR_RATIO), mid or near (ratio <= _MID_RATIO) tensor Gauss orders.
+# Separated-pair order ladder: the distance-to-diameter ratio picks the far
+# (ratio > _FAR_RATIO), mid or near (ratio <= _MID_RATIO) tensor Gauss order.
 _FAR_RATIO = 4.0
 _MID_RATIO = 1.0
+_ORDERS = (4, 8, 12)
+# Separated pairs per chunk; bounds the (chunk, n, n) kernel temporaries
+_CHUNK_SIZE = 4096
 # Gauss order of the smooth angular integral left by the adjacent-pair Duffy split
 _ANGULAR_ORDER = 16
 
 
-def _separated_pairs(bm, policy):
+def _separated_pairs(bm):
     """Non-adjacent segment pairs a < b split by the ratio ladder.
 
     Returns [(a, b, order)] for the far, mid and near classes, in that order.
@@ -397,13 +385,28 @@ def _separated_pairs(bm, policy):
     )
     ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
     far, near = ratio > _FAR_RATIO, ratio <= _MID_RATIO
-    classes = ((far, policy.far_order), (~far & ~near, policy.mid_order), (near, policy.near_order))
-    return [(a[mask], b[mask], order) for mask, order in classes]
+    masks = (far, ~far & ~near, near)
+    return [(a[mask], b[mask], order) for mask, order in zip(masks, _ORDERS)]
 
 
-def _chunks(a, b, size):
-    """Pair index arrays cut into consecutive chunks of at most size pairs."""
-    return [(a[lo : lo + size], b[lo : lo + size]) for lo in range(0, len(a), size)]
+def _separated_map(bm, fn, threads):
+    """fn(a, b, order) on each chunk of at most _CHUNK_SIZE pairs of each ladder
+    class, in a pool of `threads` threads when threads > 1.
+
+    Returns [((a, b, order), fn(a, b, order))] in a fixed chunk order, so a
+    reduction over it is bitwise identical for every thread count.
+    """
+    jobs = [
+        (a[lo : lo + _CHUNK_SIZE], b[lo : lo + _CHUNK_SIZE], order)
+        for a, b, order in _separated_pairs(bm)
+        for lo in range(0, len(a), _CHUNK_SIZE)
+    ]
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda job: fn(*job), jobs))
+    else:
+        results = [fn(*job) for job in jobs]
+    return list(zip(jobs, results))
 
 
 def _separated_kernel(bm, s, a, b, order):
@@ -432,39 +435,16 @@ def _separated_chunk(bm, s, a, b, order):
     return Caa, Cbb, Cab
 
 
-def _separated_blocks(Theta, bm, s, pairs_a, pairs_b, order, policy):
-    lp = bm.local_pairs()
-    jobs = _chunks(pairs_a, pairs_b, policy.chunk_size)
-    if policy.threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=policy.threads) as pool:
-            results = list(
-                pool.map(lambda ab: _separated_chunk(bm, s, ab[0], ab[1], order), jobs)
-            )
-    else:
-        results = [_separated_chunk(bm, s, a, b, order) for a, b in jobs]
-    # reduction in fixed chunk order: bitwise stable across thread counts
-    for (a, b), (Caa, Cbb, Cab) in zip(jobs, results):
-        ia, ib = lp[a], lp[b]  # (P, 2) local node indices
-        np.add.at(Theta, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
-        np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
-        np.add.at(Theta, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
-        np.add.at(Theta, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
-
-
-def nonlocal_matrix(
-    bm: BoundaryMesh, s: float, policy: QuadraturePolicy | None = None
-) -> np.ndarray:
+def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
     """Dense Galerkin matrix of the nonlocal boundary form over boundary nodes.
 
     Entries use the Euclidean chord distance |x - y|; the matrix is symmetric,
     positive semidefinite, annihilates constants, and scales like t**(1-2s)
-    under coordinate scaling by t.
+    under coordinate scaling by t. threads > 1 evaluates the separated-pair
+    chunks in a thread pool; the result is bitwise the same.
     """
     if not 0.0 < s < 1.0:
         raise AssemblyError(f"fractional order s={s} outside (0, 1)")
-    policy = policy or QuadraturePolicy()
     S = bm.n_nodes
     if S < 3:
         raise AssemblyError("boundary mesh must have at least 3 segments")
@@ -473,28 +453,42 @@ def nonlocal_matrix(
     _identical_blocks(Theta, bm, s)
     _adjacent_blocks(Theta, bm, s, _ANGULAR_ORDER)
 
-    groups = _separated_pairs(bm, policy)
-    for a, b, order in groups:
-        _separated_blocks(Theta, bm, s, a, b, order, policy)
-    if policy.check_tolerance is None:
-        return Theta
-    # order check: every separated pair's blocks at order against 2 * order
-    scale = np.abs(Theta).max()
-    for a, b, order in groups:
-        for aa, bb in _chunks(a, b, policy.chunk_size):
-            lo_blocks = _separated_chunk(bm, s, aa, bb, order)
-            hi_blocks = _separated_chunk(bm, s, aa, bb, 2 * order)
-            err = np.zeros(len(aa))
-            for lb, hb in zip(lo_blocks, hi_blocks):
-                err = np.maximum(err, np.abs(lb - hb).max(axis=(1, 2)))
-            worst = int(np.argmax(err))
-            if err[worst] > policy.check_tolerance * scale:
-                raise QuadraturePairError(
-                    (int(aa[worst]), int(bb[worst])),
-                    f"order-{order} vs order-{2*order} discrepancy "
-                    f"{err[worst]:.3e} exceeds {policy.check_tolerance:.1e} * {scale:.3e}",
-                )
+    lp = bm.local_pairs()
+    for (a, b, _), (Caa, Cbb, Cab) in _separated_map(bm, partial(_separated_chunk, bm, s), threads):
+        ia, ib = lp[a], lp[b]  # (P, 2) local node indices
+        np.add.at(Theta, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
+        np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
+        np.add.at(Theta, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
+        np.add.at(Theta, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
     return Theta
+
+
+def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float, threads: int = 1) -> float:
+    """Order check of the separated-pair rules behind `theta`.
+
+    Every separated pair's blocks at its ladder order are compared with the
+    same blocks at twice that order. Raises QuadraturePairError for the worst
+    pair of the first chunk whose largest discrepancy exceeds
+    tolerance * max|theta|; otherwise returns the largest discrepancy.
+    """
+
+    def discrepancy(a, b, order):
+        lo_blocks = _separated_chunk(bm, s, a, b, order)
+        hi_blocks = _separated_chunk(bm, s, a, b, 2 * order)
+        return np.max([np.abs(lb - hb).max(axis=(1, 2)) for lb, hb in zip(lo_blocks, hi_blocks)], axis=0)
+
+    scale = np.abs(theta).max()
+    largest = 0.0
+    for (a, b, order), err in _separated_map(bm, discrepancy, threads):
+        worst = int(np.argmax(err))
+        if err[worst] > tolerance * scale:
+            raise QuadraturePairError(
+                (int(a[worst]), int(b[worst])),
+                f"order-{order} vs order-{2*order} discrepancy "
+                f"{err[worst]:.3e} exceeds {tolerance:.1e} * {scale:.3e}",
+            )
+        largest = max(largest, float(err[worst]))
+    return largest
 
 
 # --- load vector ----------------------------------------------------------------
@@ -511,15 +505,16 @@ def _as_bulk_source(f):
 _BOUNDARY_ORDER = 8
 
 
-def load_vector(mesh: Mesh, f, g) -> np.ndarray:
+def load_vector(mesh: Mesh, f, g, threads: int = 1) -> np.ndarray:
     """Load vector: 3-point (degree-2) triangle rule for f; per-segment Gauss
-    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary."""
+    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary. A g
+    factory is built with `threads` (see nonlocal_matrix)."""
     bm = mesh.boundary
     load = np.zeros(mesh.n_nodes)
 
     fsrc = _as_bulk_source(f)
-    lam, wq = tri_rule(2)
-    pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
+    lam, _ = tri_rule(2)
+    pts, w = tri_points_weights(mesh.tri_verts, 2)
     try:
         fv = np.asarray(fsrc(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     except Exception as exc:  # noqa: BLE001 - report the failing location
@@ -527,11 +522,11 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
     if not np.all(np.isfinite(fv)):
         t, k = np.argwhere(~np.isfinite(fv))[0]
         raise AssemblyError(f"bulk source not finite at {pts[t, k]}")
-    contrib = np.einsum("tk,tk,kl->tl", mesh.areas[:, None] * wq[None, :], fv, lam)
+    contrib = np.einsum("tk,tk,kl->tl", w, fv, lam)
     np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
 
     if hasattr(g, "build"):
-        g = g.build(bm)
+        g = g.build(bm, threads)
     if isinstance(g, BoundaryLoadTable):
         vals = np.asarray(g.values, dtype=float)
         if len(vals) != bm.n_nodes:
@@ -580,18 +575,16 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
     return load
 
 
-def assemble_system(
-    mesh: Mesh, spec: ProblemSpec, policy: QuadraturePolicy | None = None
-) -> DiscreteSystem:
+def assemble_system(mesh: Mesh, spec: ProblemSpec, threads: int = 1) -> DiscreteSystem:
     """Assemble all operator blocks and the load for a problem instance; the
-    boundary blocks live on mesh.boundary."""
+    boundary blocks live on mesh.boundary. `threads` as in nonlocal_matrix."""
     bm = mesh.boundary
     return DiscreteSystem(
         A_bulk=bulk_stiffness(mesh),
         A_bdry=boundary_stiffness(bm),
         M_b=boundary_mass(bm, spec.b),
-        Theta=nonlocal_matrix(bm, spec.s, policy),
-        load=load_vector(mesh, spec.f, spec.g),
+        Theta=nonlocal_matrix(bm, spec.s, threads),
+        load=load_vector(mesh, spec.f, spec.g, threads),
         mesh=mesh,
         spec=spec,
     )

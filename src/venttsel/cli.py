@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, singular, solver, verify
-from .assembly import NodalField, QuadraturePolicy, assemble_system, nonlocal_matrix
+from .assembly import NodalField, assemble_system, nonlocal_matrix
 from .errors import ConfigError, VenttselError
 from .geometry import Polygon, build_polygon, sigma_window
 from .meshing import triangulate, write_field, write_mesh
@@ -49,10 +49,6 @@ class RunConfig:
     threads: int = 1
 
     @property
-    def policy(self) -> QuadraturePolicy:
-        return QuadraturePolicy(threads=self.threads)
-
-    @property
     def sigma_value(self) -> float:
         if self.sigma == "auto":
             return sigma_window(self.polygon).midpoint
@@ -70,6 +66,19 @@ def load_config(path: str) -> RunConfig:
     return validate_config(raw)
 
 
+def _number(value, rule: str, name: str, kind=float):
+    """kind(value), all finite, else a ConfigError under `rule` naming `name`."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(rule, f"{name} must be a number, got {value!r}") from None
+    if not np.all(np.isfinite(number)):
+        raise ConfigError(rule, f"{name} must be finite, got {value!r}")
+    if kind is int and number != float(value):
+        raise ConfigError(rule, f"{name} must be a whole number, got {value!r}")
+    return number
+
+
 def validate_config(raw: dict) -> RunConfig:
     def need(key, default=None):
         if key in raw:
@@ -83,12 +92,12 @@ def validate_config(raw: dict) -> RunConfig:
     except VenttselError as exc:
         raise ConfigError("polygon_invalid", str(exc)) from exc
 
-    s = float(need("s"))
+    s = _number(need("s"), "s_range", "s")
     if not 0.0 < s < 1.0:
         raise ConfigError("s_range", f"fractional order s={s} must lie in (0, 1)")
 
     b = need("b")
-    bvals = np.atleast_1d(np.asarray(b, dtype=float))
+    bvals = _number(b, "b_type", "b", lambda v: np.atleast_1d(np.asarray(v, dtype=float)))
     if np.any(bvals < 0):
         raise ConfigError("b_sign", "boundary coefficient must satisfy b >= 0 and b != 0")
     if not np.any(bvals > 0):
@@ -101,7 +110,7 @@ def validate_config(raw: dict) -> RunConfig:
     sigma = need("sigma", "auto")
     window = sigma_window(polygon)
     if sigma != "auto":
-        sigma = float(sigma)
+        sigma = _number(sigma, "sigma_window", "sigma")
         if not window.contains(sigma):
             lo = f"{window.lower:.6g}"
             raise ConfigError(
@@ -119,24 +128,30 @@ def validate_config(raw: dict) -> RunConfig:
         )
 
     mesh_cfg = need("mesh", {})
-    h = float(mesh_cfg.get("h", 0.25))
+    h = _number(mesh_cfg.get("h", 0.25), "mesh_h", "mesh.h")
     if h <= 0:
         raise ConfigError("mesh_h", "mesh.h must be positive")
     if h > polygon.side_lengths.min() + 1e-12:
         raise ConfigError("mesh_h", "mesh.h is larger than the shortest polygon side")
-    q = float(mesh_cfg.get("grading_q", 1.0))
+    q = _number(mesh_cfg.get("grading_q", 1.0), "mesh_grading", "mesh.grading_q")
     if q < 1.0:
         raise ConfigError("mesh_grading", "mesh.grading_q must be >= 1")
-    levels = int(mesh_cfg.get("levels", 4))
+    levels = _number(mesh_cfg.get("levels", 4), "mesh_levels", "mesh.levels", int)
     if levels < 1:
         raise ConfigError("mesh_levels", "mesh.levels must be >= 1")
 
     solver_cfg = raw.get("solver", {})
-    tol = float(solver_cfg.get("tol", 1e-10))
+    tol = _number(solver_cfg.get("tol", 1e-10), "solver_tol", "solver.tol")
     if tol <= 0:
         raise ConfigError("solver_tol", "solver.tol must be positive")
     maxit = solver_cfg.get("maxit")
-    maxit = int(maxit) if maxit is not None else None
+    if maxit is not None:
+        maxit = _number(maxit, "solver_maxit", "solver.maxit", int)
+        if maxit < 1:
+            raise ConfigError("solver_maxit", "solver.maxit must be >= 1")
+    seed = _number(raw.get("seed", 0), "seed", "seed", int)
+    if seed < 0:
+        raise ConfigError("seed", "seed must be >= 0")
 
     out_cfg = raw.get("output", {})
     return RunConfig(
@@ -152,7 +167,7 @@ def validate_config(raw: dict) -> RunConfig:
         maxit=maxit,
         out_dir=out_cfg.get("directory", "venttsel_out"),
         dump_fields=bool(out_cfg.get("dump_fields", False)),
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
     )
 
 
@@ -198,7 +213,7 @@ def _discretise(config: RunConfig):
     """The config's problem and its system assembled on the config's mesh."""
     problem = _problem_for(config)
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    return problem, assemble_system(mesh, problem.spec(), config.policy)
+    return problem, assemble_system(mesh, problem.spec(), config.threads)
 
 
 def _cmd_solve(config: RunConfig) -> dict:
@@ -239,7 +254,7 @@ def _cmd_converge(config: RunConfig) -> dict:
         h0=config.h,
         q=config.grading_q,
         solver_tol=config.tol,
-        policy=config.policy,
+        threads=config.threads,
     )
     out = config.out_dir
     _atomic_write(os.path.join(out, "convergence.csv"), table.to_csv())
@@ -278,7 +293,7 @@ def _cmd_check(config: RunConfig) -> dict:
 
     scaled = build_polygon(config.polygon.vertices * 2.0)
     mesh2 = triangulate(scaled, config.h * 2.0, config.grading_q)
-    theta2 = nonlocal_matrix(mesh2.boundary, config.s, config.policy)
+    theta2 = nonlocal_matrix(mesh2.boundary, config.s, config.threads)
     law = float(np.abs(theta2 - 2.0 ** (1.0 - 2.0 * config.s) * theta).max() / np.abs(theta).max())
     checks.append({"name": "theta_scaling_law", "passed": bool(law <= 1e-8), "value": law})
 

@@ -21,11 +21,9 @@ from .assembly import (
     BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
-    QuadraturePolicy,
-    _chunks,
     _p1_gradients,
     _separated_kernel,
-    _separated_pairs,
+    _separated_map,
     assemble_system,
 )
 from .errors import OracleError, VenttselError
@@ -36,6 +34,7 @@ from .quadrature import (
     adaptive_rectangle,
     gauss01,
     graded_breakpoints,
+    tri_points_weights,
     tri_rule,
 )
 from .solver import solve, stability_ratio
@@ -472,7 +471,8 @@ class PointwiseBoundarySource:
         self.problem = problem
         self.tol = tol
 
-    def build(self, bm: BoundaryMesh) -> BoundaryQuadratureTable:
+    def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryQuadratureTable:
+        """The table on bm; the oracle runs in one thread whatever `threads`."""
         poly = self.problem.polygon
         tolv = 1e-12 * max(1.0, poly.perimeter)
         x0, w0 = gauss01(_POINTWISE_ORDER)
@@ -531,8 +531,8 @@ class EnergyLoadSource:
     def __init__(self, problem: ManufacturedProblem):
         self.problem = problem
 
-    def build(self, bm: BoundaryMesh) -> BoundaryLoadTable:
-        return energy_load_table(self.problem, bm)
+    def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
+        return energy_load_table(self.problem, bm, threads)
 
 
 def _corner_masses(problem: ManufacturedProblem, bm: BoundaryMesh):
@@ -653,11 +653,10 @@ def lshape_benchmark() -> BenchmarkProblem:
 # --- form-based load table --------------------------------------------------------
 
 
-# Form-based load rules: triangle degree for the bulk terms, Gauss order per
-# segment for the local boundary terms, and the default separated-pair ladder
+# Form-based load rules: triangle degree for the bulk terms and Gauss order per
+# segment for the local boundary terms
 _LOAD_BULK_DEGREE = 9
 _LOAD_BDRY_ORDER = 16
-_LOAD_POLICY = QuadraturePolicy()
 
 
 def _power_gauss(n: int, p: int):
@@ -688,7 +687,7 @@ def _stable_diff(problem, x1, x2):
     return du.reshape(shape)
 
 
-def _theta_load(bm: BoundaryMesh, problem, s: float):
+def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
     """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes."""
     S = bm.n_nodes
     out = np.zeros(S)
@@ -747,28 +746,30 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     np.add.at(out, dofs, 2.0 * (part1 + part2))
 
     # separated pairs by the shared ratio ladder (orders bumped for the smooth factor)
-    for a, b, order in _separated_pairs(bm, _LOAD_POLICY):
-        for aa, bb in _chunks(a, b, _LOAD_POLICY.chunk_size):
-            xq, yq, WK, hats = _separated_kernel(bm, s, aa, bb, order + 4)
-            ux = np.asarray(problem.trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
-            uy = np.asarray(problem.trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
-            WKU = WK * (ux[:, :, None] - uy[:, None, :])
-            np.add.at(out, lp[aa], 2.0 * np.einsum("pij,im->pm", WKU, hats))
-            np.add.at(out, lp[bb], -2.0 * np.einsum("pij,jm->pm", WKU, hats))
+    def separated(a, b, order):
+        xq, yq, WK, hats = _separated_kernel(bm, s, a, b, order + 4)
+        ux = np.asarray(problem.trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
+        uy = np.asarray(problem.trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
+        WKU = WK * (ux[:, :, None] - uy[:, None, :])
+        return 2.0 * np.einsum("pij,im->pm", WKU, hats), -2.0 * np.einsum("pij,jm->pm", WKU, hats)
+
+    for (a, b, _), (to_a, to_b) in _separated_map(bm, separated, threads):
+        np.add.at(out, lp[a], to_a)
+        np.add.at(out, lp[b], to_b)
     return out
 
 
-def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> BoundaryLoadTable:
+def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
     """Boundary load entries E(u, phi_i) - Int f phi_i from the continuum form.
 
     Valid for every s in (0, 1); sidesteps pointwise corner blow-up because
-    only the absolutely convergent double integrals are evaluated.
+    only the absolutely convergent double integrals are evaluated. `threads`
+    as in nonlocal_matrix.
     """
     mesh = bm.mesh
-    lam, wq = tri_rule(_LOAD_BULK_DEGREE)
-    pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
+    lam, _ = tri_rule(_LOAD_BULK_DEGREE)
+    pts, w = tri_points_weights(mesh.tri_verts, _LOAD_BULK_DEGREE)
     flat = pts.reshape(-1, 2)
-    w = mesh.areas[:, None] * wq[None, :]
     gu = np.asarray(problem.grad_u(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
     grads = _p1_gradients(mesh)
     int_grad = np.einsum("tk,tkd->td", w, gu)
@@ -798,7 +799,7 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
     np.add.at(bdry_term, lp[:, 0], -int_utan / bm.lengths + mass_term_local[:, 0])
     np.add.at(bdry_term, lp[:, 1], int_utan / bm.lengths + mass_term_local[:, 1])
 
-    theta_term = _theta_load(bm, problem, problem.s)
+    theta_term = _theta_load(bm, problem, problem.s, threads)
 
     vals = (
         bulk_term[bm.boundary_nodes]
@@ -814,13 +815,12 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
 
 def source_l2_bulk(f, mesh: Mesh, degree: int = 7) -> float:
     """L2 norm of a bulk source callable (or scalar) over the meshed polygon."""
-    lam, wq = tri_rule(degree)
-    pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
+    pts, w = tri_points_weights(mesh.tri_verts, degree)
     if callable(f):
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     else:
         fv = np.full(pts.shape[:2], float(f))
-    return math.sqrt(max(0.0, float(np.sum(mesh.areas[:, None] * wq[None, :] * fv**2))))
+    return math.sqrt(max(0.0, float(np.sum(w * fv**2))))
 
 
 def manufactured_g_l2(problem: ManufacturedProblem, *, n_layers: int = 12, order: int = 6) -> float:
@@ -873,10 +873,9 @@ def benchmark_g_l2(problem: BenchmarkProblem) -> float:
 def errors_vs_exact(u: NodalField, problem: ManufacturedProblem, degree: int = 4):
     """Per-element quadrature errors of u against the exact solution."""
     mesh = u.mesh
-    lam, wq = tri_rule(degree)
-    pts = np.einsum("kl,tld->tkd", lam, mesh.tri_verts)
+    lam, _ = tri_rule(degree)
+    pts, w = tri_points_weights(mesh.tri_verts, degree)
     flat = pts.reshape(-1, 2)
-    w = mesh.areas[:, None] * wq[None, :]
     uh = np.einsum("kl,tl->tk", lam, u.values[mesh.triangles])
     uex = np.asarray(problem.u(flat), dtype=float).reshape(pts.shape[:2])
     err_l2 = math.sqrt(max(0.0, float(np.sum(w * (uh - uex) ** 2))))
@@ -889,14 +888,15 @@ def errors_vs_exact(u: NodalField, problem: ManufacturedProblem, degree: int = 4
     bm = mesh.boundary
     pts_b, wts, hats = bm.gauss_points(8)
     vb = u.boundary_values()
-    uh_b = np.einsum("km,sm->sk", hats, np.column_stack([vb, vb[np.roll(np.arange(bm.n_nodes), -1)]]))
+    vpairs = vb[bm.local_pairs()]
+    uh_b = np.einsum("km,sm->sk", hats, vpairs)
     uex_b = np.asarray(problem.trace(pts_b.reshape(-1, 2)), dtype=float).reshape(pts_b.shape[:2])
     err_l2_b = math.sqrt(max(0.0, float(np.sum(wts * (uh_b - uex_b) ** 2))))
     guex = np.asarray(problem.grad_u(pts_b.reshape(-1, 2)), dtype=float).reshape(
         pts_b.shape[0], pts_b.shape[1], 2
     )
     tan_ex = np.einsum("skd,sd->sk", guex, bm.tangents)
-    tan_h = ((vb[np.roll(np.arange(bm.n_nodes), -1)] - vb) / bm.lengths)[:, None]
+    tan_h = ((vpairs[:, 1] - vpairs[:, 0]) / bm.lengths)[:, None]
     err_h1_b = math.sqrt(max(0.0, float(np.sum(wts * (tan_h - tan_ex) ** 2))))
     return err_l2, err_h1, err_l2_b, err_h1_b
 
@@ -904,10 +904,9 @@ def errors_vs_exact(u: NodalField, problem: ManufacturedProblem, degree: int = 4
 def errors_vs_reference(u: NodalField, ref: NodalField):
     """Quadrature (on the reference mesh) of the difference to a finer solution."""
     rmesh = ref.mesh
-    lam, wq = tri_rule(2)
-    pts = np.einsum("kl,tld->tkd", lam, rmesh.tri_verts)
+    lam, _ = tri_rule(2)
+    pts, w = tri_points_weights(rmesh.tri_verts, 2)
     flat = pts.reshape(-1, 2)
-    w = rmesh.areas[:, None] * wq[None, :]
     uref = np.einsum("kl,tl->tk", lam, ref.values[rmesh.triangles])
     uh = evaluate_field(u, flat).reshape(pts.shape[:2])
     err_l2 = math.sqrt(max(0.0, float(np.sum(w * (uh - uref) ** 2))))
@@ -920,7 +919,8 @@ def errors_vs_reference(u: NodalField, ref: NodalField):
     cbm = u.mesh.boundary
     pts_b, wts, hats = rbm.gauss_points(4)
     vref = ref.boundary_values()
-    uref_b = np.einsum("km,sm->sk", hats, np.column_stack([vref, vref[np.roll(np.arange(rbm.n_nodes), -1)]]))
+    rpairs = vref[rbm.local_pairs()]
+    uref_b = np.einsum("km,sm->sk", hats, rpairs)
     x, _ = gauss01(4)
     arc = rbm.arclength_coords[:, None] + x[None, :] * rbm.lengths[:, None]
     vb = u.boundary_values()
@@ -928,7 +928,7 @@ def errors_vs_reference(u: NodalField, ref: NodalField):
     uh_b = uh_b.reshape(arc.shape)
     duh_b = duh_b.reshape(arc.shape)
     err_l2_b = math.sqrt(max(0.0, float(np.sum(wts * (uh_b - uref_b) ** 2))))
-    dref = ((vref[np.roll(np.arange(rbm.n_nodes), -1)] - vref) / rbm.lengths)[:, None]
+    dref = ((rpairs[:, 1] - rpairs[:, 0]) / rbm.lengths)[:, None]
     err_h1_b = math.sqrt(max(0.0, float(np.sum(wts * (duh_b - dref) ** 2))))
     return err_l2, err_h1, err_l2_b, err_h1_b
 
@@ -950,23 +950,14 @@ class ConvergenceTable:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
+        """The header, then one line per row: level and unknowns as int, the rest repr(float)."""
         lines = [CONVERGENCE_CSV_HEADER]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["level"]),
-                        repr(float(row["h"])),
-                        str(row["unknowns"]),
-                        repr(float(row["err_l2_bulk"])),
-                        repr(float(row["err_h1_bulk"])),
-                        repr(float(row["err_l2_bdry"])),
-                        repr(float(row["err_h1_bdry"])),
-                        repr(float(row["bdry_h2_diag"])),
-                        repr(float(row["stability_ratio"])),
-                    ]
-                )
-            )
+            cells = [
+                str(row[col]) if col in ("level", "unknowns") else repr(float(row[col]))
+                for col in CONVERGENCE_CSV_HEADER.split(",")
+            ]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -993,7 +984,7 @@ def convergence_study(
     q: float = 1.0,
     solver_tol: float = 1e-10,
     reference_extra: int = 2,
-    policy: QuadraturePolicy | None = None,
+    threads: int = 1,
 ) -> ConvergenceTable:
     """Solve on a sequence of meshes with h halving per level.
 
@@ -1010,7 +1001,7 @@ def convergence_study(
 
     fields = []
     for mesh in meshes:
-        u, _ = solve(assemble_system(mesh, problem.spec(), policy), tol=solver_tol)
+        u, _ = solve(assemble_system(mesh, problem.spec(), threads), tol=solver_tol)
         fields.append(u)
     ref = None if has_exact else fields[-1]
 

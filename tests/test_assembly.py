@@ -9,16 +9,17 @@ from venttsel.assembly import (
     BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
-    QuadraturePolicy,
     _separated_pairs,
     assemble_system,
     boundary_mass,
     boundary_stiffness,
     bulk_mass,
     bulk_stiffness,
+    check_theta_orders,
     load_vector,
     nonlocal_matrix,
 )
+from venttsel import assembly
 from venttsel.errors import AssemblyError, QuadraturePairError, RegularityRegimeWarning
 from venttsel.geometry import build_polygon
 from venttsel.meshing import Mesh, extract_boundary, triangulate
@@ -142,22 +143,21 @@ def test_nonlocal_s_range(square_bm):
             nonlocal_matrix(square_bm, s)
 
 
-def test_nonlocal_quadrature_consistency(square_bm):
+def test_nonlocal_quadrature_consistency(square_bm, monkeypatch):
     # doubling every separated-pair order changes entries by < 1e-8 relative
     theta = nonlocal_matrix(square_bm, 0.5)
-    doubled = QuadraturePolicy(far_order=8, mid_order=16, near_order=24)
-    theta2 = nonlocal_matrix(square_bm, 0.5, doubled)
+    monkeypatch.setattr(assembly, "_ORDERS", (8, 16, 24))
+    theta2 = nonlocal_matrix(square_bm, 0.5)
     assert np.abs(theta - theta2).max() <= 1e-8 * np.abs(theta).max()
 
 
-def test_nonlocal_check_tolerance_path(square_bm):
-    nonlocal_matrix(square_bm, 0.5, QuadraturePolicy(check_tolerance=1e-8))
+def test_nonlocal_check_tolerance_path(square_bm, monkeypatch):
+    theta = nonlocal_matrix(square_bm, 0.5)
+    check_theta_orders(square_bm, 0.5, theta, 1e-8)
+    monkeypatch.setattr(assembly, "_ORDERS", (1, 1, 1))
+    theta = nonlocal_matrix(square_bm, 0.5)
     with pytest.raises(QuadraturePairError) as exc:
-        nonlocal_matrix(
-            square_bm,
-            0.5,
-            QuadraturePolicy(far_order=1, mid_order=1, near_order=1, check_tolerance=1e-12),
-        )
+        check_theta_orders(square_bm, 0.5, theta, 1e-12)
     assert exc.value.pair is not None
 
 
@@ -261,18 +261,34 @@ def test_rayleigh_quotient_equivalence(square, rng):
     assert max(c2a, c2b) / min(c2a, c2b) < 2.0
 
 
-def test_nonlocal_thread_determinism(lshape):
+def test_nonlocal_thread_determinism(lshape, monkeypatch):
+    # all three users of the separated-pair chunk driver: Theta, its order
+    # check and the form-based load
+    from venttsel.verify import energy_load_table, make_manufactured
+
+    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
     bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
-    t1 = nonlocal_matrix(bm, 0.5, QuadraturePolicy(threads=1, chunk_size=128))
-    t4 = nonlocal_matrix(bm, 0.5, QuadraturePolicy(threads=4, chunk_size=128))
+    prob = make_manufactured("cubic", lshape, 0.7, 1.0)
+    t1 = nonlocal_matrix(bm, 0.5, 1)
+    t4 = nonlocal_matrix(bm, 0.5, 4)
     assert np.array_equal(t1, t4)
+    assert check_theta_orders(bm, 0.5, t1, 1e-6, 1) == check_theta_orders(bm, 0.5, t1, 1e-6, 4)
+    failures = []
+    for threads in (1, 4):
+        with pytest.raises(QuadraturePairError) as exc:
+            check_theta_orders(bm, 0.5, t1, 1e-14, threads)
+        failures.append((exc.value.pair, str(exc.value)))
+    assert failures[0] == failures[1]
+    l1 = energy_load_table(prob, bm, 1).values
+    l4 = energy_load_table(prob, bm, 4).values
+    assert np.array_equal(l1, l4)
 
 
 @pytest.mark.parametrize("h, q", [(1.0 / 8.0, 1.0), (0.25, 1.0 / (1.0 - 0.42))])
 def test_separated_pairs_partition_non_adjacent_pairs(lshape, h, q):
     bm = triangulate(lshape, h, q).boundary
     S = bm.n_segments
-    groups = _separated_pairs(bm, QuadraturePolicy())
+    groups = _separated_pairs(bm)
     assert [order for _, _, order in groups] == [4, 8, 12]
     assert all(len(a) > 0 for a, _, _ in groups)
     pairs = [(int(i), int(j)) for a, b, _ in groups for i, j in zip(a, b)]

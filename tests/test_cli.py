@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from venttsel import assembly, meshing
+from venttsel import assembly, meshing, verify
 from venttsel.cli import load_config, main, validate_config
 from venttsel.errors import ConfigError
 from venttsel.geometry import build_polygon
@@ -115,9 +115,9 @@ def test_check_threads_reach_both_theta_builds(tmp_path, monkeypatch):
     threads = []
     original = assembly.nonlocal_matrix
 
-    def recording(bm, s, policy=None):
-        threads.append((policy or assembly.QuadraturePolicy()).threads)
-        return original(bm, s, policy)
+    def recording(bm, s, n_threads=1):
+        threads.append(n_threads)
+        return original(bm, s, n_threads)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("venttsel") and getattr(module, "nonlocal_matrix", None) is original:
@@ -132,6 +132,56 @@ def test_check_threads_reach_both_theta_builds(tmp_path, monkeypatch):
         assert threads == [int(n)] * 2  # the system's Theta and the scaled polygon's
         reports.append((tmp_path / n / "check.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_converge_threads_reach_load_table(tmp_path, monkeypatch):
+    threads = []
+    original = verify.energy_load_table
+
+    def recording(problem, bm, n_threads=1):
+        threads.append(n_threads)
+        return original(problem, bm, n_threads)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("venttsel") and getattr(module, "energy_load_table", None) is original:
+            monkeypatch.setattr(module, "energy_load_table", recording)
+    mesh = {"h": 0.25, "grading_q": 1.0, "levels": 3}
+    outputs = []
+    for n in ("1", "2"):
+        out = tmp_path / n
+        path = _write_config(tmp_path, problem="cubic", s=0.7, mesh=mesh, output={"directory": str(out)})
+        threads.clear()
+        assert main(["converge", "--config", str(path), "--threads", n]) == 0
+        assert threads == [int(n)] * 3  # the load-table route on every level
+        outputs.append(((out / "convergence.csv").read_bytes(), (out / "rates.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "override, rule",
+    [
+        ({"s": "half"}, "s_range"),
+        ({"b": "one"}, "b_type"),
+        ({"b": [1.0, "x", 1.0, 1.0]}, "b_type"),
+        ({"sigma": "low"}, "sigma_window"),
+        ({"mesh": {"h": "x"}}, "mesh_h"),
+        ({"mesh": {"grading_q": "steep"}}, "mesh_grading"),
+        ({"mesh": {"levels": "four"}}, "mesh_levels"),
+        ({"mesh": {"levels": 2.5}}, "mesh_levels"),
+        ({"mesh": {"h": float("nan")}}, "mesh_h"),
+        ({"solver": {"tol": "tight"}}, "solver_tol"),
+        ({"solver": {"maxit": "many"}}, "solver_maxit"),
+        ({"solver": {"maxit": 0}}, "solver_maxit"),
+        ({"seed": "random"}, "seed"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_bad_config_values_rejected_by_name(tmp_path, capsys, override, rule):
+    path = _write_config(tmp_path, **override)
+    assert main(["solve", "--config", str(path)]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == rule
+    assert not (tmp_path / "out" / "solve.json").exists()
 
 
 def test_sigma_window_rejected(tmp_path, capsys):

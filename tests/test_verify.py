@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from venttsel.assembly import (
     BoundaryQuadratureTable,
-    QuadraturePolicy,
     load_vector,
     nonlocal_matrix,
 )
