@@ -463,13 +463,13 @@ def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
     return Theta
 
 
-def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float, threads: int = 1) -> float:
+def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float) -> None:
     """Order check of the separated-pair rules behind `theta`.
 
     Every separated pair's blocks at its ladder order are compared with the
     same blocks at twice that order. Raises QuadraturePairError for the worst
     pair of the first chunk whose largest discrepancy exceeds
-    tolerance * max|theta|; otherwise returns the largest discrepancy.
+    tolerance * max|theta|.
     """
 
     def discrepancy(a, b, order):
@@ -478,8 +478,7 @@ def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float, thre
         return np.max([np.abs(lb - hb).max(axis=(1, 2)) for lb, hb in zip(lo_blocks, hi_blocks)], axis=0)
 
     scale = np.abs(theta).max()
-    largest = 0.0
-    for (a, b, order), err in _separated_map(bm, discrepancy, threads):
+    for (a, b, order), err in _separated_map(bm, discrepancy, 1):
         worst = int(np.argmax(err))
         if err[worst] > tolerance * scale:
             raise QuadraturePairError(
@@ -487,8 +486,6 @@ def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float, thre
                 f"order-{order} vs order-{2*order} discrepancy "
                 f"{err[worst]:.3e} exceeds {tolerance:.1e} * {scale:.3e}",
             )
-        largest = max(largest, float(err[worst]))
-    return largest
 
 
 # --- load vector ----------------------------------------------------------------

@@ -67,16 +67,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _number(value, rule: str, name: str, kind=float):
-    """kind(value), all finite, else a ConfigError under `rule` naming `name`."""
+    """kind(value) for a finite number (a whole one for kind=int, an array of
+    them for kind=np.atleast_1d), else a ConfigError under `rule` naming `name`."""
     try:
-        number = kind(value)
+        number = np.asarray(value, dtype=float)
+        ok = (number.ndim == 0 or kind is np.atleast_1d) and bool(np.all(np.isfinite(number)))
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(rule, f"{name} must be a number, got {value!r}") from None
-    if not np.all(np.isfinite(number)):
-        raise ConfigError(rule, f"{name} must be finite, got {value!r}")
-    if kind is int and number != float(value):
-        raise ConfigError(rule, f"{name} must be a whole number, got {value!r}")
-    return number
+        ok = False
+    if not ok or (kind is int and number != np.round(number)):
+        whole = "whole " if kind is int else ""
+        raise ConfigError(rule, f"{name} must be a finite {whole}number, got {value!r}")
+    return kind(number)
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -97,7 +98,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("s_range", f"fractional order s={s} must lie in (0, 1)")
 
     b = need("b")
-    bvals = _number(b, "b_type", "b", lambda v: np.atleast_1d(np.asarray(v, dtype=float)))
+    bvals = _number(b, "b_type", "b", np.atleast_1d)
     if np.any(bvals < 0):
         raise ConfigError("b_sign", "boundary coefficient must satisfy b >= 0 and b != 0")
     if not np.any(bvals > 0):

@@ -950,14 +950,23 @@ class ConvergenceTable:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
-        """The header, then one line per row: level and unknowns as int, the rest repr(float)."""
         lines = [CONVERGENCE_CSV_HEADER]
         for row in self.rows:
-            cells = [
-                str(row[col]) if col in ("level", "unknowns") else repr(float(row[col]))
-                for col in CONVERGENCE_CSV_HEADER.split(",")
-            ]
-            lines.append(",".join(cells))
+            lines.append(
+                ",".join(
+                    [
+                        str(row["level"]),
+                        repr(float(row["h"])),
+                        str(row["unknowns"]),
+                        repr(float(row["err_l2_bulk"])),
+                        repr(float(row["err_h1_bulk"])),
+                        repr(float(row["err_l2_bdry"])),
+                        repr(float(row["err_h1_bdry"])),
+                        repr(float(row["bdry_h2_diag"])),
+                        repr(float(row["stability_ratio"])),
+                    ]
+                )
+            )
         return "\n".join(lines) + "\n"
 
 

@@ -262,8 +262,8 @@ def test_rayleigh_quotient_equivalence(square, rng):
 
 
 def test_nonlocal_thread_determinism(lshape, monkeypatch):
-    # all three users of the separated-pair chunk driver: Theta, its order
-    # check and the form-based load
+    # both threaded users of the separated-pair chunk driver: Theta and the
+    # form-based load
     from venttsel.verify import energy_load_table, make_manufactured
 
     monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
@@ -272,13 +272,6 @@ def test_nonlocal_thread_determinism(lshape, monkeypatch):
     t1 = nonlocal_matrix(bm, 0.5, 1)
     t4 = nonlocal_matrix(bm, 0.5, 4)
     assert np.array_equal(t1, t4)
-    assert check_theta_orders(bm, 0.5, t1, 1e-6, 1) == check_theta_orders(bm, 0.5, t1, 1e-6, 4)
-    failures = []
-    for threads in (1, 4):
-        with pytest.raises(QuadraturePairError) as exc:
-            check_theta_orders(bm, 0.5, t1, 1e-14, threads)
-        failures.append((exc.value.pair, str(exc.value)))
-    assert failures[0] == failures[1]
     l1 = energy_load_table(prob, bm, 1).values
     l4 = energy_load_table(prob, bm, 4).values
     assert np.array_equal(l1, l4)

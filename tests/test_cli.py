@@ -174,6 +174,9 @@ def test_converge_threads_reach_load_table(tmp_path, monkeypatch):
         ({"solver": {"maxit": 0}}, "solver_maxit"),
         ({"seed": "random"}, "seed"),
         ({"seed": -1}, "seed"),
+        ({"seed": 10**400}, "seed"),
+        ({"mesh": {"levels": float("inf")}}, "mesh_levels"),
+        ({"s": [0.5]}, "s_range"),
     ],
 )
 def test_bad_config_values_rejected_by_name(tmp_path, capsys, override, rule):
@@ -182,6 +185,12 @@ def test_bad_config_values_rejected_by_name(tmp_path, capsys, override, rule):
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["error"] == rule
     assert not (tmp_path / "out" / "solve.json").exists()
+
+
+def test_large_whole_config_values_accepted():
+    base = {"polygon": SQUARE, "s": 0.5, "b": 1.0, "problem": "constant"}
+    assert validate_config({**base, "seed": 1e20}).seed == 10**20
+    assert validate_config({**base, "solver": {"maxit": 1e20}}).maxit == 10**20
 
 
 def test_sigma_window_rejected(tmp_path, capsys):
