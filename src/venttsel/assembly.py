@@ -375,18 +375,22 @@ def _separated_pairs(bm):
     """Non-adjacent segment pairs a < b split by the ratio ladder.
 
     Returns [(a, b, order)] for the far, mid and near classes, in that order.
+    The classes are built once per boundary mesh and cached in bm._cache.
     """
-    S = bm.n_segments
-    a, b = np.triu_indices(S, k=1)
-    adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
-    a, b = a[~adjacent], b[~adjacent]
-    dist = _segment_pair_dist(
-        bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
-    )
-    ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
-    far, near = ratio > _FAR_RATIO, ratio <= _MID_RATIO
-    masks = (far, ~far & ~near, near)
-    return [(a[mask], b[mask], order) for mask, order in zip(masks, _ORDERS)]
+    if "ladder" not in bm._cache:
+        S = bm.n_segments
+        a, b = np.triu_indices(S, k=1)
+        adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
+        a, b = a[~adjacent], b[~adjacent]
+        dist = _segment_pair_dist(
+            bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
+        )
+        ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
+        far, near = ratio > _FAR_RATIO, ratio <= _MID_RATIO
+        # int32 halves what the cache holds for the rest of the mesh's life
+        a, b = a.astype(np.int32), b.astype(np.int32)
+        bm._cache["ladder"] = [(a[mask], b[mask]) for mask in (far, ~far & ~near, near)]
+    return [(a, b, order) for (a, b), order in zip(bm._cache["ladder"], _ORDERS)]
 
 
 def _separated_map(bm, fn, threads):
@@ -410,28 +414,25 @@ def _separated_map(bm, fn, threads):
 
 
 def _separated_kernel(bm, s, a, b, order):
-    """Tensor Gauss points xq, yq (P, n, 2) on segments a and b, the weighted
-    kernel WK = (wa x wb) |x - y|^{-(1+2s)} (P, n, n) and the hats (n, 2)."""
-    x, wx = gauss01(order)
-    hats = np.column_stack([1.0 - x, x])
-    P0a, P1a = bm.segment_starts[a], bm.segment_ends[a]
-    P0b, P1b = bm.segment_starts[b], bm.segment_ends[b]
-    xq = P0a[:, None, :] + x[None, :, None] * (P1a - P0a)[:, None, :]
-    yq = P0b[:, None, :] + x[None, :, None] * (P1b - P0b)[:, None, :]
-    wa = bm.lengths[a][:, None] * wx[None, :]
-    wb = bm.lengths[b][:, None] * wx[None, :]
-    diff = xq[:, :, None, :] - yq[:, None, :, :]
-    R2 = np.einsum("pijd,pijd->pij", diff, diff)
-    WK = (wa[:, :, None] * wb[:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
-    return xq, yq, WK, hats
+    """Weighted kernel WK = (wa x wb) |x - y|^{-(1+2s)} (P, n, n) of the tensor
+    Gauss rule on segments a and b, read from the cached bm.gauss_points(order)."""
+    pts, wts, _ = bm.gauss_points(order)
+    xq, yq = pts[a], pts[b]
+    dx = xq[:, :, None, 0] - yq[:, None, :, 0]
+    dy = xq[:, :, None, 1] - yq[:, None, :, 1]
+    R2 = dx * dx + dy * dy
+    return (wts[a][:, :, None] * wts[b][:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
 
 
 def _separated_chunk(bm, s, a, b, order):
     """(Caa, Cbb, Cab) blocks for one chunk of separated pairs."""
-    _, _, WK, hats = _separated_kernel(bm, s, a, b, order)
-    Caa = np.einsum("pi,im,in->pmn", WK.sum(axis=2), hats, hats)
-    Cbb = np.einsum("pj,jm,jn->pmn", WK.sum(axis=1), hats, hats)
-    Cab = np.einsum("pij,im,jn->pmn", WK, hats, hats)
+    WK = _separated_kernel(bm, s, a, b, order)
+    hats = bm.gauss_points(order)[2]
+    # the outer product keeps each Caa and Cbb bitwise symmetric
+    hh = (hats[:, :, None] * hats[:, None, :]).reshape(len(hats), 4)
+    Caa = (WK.sum(axis=2) @ hh).reshape(-1, 2, 2)
+    Cbb = (WK.sum(axis=1) @ hh).reshape(-1, 2, 2)
+    Cab = hats.T @ WK @ hats
     return Caa, Cbb, Cab
 
 

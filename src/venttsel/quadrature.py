@@ -111,7 +111,7 @@ def tri_points_weights(verts: np.ndarray, degree: int = 2):
     """
     lam, w = tri_rule(degree)
     verts = np.asarray(verts, dtype=float)
-    pts = np.einsum("kl,tld->tkd", lam, verts)
+    pts = lam @ verts
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])

@@ -24,6 +24,7 @@ from .assembly import (
     _p1_gradients,
     _separated_kernel,
     _separated_map,
+    _separated_pairs,
     assemble_system,
 )
 from .errors import OracleError, VenttselError
@@ -745,13 +746,21 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
     part2 = duffy_part(V, ones, (1.0 - V, V, -ones))  # xi = La U V, eta = Lb U
     np.add.at(out, dofs, 2.0 * (part1 + part2))
 
-    # separated pairs by the shared ratio ladder (orders bumped for the smooth factor)
+    # separated pairs by the shared ratio ladder (orders bumped for the smooth
+    # factor): the trace is evaluated once per segment and order, and each chunk
+    # contracts WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and its transpose
+    traces = {}
+    for _, _, order in _separated_pairs(bm):
+        pts = bm.gauss_points(order + 4)[0]
+        traces[order] = np.asarray(problem.trace(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+
     def separated(a, b, order):
-        xq, yq, WK, hats = _separated_kernel(bm, s, a, b, order + 4)
-        ux = np.asarray(problem.trace(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
-        uy = np.asarray(problem.trace(yq.reshape(-1, 2)), dtype=float).reshape(yq.shape[:2])
-        WKU = WK * (ux[:, :, None] - uy[:, None, :])
-        return 2.0 * np.einsum("pij,im->pm", WKU, hats), -2.0 * np.einsum("pij,jm->pm", WKU, hats)
+        WK = _separated_kernel(bm, s, a, b, order + 4)
+        hats = bm.gauss_points(order + 4)[2]
+        ux, uy = traces[order][a], traces[order][b]
+        ra = ux * WK.sum(axis=2) - (WK @ uy[:, :, None])[:, :, 0]
+        rb = (ux[:, None, :] @ WK)[:, 0, :] - uy * WK.sum(axis=1)
+        return 2.0 * (ra @ hats), -2.0 * (rb @ hats)
 
     for (a, b, _), (to_a, to_b) in _separated_map(bm, separated, threads):
         np.add.at(out, lp[a], to_a)

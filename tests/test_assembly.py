@@ -277,6 +277,90 @@ def test_nonlocal_thread_determinism(lshape, monkeypatch):
     assert np.array_equal(l1, l4)
 
 
+def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):
+    from venttsel.verify import _theta_load, make_manufactured
+
+    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
+    bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
+    prob = make_manufactured("cubic", lshape, 0.7, 1.0)
+    calls = []
+    trace = prob.trace
+    monkeypatch.setattr(prob, "trace", lambda pts: calls.append(len(pts)) or trace(pts))
+    _theta_load(bm, prob, prob.s, 1)
+    assert len(assembly._separated_map(bm, lambda a, b, order: None, 1)) > 3  # several chunks
+    assert len(calls) == len(_separated_pairs(bm)) == 3
+
+
+# Recorded before the separated-pair kernel read the cached Gauss data and
+# contracted with matmul: Theta entries (0, 0), (0, i1), (i1, i2), (i2, i3);
+# Theta @ v and energy_load_table(cubic).values at (0, i1, i2, i3), where
+# (i1, i2, i3) = (S // 3, S // 2, S - 1) and v = default_rng(7).normal(size=S).
+_GOLDEN_SEPARATED = {
+    ("square", 0.25): (
+        (2.929134493013179, -0.1281754845398538, -0.22082878241598403, -0.09614993501958603),
+        (0.3464382415337167, -2.939891066196725, -1.5161329815888616, 2.694495765210948),
+        (-1.6450870239380293, 1.4700242944927653, 8.997532272285145, -2.088111595885544),
+    ),
+    ("square", 0.5): (
+        (5.783221441859637, -0.12950620199803822, -0.27175221251777776, -0.08826439148347835),
+        (-0.5071767282860294, -5.399804608802191, -3.81732538750248, 5.024405901291231),
+        (-1.7531037945429457, 1.7443276065940303, 10.82962659739891, -2.367960653892103),
+    ),
+    ("square", 0.7): (
+        (13.317201258823502, -0.13067908399071376, -0.3230998792936869, -0.08248110802657782),
+        (-3.4871563075476146, -11.624346650996035, -10.080751921291391, 10.791640829975641),
+        (-1.9670631377588026, 2.0396945479378337, 15.461615575235134, -2.9032504286951673),
+    ),
+    ("lshape", 0.25): (
+        (1.740901829652226, -0.002599776237814739, -0.0071397272924185835, -0.004791414821483294),
+        (0.8914311199709551, -2.270985084377676, -1.208190805170826, 1.9390320860225072),
+        (-1.7432508910050954, 3.757161916096748, -9.084939148799016, -1.7981876693127243),
+    ),
+    ("lshape", 0.5): (
+        (5.91820126896578, -0.0018016152042503535, -0.006929785819217345, -0.004071320668429745),
+        (1.1482201585119967, -7.86119919643083, -2.5494587948675873, 8.125613038619175),
+        (-1.3479772363212195, 3.6123148927368183, -10.744144861816014, -1.4096863413280503),
+    ),
+    ("lshape", 0.7): (
+        (23.12823914522425, -0.001343528192602573, -0.0067667063816451035, -0.0035741224782889058),
+        (-2.613294929044998, -30.391681149483116, -4.77471193278172, 36.44018945838715),
+        (-1.133487961127748, 3.432080717448442, -15.643870281320849, -1.2089995051322642),
+    ),
+    ("graded", 0.25): (
+        (2.080407553665099, -0.005227725271650633, -0.017022980943309975, -0.010442204681923837),
+        (0.10080181431321854, 1.9536478595721287, 3.184542615964094, -2.9461185702472),
+        (-2.5740227699688703, 6.943422954857713, -10.418015853315445, -2.692756853845959),
+    ),
+    ("graded", 0.5): (
+        (5.9231822409044215, -0.0035436783035668303, -0.017107505399688097, -0.00891599476793107),
+        (0.9200206622439926, 5.61714391881866, 9.81453961306557, -10.268053276252044),
+        (-1.996860341732029, 8.502953295830041, -12.537843477586385, -2.131183238069385),
+    ),
+    ("graded", 0.7): (
+        (19.864889591925998, -0.002596428113004919, -0.01717726317689022, -0.007857927941897505),
+        (5.698068120648813, 17.72494761674784, 34.77169697923718, -37.17675480280613),
+        (-1.6870466802620374, 11.72111984785974, -18.3045109838825, -1.8527214106380008),
+    ),
+}
+_GOLDEN_MESHES = {"square": (1.0 / 4.0, 1.0), "lshape": (1.0 / 16.0, 1.0), "graded": (0.25, 1.0 / (1.0 - 0.42))}
+
+
+@pytest.mark.parametrize("name, s", list(_GOLDEN_SEPARATED))
+def test_separated_outputs_golden(square, lshape, name, s):
+    from venttsel.verify import energy_load_table, make_manufactured
+
+    poly = square if name == "square" else lshape
+    bm = triangulate(poly, *_GOLDEN_MESHES[name]).boundary
+    S = bm.n_nodes
+    idx = [0, S // 3, S // 2, S - 1]
+    theta = nonlocal_matrix(bm, s)
+    theta_v = theta @ np.random.default_rng(7).normal(size=S)
+    load = energy_load_table(make_manufactured("cubic", poly, s, 1.0), bm).values
+    got = (theta[[0] + idx[:3], idx], theta_v[idx], load[idx])
+    for full, values, golden in zip((theta, theta_v, load), got, _GOLDEN_SEPARATED[name, s]):
+        assert np.abs(values - golden).max() <= 1e-13 * np.abs(full).max()
+
+
 @pytest.mark.parametrize("h, q", [(1.0 / 8.0, 1.0), (0.25, 1.0 / (1.0 - 0.42))])
 def test_separated_pairs_partition_non_adjacent_pairs(lshape, h, q):
     bm = triangulate(lshape, h, q).boundary

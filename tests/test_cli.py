@@ -111,6 +111,17 @@ def test_one_boundary_extraction_per_mesh(tmp_path, monkeypatch):
     assert len(seen) == len({id(m) for m in seen}) == 4  # one solve mesh + three levels
 
 
+def test_one_ladder_per_boundary_mesh(tmp_path, monkeypatch):
+    # the pair ladder is built from the segment-pair distances, once per mesh
+    # and shared by Theta and the form-based load
+    built = []
+    original = assembly._segment_pair_dist
+    monkeypatch.setattr(assembly, "_segment_pair_dist", lambda *args: built.append(1) or original(*args))
+    path = _write_config(tmp_path, problem="cubic", s=0.7)
+    assert main(["converge", "--config", str(path)]) == 0
+    assert len(built) == 3  # three levels, each with Theta and the load table
+
+
 def test_check_threads_reach_both_theta_builds(tmp_path, monkeypatch):
     threads = []
     original = assembly.nonlocal_matrix
