@@ -154,8 +154,7 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
         mesh._cache[key] = [group(slice(None), _DEGREE)]
         return mesh._cache[key]
 
-    tol = 1e-12 * max(1.0, polygon.perimeter)
-    at_corner = (dist_to_vertices(polygon, mesh.nodes) <= tol)[mesh.triangles]
+    at_corner = np.isin(mesh.triangles, mesh.boundary.boundary_nodes[mesh.boundary.corner_nodes])
     corner = at_corner.any(axis=1)
     near = ~corner & (dist_to_vertices(polygon, verts.mean(axis=1)) <= 3.0 * mesh.diameters())
     rule = [group(~corner & ~near, _DEGREE), group(near, _NEAR_DEGREE)]

@@ -79,14 +79,10 @@ class Mesh:
         return extract_boundary(self)
 
     def min_angle_deg(self) -> float:
-        return float(np.degrees(_min_angles(self.tri_verts).min()))
+        return float(np.degrees(_min_angles(_edge_lengths(self.tri_verts)).min()))
 
     def diameters(self) -> np.ndarray:
-        v = self.tri_verts
-        l0 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        l1 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        l2 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        return np.max(np.column_stack([l0, l1, l2]), axis=1)
+        return _edge_lengths(self.tri_verts).max(axis=1)
 
 
 @dataclass(eq=False)
@@ -96,6 +92,7 @@ class BoundaryMesh:
     boundary_nodes[k] is the start node (global index) of segment k; segment k
     runs to boundary_nodes[(k+1) % S]. arclength_coords[k] is the cumulative
     arc length at boundary_nodes[k], zero at the polygon's first vertex.
+    corner_nodes[j] is the boundary-local index of polygon vertex j.
     """
 
     mesh: Mesh
@@ -105,6 +102,7 @@ class BoundaryMesh:
     normals: np.ndarray  # (S, 2) outward unit normals, constant per side
     boundary_nodes: np.ndarray  # (S,) global node indices, cyclic order
     arclength_coords: np.ndarray  # (S,)
+    corner_nodes: np.ndarray  # (V,) boundary-local indices, polygon-vertex order
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -189,16 +187,35 @@ def _side_offsets(L: float, h: float, q: float) -> np.ndarray:
     return offs
 
 
-def _min_angles(verts: np.ndarray) -> np.ndarray:
-    """Smallest interior angle (radians) of each triangle in a (T, 3, 2) batch."""
-    a = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
-    b = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=1)
-    c = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+def _edge_lengths(verts: np.ndarray) -> np.ndarray:
+    """(T, 3) lengths of the edges 01, 12, 20 of a (T, 3, 2) triangle batch."""
+    return np.linalg.norm(np.roll(verts, -1, axis=1) - verts, axis=2)
+
+
+def _min_angles(lengths: np.ndarray) -> np.ndarray:
+    """Smallest interior angle (radians) of each triangle from its (T, 3) edge lengths."""
+    c, a, b = lengths.T
     angs = []
     for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b)):
         cosv = np.clip((e1**2 + e2**2 - opp**2) / (2 * e1 * e2), -1.0, 1.0)
         angs.append(np.arccos(cosv))
     return np.min(np.column_stack(angs), axis=1)
+
+
+def _edge_codes(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Undirected edge code min * n + max of each (m, 2) pair of n nodes."""
+    return pairs.min(axis=1).astype(np.int64) * n + pairs.max(axis=1)
+
+
+def _edges(triangles: np.ndarray, n: int):
+    """(directed, codes, inverse, counts): the (3T, 2) edges 01, 12, 20 of all
+    triangles stacked in that order, their sorted unique undirected codes, the
+    code index of each directed edge and the triangle count of each code."""
+    directed = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    codes, inverse, counts = np.unique(
+        _edge_codes(directed, n), return_inverse=True, return_counts=True
+    )
+    return directed, codes, inverse, counts
 
 
 def _circumcenters(verts: np.ndarray):
@@ -275,13 +292,9 @@ def triangulate(
 
         tri = Delaunay(pts)
         simp = tri.simplices
-        edges = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        codes = np.unique(edges[:, 0].astype(np.int64) * N + edges[:, 1])
+        codes = _edges(simp, N)[1]
         req = np.column_stack([np.arange(B), (np.arange(B) + 1) % B])
-        req = np.sort(req, axis=1)
-        req_codes = req[:, 0].astype(np.int64) * N + req[:, 1]
-        present = np.isin(req_codes, codes)
+        present = np.isin(_edge_codes(req, N), codes)
         if not present.all():
             # split every missing boundary sub-segment at its arc midpoint
             missing = np.nonzero(~present)[0]
@@ -319,8 +332,9 @@ def triangulate(
         )
 
         # quality and size marks
-        min_ang = _min_angles(verts)
-        diam = mesh.diameters()
+        lengths = _edge_lengths(verts)
+        min_ang = _min_angles(lengths)
+        diam = lengths.max(axis=1)
         target = size_factor * _local_size(polygon, h, q, verts.mean(axis=1))
         bad = (min_ang < math.radians(min_angle_deg) - 1e-12) | (diam > target)
         if not bad.any():
@@ -412,40 +426,36 @@ def _process_candidates(polygon, side_offsets, pts, cc, h, q, scale):
 
 
 def extract_boundary(mesh: Mesh) -> BoundaryMesh:
-    """Extract the single closed boundary cycle with side ids and normals."""
-    simp = mesh.triangles
-    directed = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    codes = und[:, 0].astype(np.int64) * mesh.n_nodes + und[:, 1]
-    uniq, counts = np.unique(codes, return_counts=True)
+    """Extract the single closed boundary cycle, starting at polygon vertex 0,
+    with side ids, normals and the nodes of all polygon vertices."""
+    directed, _, inverse, counts = _edges(mesh.triangles, mesh.n_nodes)
     if counts.max() > 2:
         raise MeshError("non-manifold edge: mesh is not conforming")
-    bcodes = set(uniq[counts == 1].tolist())
-    succ = {}
-    for i, j in directed:
-        c = int(min(i, j)) * mesh.n_nodes + int(max(i, j))
-        if c in bcodes:
-            if int(i) in succ:
-                raise MeshError("boundary is not a single closed cycle")
-            succ[int(i)] = int(j)
-    if len(succ) != len(bcodes):
+    bedges = directed[counts[inverse] == 1]
+    if not len(bedges) or np.bincount(bedges[:, 0], minlength=mesh.n_nodes).max() > 1:
         raise MeshError("boundary is not a single closed cycle")
 
     poly = mesh.polygon
-    start_candidates = np.nonzero(mesh.boundary_node_flags)[0]
-    d0 = np.linalg.norm(mesh.nodes[start_candidates] - poly.vertices[0], axis=1)
-    start = int(start_candidates[np.argmin(d0)])
-    if d0.min() > 1e-12 * max(1.0, poly.perimeter):
-        raise MeshError("polygon vertex 0 is not a mesh node")
+    starts = bedges[:, 0]
+    dist = np.linalg.norm(mesh.nodes[starts][None, :, :] - poly.vertices[:, None, :], axis=2)
+    nearest = np.argmin(dist, axis=1)
+    off = dist[np.arange(poly.n_vertices), nearest] > 1e-12 * max(1.0, poly.perimeter)
+    if off.any():
+        raise MeshError(f"polygon vertex {int(np.argmax(off))} is not a mesh node")
+    corners = starts[nearest]
 
+    succ = np.full(mesh.n_nodes, -1)
+    succ[starts] = bedges[:, 1]
+    succ = succ.tolist()
+    start = int(corners[0])
     cycle = [start]
     node = succ[start]
     while node != start:
+        if node < 0 or len(cycle) >= len(bedges):
+            raise MeshError("boundary walk did not close")
         cycle.append(node)
         node = succ[node]
-        if len(cycle) > len(succ):
-            raise MeshError("boundary walk did not close")
-    if len(cycle) != len(succ):
+    if len(cycle) != len(bedges):
         raise MeshError("boundary is not a single closed cycle")
 
     bnodes = np.array(cycle, dtype=int)
@@ -471,6 +481,7 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
         normals=normals,
         boundary_nodes=bnodes,
         arclength_coords=arclen,
+        corner_nodes=np.argmax(bnodes == corners[:, None], axis=1),
     )
 
 
@@ -481,10 +492,7 @@ def refine(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 by edge midpoints; old nodes keep indices."""
     simp = mesh.triangles
     N = mesh.n_nodes
-    pair_per_edge = [simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]
-    all_edges = np.sort(np.concatenate(pair_per_edge), axis=1)
-    codes = all_edges[:, 0].astype(np.int64) * N + all_edges[:, 1]
-    uniq, inv, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    _, uniq, inv, counts = _edges(simp, N)
     mid_index = N + np.arange(len(uniq))
     ei, ej = uniq // N, uniq % N
     mid_coords = 0.5 * (mesh.nodes[ei] + mesh.nodes[ej])
@@ -515,28 +523,18 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def check_mesh(mesh: Mesh, rel_tol: float = 1e-10):
-    """Raise MeshError if basic mesh invariants are violated."""
+    """Raise MeshError if basic mesh invariants are violated: positive areas
+    tiling the polygon, flagged nodes on its boundary, and extract_boundary's
+    rules (no edge in three triangles, one cycle through every polygon vertex)."""
     if np.any(mesh.areas <= 0):
         raise MeshError("non-positive triangle area")
     if abs(mesh.areas.sum() - mesh.polygon.area) > rel_tol * mesh.polygon.area:
         raise MeshError("triangle areas do not sum to the polygon area")
-    simp = mesh.triangles
-    und = np.sort(
-        np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [2, 0]]]), axis=1
-    )
-    codes = und[:, 0].astype(np.int64) * mesh.n_nodes + und[:, 1]
-    _, counts = np.unique(codes, return_counts=True)
-    if counts.max() > 2:
-        raise MeshError("edge shared by more than two triangles")
     bidx = np.nonzero(mesh.boundary_node_flags)[0]
     d = mesh.polygon.distance_to_boundary(mesh.nodes[bidx])
     if len(d) and d.max() > 1e-12 * max(1.0, mesh.polygon.perimeter):
         raise MeshError("boundary node off the polygon boundary")
-    vd = np.linalg.norm(
-        mesh.nodes[None, :, :] - mesh.polygon.vertices[:, None, :], axis=2
-    ).min(axis=1)
-    if vd.max() > 1e-12 * max(1.0, mesh.polygon.perimeter):
-        raise MeshError("a polygon vertex is not a mesh node")
+    extract_boundary(mesh)
 
 
 def write_mesh(path, mesh: Mesh):
@@ -550,15 +548,31 @@ def write_mesh(path, mesh: Mesh):
 
 
 def read_mesh(path):
-    """Read a mesh dump back as (nodes, triangles) arrays."""
+    """Read a mesh dump back as (nodes, triangles) arrays; a bad header, a
+    missing line or a bad row raises MeshError naming the path and line."""
     with open(path, encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if len(head) != 4 or head[0] != "nodes" or head[2] != "triangles":
-            raise MeshError(f"bad mesh file header in {path}")
-        n, t = int(head[1]), int(head[3])
-        nodes = np.array([[float(v) for v in fh.readline().split()] for _ in range(n)])
-        tris = np.array([[int(v) for v in fh.readline().split()] for _ in range(t)], dtype=int)
-    return nodes, tris
+        lines = fh.read().splitlines()
+    head = lines[0].split() if lines else []
+    if len(head) != 4 or head[0::2] != ["nodes", "triangles"] or not (head[1] + head[3]).isdigit():
+        raise MeshError(f"bad mesh file header in {path}")
+    n, t = int(head[1]), int(head[3])
+    return _read_rows(path, lines, 1, n, float, 2), _read_rows(path, lines, 1 + n, t, int, 3)
+
+
+def _read_rows(path, lines, first: int, count: int, parse, width: int) -> np.ndarray:
+    rows = []
+    for k in range(first, first + count):
+        where = f"{path}:{k + 1}"
+        if k >= len(lines):
+            raise MeshError(f"{where}: missing line")
+        tokens = lines[k].split()
+        if len(tokens) != width:
+            raise MeshError(f"{where}: expected {width} values, got {len(tokens)}")
+        try:
+            rows.append([parse(v) for v in tokens])
+        except ValueError:
+            raise MeshError(f"{where}: value does not parse: {lines[k]!r}") from None
+    return np.array(rows, dtype=parse).reshape(count, width)
 
 
 def write_field(path, values: np.ndarray):

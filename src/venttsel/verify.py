@@ -474,20 +474,17 @@ class PointwiseBoundarySource:
 
     def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryQuadratureTable:
         """The table on bm; the oracle runs in one thread whatever `threads`."""
-        poly = self.problem.polygon
-        tolv = 1e-12 * max(1.0, poly.perimeter)
         x0, w0 = gauss01(_POINTWISE_ORDER)
         xc, wc = gauss01(6)
-
-        def is_corner(p):
-            return np.min(np.linalg.norm(poly.vertices - p[None, :], axis=1)) <= tolv
+        S = bm.n_segments
+        corner = np.isin(np.arange(S), bm.corner_nodes)
 
         nodes_rows, weights_rows = [], []
-        for k in range(bm.n_segments):
+        for k in range(S):
             ends = []
-            if is_corner(bm.segment_starts[k]):
+            if corner[k]:
                 ends.append(0.0)
-            if is_corner(bm.segment_ends[k]):
+            if corner[(k + 1) % S]:
                 ends.append(1.0)
             if not ends:
                 nodes_rows.append(x0)
@@ -504,7 +501,6 @@ class PointwiseBoundarySource:
             weights_rows.append(np.concatenate(ws) * bm.lengths[k])
 
         width = max(len(r) for r in nodes_rows)
-        S = bm.n_segments
         nodes = np.full((S, width), 0.5)
         weights = np.zeros((S, width))
         for k in range(S):
@@ -522,7 +518,9 @@ class PointwiseBoundarySource:
             values=vals,
             nodes=nodes,
             weights=weights,
-            point_masses=_corner_masses(self.problem, bm),
+            point_masses=[
+                (int(k), float(w)) for k, w in zip(bm.corner_nodes, self.problem.corner_jumps())
+            ],
         )
 
 
@@ -534,18 +532,6 @@ class EnergyLoadSource:
 
     def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
         return energy_load_table(self.problem, bm, threads)
-
-
-def _corner_masses(problem: ManufacturedProblem, bm: BoundaryMesh):
-    """(local boundary node index, weight) pairs for the corner point masses."""
-    poly = problem.polygon
-    jumps = problem.corner_jumps()
-    out = []
-    pts = bm.points
-    for jv, vertex in enumerate(poly.vertices):
-        k = int(np.argmin(np.linalg.norm(pts - vertex[None, :], axis=1)))
-        out.append((k, float(jumps[jv])))
-    return out
 
 
 def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: str | None = None) -> ManufacturedProblem:

@@ -152,3 +152,104 @@ def test_disconnected_boundary_rejected(square):
     )
     with pytest.raises(MeshError):
         extract_boundary(m)
+
+
+def _bare_mesh(polygon, nodes, tris):
+    from venttsel.meshing import Mesh
+
+    nodes = np.asarray(nodes, dtype=float)
+    return Mesh(
+        nodes=nodes,
+        triangles=np.asarray(tris),
+        boundary_node_flags=np.ones(len(nodes), dtype=bool),
+        h_target=1.0,
+        grading_exponent=1.0,
+        polygon=polygon,
+    )
+
+
+def test_pinched_boundary_rejected(square):
+    # two triangles meet only at node 2, so two boundary edges leave it
+    m = _bare_mesh(
+        square, [[0, 0], [1, 0], [0.5, 0.5], [1, 1], [0, 1]], [[0, 1, 2], [2, 3, 4]]
+    )
+    with pytest.raises(MeshError, match="single closed cycle"):
+        extract_boundary(m)
+    # the same triangle twice: every edge is shared, so there is no boundary
+    doubled = _bare_mesh(square, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(MeshError, match="single closed cycle"):
+        extract_boundary(doubled)
+
+
+def test_non_manifold_edge_rejected(square):
+    # edge (0, 1) is shared by three triangles
+    m = _bare_mesh(
+        square,
+        [[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 0.5]],
+        [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+    )
+    with pytest.raises(MeshError, match="non-manifold"):
+        extract_boundary(m)
+
+
+def test_missing_polygon_vertex_rejected(square):
+    # the node meant for vertex 2 = (1, 1) sits 1e-10 above it: the boundary
+    # still lies on the sides and matches the perimeter, but vertex 2 is no node
+    m = _bare_mesh(
+        square,
+        [[0, 0], [1, 0], [1, 1 + 1e-10], [0, 1], [0.5, 0.5]],
+        [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+    )
+    with pytest.raises(MeshError, match="polygon vertex 2 is not a mesh node"):
+        extract_boundary(m)
+
+
+def _boundary_meshes(polygon):
+    uniform = triangulate(polygon, 0.25)
+    return {
+        "uniform": uniform,
+        "graded": triangulate(polygon, 0.25, 1.0 / (1.0 - 0.42)),
+        "refined2": refine(refine(uniform)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape"])
+def test_boundary_cycle_and_corner_nodes(shape, request):
+    from venttsel.verify import PointwiseBoundarySource, make_manufactured
+
+    polygon = request.getfixturevalue(shape)
+    problem = make_manufactured("cubic", polygon, 0.25, 1.0)
+    for kind, m in _boundary_meshes(polygon).items():
+        bm = extract_boundary(m)
+        tris = m.triangles
+        directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        assert np.all(m.areas > 0), kind
+        for i, j in bm.node_pairs:
+            assert np.sum((directed[:, 0] == i) & (directed[:, 1] == j)) == 1, kind
+        assert np.array_equal(m.nodes[bm.boundary_nodes[0]], polygon.vertices[0]), kind
+        assert bm.corner_nodes[0] == 0, kind
+        assert np.array_equal(bm.points[bm.corner_nodes], polygon.vertices), kind
+        masses = PointwiseBoundarySource(problem).build(bm).point_masses
+        assert [k for k, _ in masses] == bm.corner_nodes.tolist(), kind
+
+
+def test_read_mesh_rejects_bad_dumps(tmp_path, square_mesh):
+    path = tmp_path / "mesh.txt"
+    write_mesh(path, square_mesh)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    n = square_mesh.n_nodes
+
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text("".join(lines[:-1]), encoding="utf-8")
+    with pytest.raises(MeshError, match=rf"truncated\.txt:{len(lines)}: missing line"):
+        read_mesh(truncated)
+
+    short = tmp_path / "short.txt"
+    short.write_text("".join(lines[: n + 1] + ["0 1\n"] + lines[n + 2 :]), encoding="utf-8")
+    with pytest.raises(MeshError, match=rf"short\.txt:{n + 2}: expected 3 values, got 2"):
+        read_mesh(short)
+
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("".join(lines[:1] + ["0.0 zero\n"] + lines[2:]), encoding="utf-8")
+    with pytest.raises(MeshError, match=r"garbled\.txt:2: value does not parse"):
+        read_mesh(garbled)
