@@ -549,14 +549,21 @@ def write_mesh(path, mesh: Mesh):
 
 def read_mesh(path):
     """Read a mesh dump back as (nodes, triangles) arrays; a bad header, a
-    missing line or a bad row raises MeshError naming the path and line."""
+    missing line, a bad row or a node index outside 0 .. N-1 raises MeshError
+    naming the path and line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 4 or head[0::2] != ["nodes", "triangles"] or not (head[1] + head[3]).isdigit():
         raise MeshError(f"bad mesh file header in {path}")
     n, t = int(head[1]), int(head[3])
-    return _read_rows(path, lines, 1, n, float, 2), _read_rows(path, lines, 1 + n, t, int, 3)
+    nodes = _read_rows(path, lines, 1, n, float, 2)
+    triangles = _read_rows(path, lines, 1 + n, t, int, 3)
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))
+    if bad.size:
+        k = 1 + n + int(bad[0])
+        raise MeshError(f"{path}:{k + 1}: node index outside 0 .. {n - 1}: {lines[k]!r}")
+    return nodes, triangles
 
 
 def _read_rows(path, lines, first: int, count: int, parse, width: int) -> np.ndarray:

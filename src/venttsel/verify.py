@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -61,9 +62,12 @@ __all__ = [
 
 # --- pointwise oracle -----------------------------------------------------------
 
-# Points per array pass of the pointwise oracle: a block bounds its largest
-# temporary (points x Gauss nodes on one side, at most 32 x 2,496) to 0.6 MB
-_ORACLE_BLOCK = 32
+# (order, layers) of the pointwise oracle's first pass and of its retry
+_ORACLE_STAGES = ((16, 44), (24, 52))
+# Elements (rows x Gauss nodes) per chunk of one panel layout's rows: the
+# largest temporaries of a pass (4 rows x 2,496 nodes at the retry's deepest
+# layout) stay near 80 KB, within a core's L2 cache
+_ORACLE_CHUNK = 4 * 2496
 
 
 def _numeric_tangential_derivative(trace, polygon, side, t, h_rel=1e-5):
@@ -88,13 +92,49 @@ def _panel_nodes(a, b, order):
     return a + (b - a) * x, (b - a) * w
 
 
-def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_corner):
-    """One quadrature pass of the pointwise oracle over a block of points.
+@lru_cache(maxsize=None)
+def _graded_panels(L: float, k: int) -> np.ndarray:
+    """Breakpoints on [0, L] graded toward both ends with k layers each."""
+    brk = np.union1d(graded_breakpoints(0.0, L, 0.0, k), graded_breakpoints(0.0, L, L, k))
+    brk.flags.writeable = False
+    return brk
+
+
+def _chunks(rows: np.ndarray, nodes: int):
+    """Consecutive pieces of `rows` with at most _ORACLE_CHUNK row-node elements."""
+    step = max(1, _ORACLE_CHUNK // nodes)
+    return (rows[lo : lo + step] for lo in range(0, len(rows), step))
+
+
+def _row_sums(panels: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """Per-row sums of flat panel values, row r owning the next kk[r] of them
+    (kk ascending); the rows of one k reduce as one (rows, k) block."""
+    sums = np.empty(len(kk))
+    ks, lo = np.unique(kk, return_index=True)
+    start = 0
+    for k, a, b in zip(ks, lo, [*lo[1:], len(kk)]):
+        sums[a:b] = panels[start : start + (b - a) * k].reshape(b - a, k).sum(axis=1)
+        start += (b - a) * k
+    return sums
+
+
+def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_corner, retry):
+    """One quadrature pass of the pointwise oracle over an array of points.
 
     Returns 2 Int (u(x) - u(y)) |x-y|^{-(1+2s)} dl(y) at Gauss order `order`
-    and its error estimate against order // 2 plus the tail-fit bound. Points
-    sharing a panel layout on a side share one trace call; every value depends
-    on its own point only.
+    and its error estimate against order // 2 plus the tail-fit bound. On each
+    side the points are grouped by panel layout across the whole array: one
+    layout's breakpoints, nodes and trace values are built once, and its rows
+    run in chunks of at most _ORACLE_CHUNK elements. Every value depends on its
+    own point only, with the same arithmetic and order of additions in any
+    grouping, so it is bitwise independent of the other points.
+
+    In the retry a corner x takes the sides that meet at it alike: an adjacent
+    side is integrated like x's own side, in arc offsets from the corner with
+    the dyadic core closed by the tail fit. With the retry's 52 layers, the
+    graded layout would put nodes nearer the corner than the coordinates
+    resolve (0 * inf); the first pass keeps it, so the values it accepts are
+    unchanged.
     """
     orders = (order, order // 2)
     totals = np.zeros((2, len(t)))
@@ -112,56 +152,80 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
         p0 = polygon.side_starts[j]
         tan = polygon.side_tangents[j]
 
+        # x's arc offset along side j: its own side, or (retry) a corner of j
+        d_start = np.linalg.norm(x - p0, axis=1)
+        d_end = np.linalg.norm(x - polygon.side_ends[j], axis=1)
+        on_j = side == j
+        if retry:
+            on_j |= at_corner & (np.minimum(d_start, d_end) <= eps_corner)
+        t_j = np.where(side == j, t, np.where(d_start <= d_end, 0.0, L))
+
         # other sides: panels graded toward both corners, deeper the nearer x
-        other = np.flatnonzero(side != j)
-        dmin = np.minimum(
-            np.linalg.norm(x[other] - p0, axis=1),
-            np.linalg.norm(x[other] - polygon.side_ends[j], axis=1),
-        )
+        other = np.flatnonzero(~on_j)
+        dmin = np.minimum(d_start[other], d_end[other])
         k_end = np.ceil(np.log2(L / np.maximum(dmin, 1e-14))) + 6
         k_end = np.minimum(layers, np.maximum(10, k_end))
         for k in np.unique(k_end).astype(int):
             g = other[k_end == k]
-            brk = np.union1d(
-                graded_breakpoints(0.0, L, 0.0, k),
-                graded_breakpoints(0.0, L, L, k),
-            )
+            brk = _graded_panels(L, k)
             for m, n in enumerate(orders):
                 ts, ws = _panel_nodes(brk[:-1], brk[1:], n)
                 y = p0 + ts.reshape(-1, 1) * tan
-                dx = y[:, 0] - x[g, 0:1]
-                dy = y[:, 1] - x[g, 1:2]
-                d2 = dx * dx + dy * dy
-                f = (ux[g, None] - np.asarray(trace(y), dtype=float)) * d2 ** (expo / 2.0)
-                totals[m, g] += (f.reshape(len(g), *ts.shape) * ws).sum(axis=2).sum(axis=1)
+                uy = np.asarray(trace(y), dtype=float)
+                for c in _chunks(g, ts.size):
+                    dx = y[:, 0] - x[c, 0:1]
+                    dy = y[:, 1] - x[c, 1:2]
+                    d2 = dx * dx + dy * dy
+                    f = (ux[c, None] - uy) * d2 ** (expo / 2.0)
+                    totals[m, c] += (f.reshape(len(c), *ts.shape) * ws).sum(axis=2).sum(axis=1)
 
         # own side: subtract the tangential linearization (slope 0 at a corner)
-        own = np.flatnonzero(side == j)
+        own = np.flatnonzero(on_j)
         for left in (True, False):
-            length = t[own] if left else L - t[own]
+            length = t_j[own] if left else L - t_j[own]
             half = np.flatnonzero(length > eps_corner[own])  # x is not this end
+            if half.size == 0:
+                continue
             # stop the layers around 1e-5 of the side length: deeper panels
-            # drown in roundoff of the regularized difference
-            k_own = np.clip(np.ceil(np.log2(length[half] / (1e-5 * L))), 5, layers)
-            for k in np.unique(k_own).astype(int):
-                sel = half[k_own == k]
+            # drown in roundoff of the regularized difference. A corner in the
+            # retry subtracts nothing and goes on to 1e-7: deeper, the
+            # roundoff of u(x) - u(y) outgrows the tail bound for s near 1/2
+            depth = np.where(retry & at_corner[own[half]], 1e-7, 1e-5)
+            k_own = np.clip(np.ceil(np.log2(length[half] / (depth * L))), 5, layers).astype(int)
+            # rows in order of k, so one k's panel sums form one block; panel
+            # i of a row spans offsets scale[i] to scale[i + 1] of its length
+            # toward t, the core panel touching t is dropped
+            by_k = np.argsort(k_own, kind="stable")
+            half, k_own = half[by_k], k_own[by_k]
+            scale = 0.5 ** np.arange(k_own[-1] + 1)
+            for c in _chunks(np.arange(len(half)), k_own[-1] * order):
+                sel = half[c]
                 g = own[sel]
-                tg = t[g][:, None]
-                offs = length[sel][:, None] * 0.5 ** np.arange(k + 1)
-                # breakpoints toward t; the core panel touching t is dropped
-                brk = tg - offs if left else tg + offs[:, ::-1]
+                kk = k_own[c]
+                first = np.cumsum(kk) - kk  # each row's first panel
+                row = np.repeat(np.arange(len(c)), kk)
+                i = np.arange(len(row)) - first[row]
+                # a left row's panels run from its far end toward t, a right
+                # row's from t outward
+                ia, ib = (i, i + 1) if left else (kk[row] - i, kk[row] - i - 1)
+                tg = t_j[g][row]
+                oa = length[sel][row] * scale[ia]
+                ob = length[sel][row] * scale[ib]
+                a, b = (tg - oa, tg - ob) if left else (tg + oa, tg + ob)
                 sums = []
                 for n in orders:
-                    ts, ws = _panel_nodes(brk[:, :-1], brk[:, 1:], n)
+                    ts, ws = _panel_nodes(a, b, n)
                     y = p0 + ts[..., None] * tan
                     uy = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
-                    dt = ts - tg[:, :, None]
-                    f = (ux[g, None, None] - uy + slope[g, None, None] * dt) * np.abs(dt) ** expo
-                    sums.append((f * ws).sum(axis=2))
+                    dt = ts - tg[:, None]
+                    f = (ux[g][row, None] - uy + slope[g][row, None] * dt) * np.abs(dt) ** expo
+                    sums.append((f * ws).sum(axis=1))
                 # close the dropped geometric tail with a two-term fit at the
                 # theoretical ratios; the one-term value bounds its error
                 hi = sums[0]
-                p_last, p_prev = (hi[:, -1], hi[:, -2]) if left else (hi[:, 0], hi[:, 1])
+                near = first + kk - 1 if left else first
+                step = -1 if left else 1
+                p_last, p_prev = hi[near], hi[near + step]
                 r1 = rho1[g]
                 r2 = rho2[g]
                 X = (p_prev - p_last / r2) / (1.0 / r1 - 1.0 / r2)
@@ -169,14 +233,14 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
                 tail2 = X * r1 / (1.0 - r1) + Y * r2 / (1.0 - r2)
                 tail1 = p_last * r1 / (1.0 - r1)
                 for m in range(2):
-                    totals[m, g] += sums[m].sum(axis=1)
+                    totals[m, g] += _row_sums(sums[m], kk)
                     totals[m, g] += tail2
                 # |tail2 - tail1| is the first-order tail correction; the
                 # two-term residual is another order down
                 err_extra[g] += 0.2 * np.abs(tail2 - tail1) + 1e-15 * (1.0 + np.abs(tail2))
 
         # analytic principal value of the subtracted linearization
-        reg = own[~at_corner[own]]
+        reg = np.flatnonzero((side == j) & ~at_corner)
         tr = t[reg]
         if abs(s - 0.5) < 1e-14:
             corr = np.log((L - tr) / tr)
@@ -204,14 +268,17 @@ def theta_pointwise_oracle(
     analytic principal-value correction, which makes the scheme uniformly
     accurate in s; the leftover dyadic cores are summed by geometric
     extrapolation. Tolerance is absolute plus relative; points whose estimate
-    misses it are recomputed once at higher order and depth.
+    misses it are recomputed once at higher order and depth, where a corner's
+    adjacent sides are integrated like its own side.
 
     x is one boundary point or an array of points (P, 2); the trace must
     accept (M, 2) arrays. tangential_derivative (the trace's derivative along
     the side at x; numeric differences when None) is a scalar or one value per
     point. Returns a float, or P values, to match x, with the error estimates
-    when return_error. Points are evaluated in blocks of _ORACLE_BLOCK, and a
-    value does not depend on the other points of the call.
+    when return_error. Each stage of _ORACLE_STAGES is one _oracle_pass over
+    all points still to do, with the work grouped by panel layout across the
+    call and run in chunks of _ORACLE_CHUNK elements; a value is bitwise
+    independent of the other points of the call.
 
     Preconditions: the trace is Lipschitz near x for s < 1/2 and C1 along the
     boundary near x for s >= 1/2; for s >= 1/2, x must not be a corner.
@@ -241,13 +308,11 @@ def theta_pointwise_oracle(
     value = np.empty(len(pts))
     err = np.empty(len(pts))
     todo = np.arange(len(pts))
-    for order, layers in ((16, 44), (24, 52)):
-        for lo in range(0, len(todo), _ORACLE_BLOCK):
-            b = todo[lo : lo + _ORACLE_BLOCK]
-            value[b], err[b] = _oracle_pass(
-                polygon, trace, s, order, layers,
-                pts[b], side[b], t[b], ux[b], slope[b], at_corner[b],
-            )
+    for stage, (order, layers) in enumerate(_ORACLE_STAGES):
+        value[todo], err[todo] = _oracle_pass(
+            polygon, trace, s, order, layers, pts[todo], side[todo], t[todo],
+            ux[todo], slope[todo], at_corner[todo], retry=stage > 0,
+        )
         # a NaN estimate misses too
         todo = np.flatnonzero(~(err <= tol * (1.0 + np.abs(value))))
         if todo.size == 0:

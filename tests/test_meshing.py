@@ -253,3 +253,9 @@ def test_read_mesh_rejects_bad_dumps(tmp_path, square_mesh):
     garbled.write_text("".join(lines[:1] + ["0.0 zero\n"] + lines[2:]), encoding="utf-8")
     with pytest.raises(MeshError, match=r"garbled\.txt:2: value does not parse"):
         read_mesh(garbled)
+
+    for row, name in (("0 1 999\n", "beyond"), ("-1 0 1\n", "negative")):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text("".join(lines[: n + 2] + [row] + lines[n + 3 :]), encoding="utf-8")
+        with pytest.raises(MeshError, match=rf"{name}\.txt:{n + 3}: node index outside 0 \.\. {n - 1}"):
+            read_mesh(bad)

@@ -160,8 +160,10 @@ def test_pointwise_batch_invariance(lshape):
         assert np.array_equal(together, alone)
         reversed_ = theta_pointwise_oracle(lshape, trace, pts[::-1], s, 1e-6)[::-1]
         assert np.array_equal(together, reversed_)
-        # leading points move the block boundaries to other places among these
-        for lead in (1, 13, verify._ORACLE_BLOCK - 5):
+        # leading points move the chunk boundaries to other places among
+        # these; the last lead is 5 short of one chunk's rows at the first
+        # pass's shallowest layout (20 panels x 16 nodes)
+        for lead in (1, 13, verify._ORACLE_CHUNK // 320 - 5):
             shifted = np.vstack([np.repeat(pts[-1:], lead, axis=0), pts])
             values = theta_pointwise_oracle(lshape, trace, shifted, s, 1e-6)
             assert np.array_equal(together, values[lead:])
@@ -183,11 +185,88 @@ def test_pointwise_retry(square):
     assert abs(value - golden) <= tol * (1.0 + abs(golden))
 
 
-def test_pointwise_nan_estimate_raises(lshape):
-    # the retry's deepest corner panels round onto the corner itself
-    with np.errstate(divide="ignore", invalid="ignore"):
+def test_pointwise_nan_estimate_raises(square):
+    # a NaN estimate misses every tol, so it fails both passes
+    trace = lambda p: np.where(np.atleast_2d(p)[:, 1] > 0.9, np.nan, np.atleast_2d(p)[:, 0])
+    with np.errstate(invalid="ignore"):
         with pytest.raises(OracleError, match="exceeds tol"):
-            theta_pointwise_oracle(lshape, _TRACES["harmonic"], (0.0, 0.0), 0.4, 1e-7)
+            theta_pointwise_oracle(square, trace, (0.3, 0.0), 0.25, 1e-6)
+
+
+@pytest.mark.parametrize("x, s, tol", [((0.0, 0.0), 0.4, 1e-7), ((1.0, 1.0), 0.25, 1e-10)])
+def test_pointwise_corner_retry_meets_tol(lshape, x, s, tol):
+    # the first pass misses tol; at the retry's 52 layers a graded adjacent
+    # side would round nodes onto the corner (0 * inf)
+    trace = _TRACES["harmonic"]
+    first, first_err = theta_pointwise_oracle(lshape, trace, x, s, 1.0, return_error=True)
+    assert first_err > tol * (1.0 + abs(first))
+    value, err = theta_pointwise_oracle(lshape, trace, x, s, tol, return_error=True)
+    assert np.isfinite(value) and err <= tol * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.45])
+def test_pointwise_corner_closed_form(square, s):
+    # u = x + y^2 at the corner (1, 1): the two sides meeting there integrate
+    # in closed form, the two far ones are smooth (80-point Gauss); from
+    # s = 1/4 on, the first pass misses tol and the retry meets it
+    trace = lambda p: np.atleast_2d(p)[:, 0] + np.atleast_2d(p)[:, 1] ** 2
+    near = (2.0 / (1.0 - 2.0 * s) - 1.0 / (2.0 - 2.0 * s)) + 1.0 / (1.0 - 2.0 * s)
+    r, w = gauss_interval(0.0, 1.0, 80)
+    kernel = (1.0 + (1.0 - r) ** 2) ** (-(1.0 + 2.0 * s) / 2.0)
+    far = np.sum(w * (2.0 - r) * kernel) + np.sum(w * (2.0 - r**2) * kernel)
+    exact = 2.0 * (near + far)
+    value, err = theta_pointwise_oracle(square, trace, (1.0, 1.0), s, 1e-8, return_error=True)
+    assert err <= 1e-8 * (1.0 + abs(value))
+    assert abs(value - exact) <= err
+
+
+def _near_corner_points(polygon, count, seed):
+    """Every corner, then `count` boundary points, three in four of them
+    2.5e-12..3.5e-12 off a corner: there the first pass takes its deepest
+    layout (44 layers) on the side that meets theirs."""
+    rng = np.random.default_rng(seed)
+    sides = rng.integers(0, polygon.n_sides, count)
+    L = polygon.side_lengths[sides]
+    u = rng.uniform(0.0, 1.0, count)
+    d = rng.uniform(2.5e-12, 3.5e-12, count)
+    offs = np.where(rng.uniform(0.0, 1.0, count) < 0.75, np.where(u < 0.5, d, L - d), u * L)
+    pts = polygon.side_starts[sides] + offs[:, None] * polygon.side_tangents[sides]
+    return np.vstack([polygon.vertices, pts])
+
+
+def test_pointwise_one_pass_per_stage(lshape, monkeypatch):
+    passes = []
+    original = verify._oracle_pass
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[5]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_oracle_pass", counting)
+    pts = _near_corner_points(lshape, 200, 3)[lshape.n_sides :]
+    theta_pointwise_oracle(lshape, _TRACES["harmonic"], pts, 0.25, 1e-8)
+    assert 1 <= len(passes) <= 2 and passes[0] == len(pts)
+
+
+def test_pointwise_batch_invariance_across_chunks(lshape, monkeypatch):
+    trace = _TRACES["harmonic"]
+    pts = _near_corner_points(lshape, 200, 5)
+    layouts = []
+    original = verify._chunks
+
+    def recording(rows, nodes):
+        layouts.append((nodes, len(rows)))
+        return original(rows, nodes)
+
+    monkeypatch.setattr(verify, "_chunks", recording)
+    together, err = theta_pointwise_oracle(lshape, trace, pts, 0.25, 1e-8, return_error=True)
+    monkeypatch.setattr(verify, "_chunks", original)
+    assert np.all(err <= 1e-8 * (1.0 + np.abs(together)))
+    # the deepest layout's rows fill several chunks
+    nodes, rows = max(layouts)
+    assert rows > 3 * (verify._ORACLE_CHUNK // nodes)
+    alone = [theta_pointwise_oracle(lshape, trace, p, 0.25, 1e-8) for p in pts]
+    assert np.array_equal(together, alone)
 
 
 # --- entry oracle --------------------------------------------------------------
