@@ -23,10 +23,11 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, QuadraturePairError, RegularityRegimeWarning
 from .meshing import BoundaryMesh, Mesh
@@ -152,8 +153,8 @@ class BoundaryLoadTable:
 class DiscreteSystem:
     """Assembled operator blocks and load of the discrete weak formulation.
 
-    The global operator is A_bulk plus the boundary blocks
-    (A_bdry + M_b + Theta) embedded through mesh.boundary.boundary_nodes.
+    The global operator is `local` (A_bulk plus A_bdry + M_b embedded through
+    mesh.boundary.boundary_nodes) plus Theta on the boundary nodes.
     """
 
     A_bulk: sp.csr_matrix
@@ -168,29 +169,34 @@ class DiscreteSystem:
     def n(self) -> int:
         return len(self.load)
 
-    def boundary_block(self) -> np.ndarray:
-        """Dense A_bdry + M_b + Theta over boundary nodes."""
-        return self.A_bdry.toarray() + self.M_b.toarray() + self.Theta
+    def embed(self, block) -> sp.csr_matrix:
+        """(N, N) csr of a boundary-local (S, S) block, dense or sparse."""
+        bidx = self.mesh.boundary.boundary_nodes
+        block = sp.coo_matrix(block)
+        return sp.csr_matrix((block.data, (bidx[block.row], bidx[block.col])), shape=(self.n, self.n))
+
+    @cached_property
+    def local(self) -> sp.csr_matrix:
+        """The sparse part of the operator, everything but Theta; built on
+        first use and cached, while Theta is read on every call."""
+        return (self.A_bulk + self.embed(self.A_bdry + self.M_b)).tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         bidx = self.mesh.boundary.boundary_nodes
-        out = self.A_bulk @ v
-        vb = v[bidx]
-        out_b = self.A_bdry @ vb + self.M_b @ vb + self.Theta @ vb
-        out[bidx] += out_b  # boundary nodes are unique
+        out = self.local @ v
+        out[bidx] += self.Theta @ v[bidx]  # boundary nodes are unique
         return out
 
     def diagonal(self) -> np.ndarray:
-        d = self.A_bulk.diagonal().copy()
-        db = self.A_bdry.diagonal() + self.M_b.diagonal() + np.diag(self.Theta)
-        d[self.mesh.boundary.boundary_nodes] += db
+        d = self.local.diagonal()
+        d[self.mesh.boundary.boundary_nodes] += np.diag(self.Theta)
         return d
 
     def dense(self) -> np.ndarray:
         """Full dense operator (small systems only)."""
-        A = self.A_bulk.toarray()
+        A = self.local.toarray()
         bidx = self.mesh.boundary.boundary_nodes
-        A[np.ix_(bidx, bidx)] += self.boundary_block()
+        A[np.ix_(bidx, bidx)] += self.Theta
         return A
 
     def energy(self, values: np.ndarray) -> float:
@@ -374,22 +380,33 @@ _ANGULAR_ORDER = 16
 def _separated_pairs(bm):
     """Non-adjacent segment pairs a < b split by the ratio ladder.
 
-    Returns [(a, b, order)] for the far, mid and near classes, in that order.
+    Returns [(a, b, order)] for the far, mid and near classes, in that order,
+    each in row-major (triu) pair order. A pair with ratio <= _FAR_RATIO has
+    midpoints within (_FAR_RATIO + 1) * max(La, Lb) of each other, so only the
+    kd-tree's candidate pairs get an exact ratio; every other pair is far.
     The classes are built once per boundary mesh and cached in bm._cache.
     """
     if "ladder" not in bm._cache:
         S = bm.n_segments
-        a, b = np.triu_indices(S, k=1)
+        midpoints = 0.5 * (bm.segment_starts + bm.segment_ends)
+        # the margin covers rounding at exactly ratio _FAR_RATIO, which uniform meshes have
+        radius = (_FAR_RATIO + 1.0) * bm.lengths.max() * (1.0 + 1e-9)
+        a, b = cKDTree(midpoints).query_pairs(radius, output_type="ndarray").T  # a < b
+        order = np.argsort(a * S + b)
+        a, b = a[order], b[order]
         adjacent = (b - a == 1) | ((a == 0) & (b == S - 1))
         a, b = a[~adjacent], b[~adjacent]
         dist = _segment_pair_dist(
             bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
         )
         ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
-        far, near = ratio > _FAR_RATIO, ratio <= _MID_RATIO
+        close, near = ratio <= _FAR_RATIO, ratio <= _MID_RATIO
+        far = np.triu(np.ones((S, S), dtype=bool), k=2)
+        far[0, S - 1] = False
+        far[a[close], b[close]] = False
+        classes = (np.nonzero(far), (a[close & ~near], b[close & ~near]), (a[near], b[near]))
         # int32 halves what the cache holds for the rest of the mesh's life
-        a, b = a.astype(np.int32), b.astype(np.int32)
-        bm._cache["ladder"] = [(a[mask], b[mask]) for mask in (far, ~far & ~near, near)]
+        bm._cache["ladder"] = [(a.astype(np.int32), b.astype(np.int32)) for a, b in classes]
     return [(a, b, order) for (a, b), order in zip(bm._cache["ladder"], _ORDERS)]
 
 
@@ -405,12 +422,16 @@ def _separated_map(bm, fn, threads):
         for a, b, order in _separated_pairs(bm)
         for lo in range(0, len(a), _CHUNK_SIZE)
     ]
+    return list(zip(jobs, _thread_map(fn, jobs, threads)))
+
+
+def _thread_map(fn, jobs, threads):
+    """[fn(*job) for job in jobs], in a pool of `threads` threads when
+    threads > 1; results keep the order of `jobs`."""
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: fn(*job), jobs))
-    else:
-        results = [fn(*job) for job in jobs]
-    return list(zip(jobs, results))
+            return list(pool.map(lambda job: fn(*job), jobs))
+    return [fn(*job) for job in jobs]
 
 
 def _separated_kernel(bm, s, a, b, order):

@@ -1,6 +1,7 @@
 """Conjugate-gradient solve of the assembled system plus spectral diagnostics."""
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -22,7 +23,13 @@ __all__ = [
     "stability_ratio",
 ]
 
+log = logging.getLogger("venttsel")
+
 _HYPOTHESIS = "coercivity needs b >= 0 with b not identically zero on the boundary"
+# Half-width of Theta's cyclic band in the CG preconditioner: 4 keeps the
+# iteration count near 20-30 from N = 3.6k to 57k on the L-shape; wider bands
+# cut a few iterations but cost more in the factorization
+_NEAR_BAND = 4
 
 
 @dataclass(eq=False)
@@ -40,7 +47,15 @@ def solve(
     maxit: int | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[NodalField, SolveReport]:
-    """Jacobi-preconditioned conjugate gradients on the global operator.
+    """Preconditioned conjugate gradients on the global operator A.
+
+    The preconditioner is one sparse LU of P = local + Theta's near band
+    (the entries at cyclic boundary-local distance <= _NEAR_BAND), factored
+    once per solve with a minimum-degree ordering on P^T + P. P holds the
+    bulk and local boundary forms exactly, so the iteration count stays
+    nearly flat under refinement. CG stops at relative residual <= tol;
+    solve_seconds includes the factorization. One INFO line per solve goes
+    to the `venttsel` logger.
 
     Requires a coercive problem (b not identically zero); the indefinite case
     is reported as a violated hypothesis, not silently iterated.
@@ -50,6 +65,7 @@ def solve(
     if tol <= 0:
         raise SolverError("solver tolerance must be positive")
     n = system.n
+    n_boundary = system.mesh.boundary.n_nodes
     maxit = maxit if maxit is not None else 10 * n
 
     bvec = system.load
@@ -57,16 +73,21 @@ def solve(
     t0 = time.perf_counter()
     if bnorm == 0.0:
         report = SolveReport(0, 0.0, time.perf_counter() - t0, residual_history=[0.0])
+        log.info("solve N=%d S=%d: zero load, zero solution", n, n_boundary)
         return NodalField(np.zeros(n), system.mesh), report
 
-    diag = system.diagonal()
-    if np.any(diag <= 0):
+    if np.any(system.diagonal() <= 0):
         raise SolverError(f"non-positive diagonal entry; {_HYPOTHESIS}")
-    inv_diag = 1.0 / diag
+    P = (system.local + system.embed(_near_band(system.Theta, _NEAR_BAND))).tocsc()
+    try:
+        lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"preconditioner factorization failed ({exc}); {_HYPOTHESIS}") from exc
+    factor_seconds = time.perf_counter() - t0
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = bvec - system.matvec(x)
-    z = inv_diag * r
+    z = lu.solve(r)
     p = z.copy()
     rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -83,7 +104,7 @@ def solve(
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
+        z = lu.solve(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p
@@ -105,14 +126,30 @@ def solve(
         lambda_min_estimate=_lanczos_lambda_min(alphas, betas),
         residual_history=history,
     )
+    log.info(
+        "solve N=%d S=%d band=%d nnz(L+U)=%d factor=%.3fs iterations=%d "
+        "relative_residual=%.3e lambda_min=%s",
+        n, n_boundary, _NEAR_BAND, lu.nnz, factor_seconds, it,
+        history[-1], report.lambda_min_estimate,
+    )
     return NodalField(x, system.mesh), report
+
+
+def _near_band(theta: np.ndarray, width: int) -> sp.csr_matrix:
+    """Theta's entries at cyclic boundary-local distance |i - j| <= width."""
+    S = len(theta)
+    offsets = np.unique(np.arange(-width, width + 1) % S)
+    rows = np.repeat(np.arange(S), len(offsets))
+    cols = (rows + np.tile(offsets, S)) % S
+    return sp.csr_matrix((theta[rows, cols], (rows, cols)), shape=(S, S))
 
 
 def _lanczos_lambda_min(alphas, betas):
     """Smallest Ritz value of the CG-Lanczos tridiagonal matrix.
 
-    Estimates the smallest eigenvalue of the Jacobi-preconditioned operator
-    from the run's own coefficients; None when the run was too short.
+    Estimates lambda_min(P^-1 A) of the preconditioned operator (P the
+    near-band preconditioner of `solve`) from the run's own coefficients;
+    None when the run was too short.
     """
     k = len(alphas)
     if k < 2:
@@ -135,13 +172,7 @@ def direct_solve(system: DiscreteSystem, max_unknowns: int = 2000) -> NodalField
 
 
 def _global_sparse(system: DiscreteSystem) -> sp.csr_matrix:
-    bidx = system.mesh.boundary.boundary_nodes
-    block = sp.coo_matrix(system.boundary_block())
-    emb = sp.coo_matrix(
-        (block.data, (bidx[block.row], bidx[block.col])),
-        shape=(system.n, system.n),
-    )
-    return (system.A_bulk + emb).tocsr()
+    return system.local + system.embed(system.Theta)
 
 
 def min_eigenpair(system: DiscreteSystem, boundary_cap: int = 512):

@@ -26,6 +26,7 @@ from .assembly import (
     _separated_kernel,
     _separated_map,
     _separated_pairs,
+    _thread_map,
     assemble_system,
 )
 from .errors import OracleError, VenttselError
@@ -538,7 +539,9 @@ class PointwiseBoundarySource:
         self.tol = tol
 
     def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryQuadratureTable:
-        """The table on bm; the oracle runs in one thread whatever `threads`."""
+        """The table on bm. threads > 1 runs the oracle on contiguous groups of
+        the points in a thread pool; per-point values do not depend on the
+        grouping, so the table is bitwise the same."""
         x0, w0 = gauss01(_POINTWISE_ORDER)
         xc, wc = gauss01(6)
         S = bm.n_segments
@@ -578,7 +581,11 @@ class PointwiseBoundarySource:
         # padded entries carry weight 0: store 0 there instead of evaluating g
         used = weights > 0
         vals = np.zeros((S, width))
-        vals[used] = self.problem.boundary_g_values(pts[used], side_ids[used], self.tol)
+        groups = [
+            (p, i, self.tol)
+            for p, i in zip(np.array_split(pts[used], threads), np.array_split(side_ids[used], threads))
+        ]
+        vals[used] = np.concatenate(_thread_map(self.problem.boundary_g_values, groups, threads))
         return BoundaryQuadratureTable(
             values=vals,
             nodes=nodes,

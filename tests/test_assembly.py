@@ -374,6 +374,31 @@ def test_separated_pairs_partition_non_adjacent_pairs(lshape, h, q):
     assert all(i < j and 1 < j - i < S - 1 for i, j in pairs)
 
 
+@pytest.mark.parametrize(
+    "polygon, h, q",
+    [("lshape", 1.0 / 32.0, 1.0), ("lshape", 0.25, 1.0 / (1.0 - 0.42)), ("square", 1.0 / 64.0, 1.0)],
+)
+def test_separated_pairs_match_all_pairs(polygon, h, q, request):
+    # every non-adjacent pair a < b classified by its exact distance ratio,
+    # in triu order; the ladder itself only measures kd-tree candidates
+    bm = triangulate(request.getfixturevalue(polygon), h, q).boundary
+    S = bm.n_segments
+    a, b = np.triu_indices(S, k=1)
+    keep = (b - a > 1) & ~((a == 0) & (b == S - 1))
+    a, b = a[keep], b[keep]
+    dist = assembly._segment_pair_dist(
+        bm.segment_starts[a], bm.segment_ends[a], bm.segment_starts[b], bm.segment_ends[b]
+    )
+    ratio = dist / np.maximum(bm.lengths[a], bm.lengths[b])
+    expected = [ratio > 4.0, (ratio > 1.0) & (ratio <= 4.0), ratio <= 1.0]
+    got = _separated_pairs(bm)
+    for mask, (ga, gb, _) in zip(expected, got):
+        assert ga.dtype == gb.dtype == np.int32
+        assert np.array_equal(ga, a[mask]) and np.array_equal(gb, b[mask])
+    # the uniform meshes have collinear pairs at exactly ratio 4 in the mid class
+    assert np.any(ratio == 4.0) or q != 1.0
+
+
 def test_all_operator_blocks_symmetric(square_mesh):
     system = assemble_system(square_mesh, ProblemSpec(s=0.6, b=1.5, f=0.0, g=0.0))
     for block in (system.A_bulk.toarray(), system.A_bdry.toarray(), system.M_b.toarray(), system.Theta):

@@ -168,6 +168,38 @@ def test_converge_threads_reach_load_table(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_converge_threads_reach_pointwise_oracle(tmp_path, monkeypatch):
+    groups, tables = [], []
+    original_values = verify.ManufacturedProblem.boundary_g_values
+    original_build = verify.PointwiseBoundarySource.build
+
+    def values(self, pts, side_ids, tol=None):
+        groups.append(len(pts))
+        return original_values(self, pts, side_ids, tol)
+
+    def build(self, bm, n_threads=1):
+        groups.clear()
+        table = original_build(self, bm, n_threads)
+        assert len(groups) == n_threads  # one oracle call per group of points
+        tables.append((table.values, table.nodes, table.weights, table.point_masses))
+        return table
+
+    monkeypatch.setattr(verify.ManufacturedProblem, "boundary_g_values", values)
+    monkeypatch.setattr(verify.PointwiseBoundarySource, "build", build)
+    mesh = {"h": 0.25, "grading_q": 1.0, "levels": 3}
+    outputs = []
+    for n in ("1", "2"):
+        out = tmp_path / n
+        path = _write_config(tmp_path, problem="cubic", s=0.25, mesh=mesh, output={"directory": str(out)})
+        assert main(["converge", "--config", str(path), "--threads", n]) == 0
+        outputs.append((out / "convergence.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    one, two = tables[:3], tables[3:]
+    assert len(one) == len(two) == 3  # the pointwise route on every level
+    for t1, t2 in zip(one, two):
+        assert all(np.array_equal(x, y) for x, y in zip(t1[:3], t2[:3])) and t1[3] == t2[3]
+
+
 @pytest.mark.parametrize(
     "override, rule",
     [

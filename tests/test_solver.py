@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from venttsel import solver
 from venttsel.assembly import NodalField, ProblemSpec, assemble_system
 from venttsel.errors import SolverError
 from venttsel.geometry import build_polygon
@@ -12,6 +15,7 @@ from venttsel.solver import (
     solve,
     stability_ratio,
 )
+from venttsel.verify import lshape_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +148,65 @@ def test_stability_ratio_examples(patch_system):
     )
     with pytest.raises(SolverError):
         stability_ratio(u, spec, 0.0, 0.0)
+
+
+def _block_matvec(system, v):
+    """The operator applied block by block, without the cached local matrix."""
+    bidx = system.mesh.boundary.boundary_nodes
+    out = system.A_bulk @ v
+    vb = v[bidx]
+    out[bidx] += system.A_bdry @ vb + system.M_b @ vb + system.Theta @ vb
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::venttsel.errors.RegularityRegimeWarning")
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("polygon", ["square", "lshape"])
+def test_preconditioned_cg_matches_direct_solve(polygon, s, request):
+    poly = request.getfixturevalue(polygon)
+    b = np.linspace(0.5, 2.0, poly.n_sides)
+    f = lambda p: 1.0 + np.atleast_2d(p)[:, 0]
+    g = lambda p: np.cos(np.atleast_2d(p)[:, 1])
+    system = assemble_system(triangulate(poly, 1.0 / 8), ProblemSpec(s=s, b=b, f=f, g=g))
+    u, report = solve(system, tol=1e-13)
+    reference = direct_solve(system).values
+    assert report.iterations > 1
+    assert np.abs(u.values - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_preconditioned_cg_iterations_lshape(lshape):
+    bench = lshape_benchmark()
+    system = assemble_system(triangulate(lshape, 1.0 / 32), bench.spec())
+    _, report = solve(system, tol=1e-10)
+    assert system.n == 3608
+    assert report.iterations <= 30  # Jacobi-preconditioned CG took 285
+
+
+def test_fused_matvec_matches_blocks(lshape_mesh, rng):
+    system = assemble_system(lshape_mesh, ProblemSpec(s=0.3, b=[1.0, 2.0, 0.5, 1.0, 3.0, 1.5], f=0.0, g=0.0))
+    for _ in range(3):
+        v = rng.normal(size=system.n)
+        expected = _block_matvec(system, v)
+        assert np.abs(system.matvec(v) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_failed_factorization_raises(patch_system, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", singular)
+    with pytest.raises(SolverError, match="preconditioner factorization failed"):
+        solve(patch_system)
+
+
+def test_solve_logs_one_info_line(patch_system, caplog):
+    caplog.set_level(logging.INFO, logger="venttsel")
+    _, report = solve(patch_system, tol=1e-12)
+    records = [r for r in caplog.records if r.name == "venttsel"]
+    assert len(records) == 1 and records[0].levelno == logging.INFO
+    message = records[0].getMessage()
+    S = patch_system.mesh.boundary.n_nodes
+    assert f"N={patch_system.n} S={S} band={solver._NEAR_BAND} nnz(L+U)=" in message
+    assert f"iterations={report.iterations} " in message
+    assert f"relative_residual={report.relative_residual:.3e}" in message
+    assert f"lambda_min={report.lambda_min_estimate}" in message
