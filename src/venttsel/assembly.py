@@ -12,7 +12,9 @@ Euclidean chord distance. Assembly runs over segment pairs with three rules:
   at the shared node; the radial factor integrates exactly to u^{3-2s}/(3-2s),
   leaving a smooth 1D angular integral done with fixed Gauss;
 * separated segments: tensor Gauss, order from the distance-to-diameter ratio
-  (one ladder and one kernel, shared with the form-based load in verify).
+  (one ladder; the far class as blocks of kernel rows over the Gauss points,
+  the mid and near classes pair by pair; both shared with the form-based load
+  in verify).
 
 Every pair contribution is a Gram-type block with positive quadrature weights,
 so the assembled operator is symmetric positive semidefinite and annihilates
@@ -371,7 +373,8 @@ def _adjacent_blocks(Theta, bm, s, order):
 _FAR_RATIO = 4.0
 _MID_RATIO = 1.0
 _ORDERS = (4, 8, 12)
-# Separated pairs per chunk; bounds the (chunk, n, n) kernel temporaries
+# Separated pairs per chunk; bounds the (chunk, n, n) kernel temporaries, and
+# the far blocks at _CHUNK_SIZE * 64 kernel entries (read at call time)
 _CHUNK_SIZE = 4096
 # Gauss order of the smooth angular integral left by the adjacent-pair Duffy split
 _ANGULAR_ORDER = 16
@@ -410,16 +413,17 @@ def _separated_pairs(bm):
     return [(a, b, order) for (a, b), order in zip(bm._cache["ladder"], _ORDERS)]
 
 
-def _separated_map(bm, fn, threads):
+def _separated_map(bm, fn, threads, far=True):
     """fn(a, b, order) on each chunk of at most _CHUNK_SIZE pairs of each ladder
-    class, in a pool of `threads` threads when threads > 1.
+    class (the mid and near classes only when far=False), in a pool of
+    `threads` threads when threads > 1.
 
     Returns [((a, b, order), fn(a, b, order))] in a fixed chunk order, so a
     reduction over it is bitwise identical for every thread count.
     """
     jobs = [
         (a[lo : lo + _CHUNK_SIZE], b[lo : lo + _CHUNK_SIZE], order)
-        for a, b, order in _separated_pairs(bm)
+        for a, b, order in _separated_pairs(bm)[0 if far else 1 :]
         for lo in range(0, len(a), _CHUNK_SIZE)
     ]
     return list(zip(jobs, _thread_map(fn, jobs, threads)))
@@ -445,16 +449,124 @@ def _separated_kernel(bm, s, a, b, order):
     return (wts[a][:, :, None] * wts[b][:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
 
 
+def _hat_products(hats):
+    """(n, 4) products hats[:, m] * hats[:, l]; the outer product keeps the
+    2 x 2 blocks contracted with it bitwise symmetric."""
+    return (hats[:, :, None] * hats[:, None, :]).reshape(len(hats), 4)
+
+
 def _separated_chunk(bm, s, a, b, order):
     """(Caa, Cbb, Cab) blocks for one chunk of separated pairs."""
     WK = _separated_kernel(bm, s, a, b, order)
     hats = bm.gauss_points(order)[2]
-    # the outer product keeps each Caa and Cbb bitwise symmetric
-    hh = (hats[:, :, None] * hats[:, None, :]).reshape(len(hats), 4)
+    hh = _hat_products(hats)
     Caa = (WK.sum(axis=2) @ hh).reshape(-1, 2, 2)
     Cbb = (WK.sum(axis=1) @ hh).reshape(-1, 2, 2)
     Cab = hats.T @ WK @ hats
     return Caa, Cbb, Cab
+
+
+def _far_kernel(bm, s, order, r0, r1):
+    """Far-class kernel rows K = w_x w_y |x - y|^{-(1+2s)}: the Gauss points of
+    segments r0 .. r1-1 against those of segments r0 .. S-1, shape
+    ((r1 - r0) n, (S - r0) n) for n = order.
+
+    A segment pair (a, b) outside the far class (b <= a, adjacent, or in the
+    mid or near class) gets R2 = inf before the power, so its entries are
+    exactly 0; the far entries are bitwise those of _separated_kernel.
+    """
+    S = bm.n_segments
+    pts, wts, _ = bm.gauss_points(order)
+    x, y = pts[r0:r1].reshape(-1, 2), pts[r0:].reshape(-1, 2)
+    R2 = np.subtract.outer(x[:, 0], y[:, 0])
+    dy = np.subtract.outer(x[:, 1], y[:, 1])
+    R2 *= R2
+    dy *= dy
+    R2 += dy
+    # segment pairs (a, b) outside the far class, as block-local (a - r0, b - r0)
+    close = [np.tril_indices(r1 - r0, 1, S - r0)]
+    if r0 == 0:
+        close.append(([0], [S - 1]))  # segments 0 and S-1 share node 0
+    for a, b, _ in _separated_pairs(bm)[1:]:
+        keep = (a >= r0) & (a < r1)
+        close.append((a[keep] - r0, b[keep] - r0))
+    ia, ib = (np.concatenate(c) for c in zip(*close))
+    R2.reshape(r1 - r0, order, S - r0, order)[ia, :, ib, :] = np.inf
+    np.power(R2, -(1.0 + 2.0 * s) / 2.0, out=R2)
+    K = wts[r0:r1].reshape(-1, 1) * wts[r0:].reshape(1, -1)
+    K *= R2
+    return K
+
+
+def _far_map(bm, s, order, fn, threads):
+    """fn(K, r0, r1) on each far row block K = _far_kernel(bm, s, order, r0, r1),
+    in a pool of `threads` threads when threads > 1.
+
+    Blocks hold a fixed number of segment rows, so each K has at most
+    _CHUNK_SIZE * 64 entries (the size of one order-8 chunk of _CHUNK_SIZE
+    pairs) unless one row alone is larger. Returns G1, the (S * order,)
+    per-point sums K 1 + K^T 1 over all blocks, and [(r0, r1, fn(K, r0, r1))],
+    both reduced in block order, so they are bitwise identical for every
+    thread count.
+    """
+    S = bm.n_segments
+    rows = max(1, _CHUNK_SIZE * 64 // (order * order * S))
+    jobs = [(r0, min(r0 + rows, S)) for r0 in range(0, S, rows)]
+
+    def job(r0, r1):
+        K = _far_kernel(bm, s, order, r0, r1)
+        return K.sum(axis=1), K.sum(axis=0), fn(K, r0, r1)
+
+    g1 = np.zeros(S * order)
+    results = []
+    for (r0, r1), (row_sums, col_sums, res) in zip(jobs, _thread_map(job, jobs, threads)):
+        g1[r0 * order : r1 * order] += row_sums
+        g1[r0 * order :] += col_sums
+        results.append((r0, r1, res))
+    return g1, results
+
+
+def _far_theta(bm, s, threads):
+    """Far-class part of Theta, upper triangle of segment pairs only.
+
+    The cross term X = hats^T K hats is folded onto node rows a, a+1 and node
+    columns b, b+1 and enters as -2 (X + X^T). The self term is G1 of
+    _far_map contracted with the hat products onto the cyclic tridiagonal.
+    """
+    S = bm.n_segments
+    order = _separated_pairs(bm)[0][2]
+    hats = bm.gauss_points(order)[2]
+    X = np.zeros((S, S))
+
+    def block(K, r0, r1):
+        R, C = r1 - r0, S - r0
+        Z = (hats.T @ (K.reshape(-1, order) @ hats).reshape(R, order, 2 * C)).reshape(R, 2, C, 2)
+        # node rows r0 .. r1 by node columns r0 .. S: a pair (a, b) lands on
+        # rows a, a+1 and columns b, b+1, where node S is node 0
+        nodes = np.zeros((R + 1, C + 1))
+        nodes[:R, :C] = Z[:, 0, :, 0]
+        nodes[:R, 1:] += Z[:, 0, :, 1]
+        nodes[1:, :C] += Z[:, 1, :, 0]
+        nodes[1:, 1:] += Z[:, 1, :, 1]
+        # rows r0 .. r1-1 belong to this block alone; row r1 is added in block
+        # order once every block has run
+        X[r0:r1, r0:] = nodes[:R, :C]
+        X[r0:r1, 0] += nodes[:R, C]
+        return nodes[R]
+
+    g1, blocks = _far_map(bm, s, order, block, threads)
+    for r0, r1, last in blocks:
+        X[r1 % S, r0:] += last[:-1]
+        X[r1 % S, 0] += last[-1]
+    Theta = X + X.T
+    Theta *= -2.0
+    C = 2.0 * (g1.reshape(S, order) @ _hat_products(hats))  # (S, 4): 2 Caa per segment
+    k = np.arange(S)
+    kn = (k + 1) % S
+    Theta[k, k] += C[:, 0] + np.roll(C[:, 3], 1)
+    Theta[k, kn] += C[:, 1]
+    Theta[kn, k] += C[:, 2]
+    return Theta
 
 
 def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
@@ -462,21 +574,23 @@ def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
 
     Entries use the Euclidean chord distance |x - y|; the matrix is symmetric,
     positive semidefinite, annihilates constants, and scales like t**(1-2s)
-    under coordinate scaling by t. threads > 1 evaluates the separated-pair
-    chunks in a thread pool; the result is bitwise the same.
+    under coordinate scaling by t. The far class of separated pairs is built
+    from blocks of kernel rows over the Gauss points (_far_theta), the mid and
+    near classes pair by pair in chunks. threads > 1 evaluates the far blocks
+    and the chunks in a thread pool; the result is bitwise the same.
     """
     if not 0.0 < s < 1.0:
         raise AssemblyError(f"fractional order s={s} outside (0, 1)")
     S = bm.n_nodes
     if S < 3:
         raise AssemblyError("boundary mesh must have at least 3 segments")
-    Theta = np.zeros((S, S))
-
+    Theta = _far_theta(bm, s, threads)
     _identical_blocks(Theta, bm, s)
     _adjacent_blocks(Theta, bm, s, _ANGULAR_ORDER)
 
     lp = bm.local_pairs()
-    for (a, b, _), (Caa, Cbb, Cab) in _separated_map(bm, partial(_separated_chunk, bm, s), threads):
+    chunks = _separated_map(bm, partial(_separated_chunk, bm, s), threads, far=False)
+    for (a, b, _), (Caa, Cbb, Cab) in chunks:
         ia, ib = lp[a], lp[b]  # (P, 2) local node indices
         np.add.at(Theta, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
         np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)

@@ -22,6 +22,7 @@ from .assembly import (
     BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
+    _far_map,
     _p1_gradients,
     _separated_kernel,
     _separated_map,
@@ -746,6 +747,25 @@ def _stable_diff(problem, x1, x2):
     return du.reshape(shape)
 
 
+def _far_load(bm: BoundaryMesh, s: float, order: int, u: np.ndarray, threads: int) -> np.ndarray:
+    """Far-class part of <theta_s u, phi_i> from the trace u (S, order) at the
+    order-`order` Gauss points: 2 hats^T (u G1 - Gu) per segment, with G1 of
+    _far_map and Gu = K u + K^T u over the far kernel rows K."""
+    S = bm.n_segments
+    u = u.reshape(-1)
+
+    def block(K, r0, r1):
+        return K @ u[r0 * order :], u[r0 * order : r1 * order] @ K
+
+    g1, blocks = _far_map(bm, s, order, block, threads)
+    gu = np.zeros(S * order)
+    for r0, r1, (Ku, uK) in blocks:
+        gu[r0 * order : r1 * order] += Ku
+        gu[r0 * order :] += uK
+    seg = (u * g1 - gu).reshape(S, order) @ bm.gauss_points(order)[2]  # (S, 2) per segment node
+    return 2.0 * (seg[:, 0] + np.roll(seg[:, 1], 1))
+
+
 def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
     """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes."""
     S = bm.n_nodes
@@ -805,12 +825,16 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
     np.add.at(out, dofs, 2.0 * (part1 + part2))
 
     # separated pairs by the shared ratio ladder (orders bumped for the smooth
-    # factor): the trace is evaluated once per segment and order, and each chunk
-    # contracts WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and its transpose
+    # factor), the trace evaluated once per segment and order. The far class
+    # runs as kernel rows (_far_load); mid and near chunks contract
+    # WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and its transpose.
+    groups = _separated_pairs(bm)
     traces = {}
-    for _, _, order in _separated_pairs(bm):
+    for _, _, order in groups:
         pts = bm.gauss_points(order + 4)[0]
         traces[order] = np.asarray(problem.trace(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+
+    out += _far_load(bm, s, groups[0][2] + 4, traces[groups[0][2]], threads)
 
     def separated(a, b, order):
         WK = _separated_kernel(bm, s, a, b, order + 4)
@@ -820,10 +844,27 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
         rb = (ux[:, None, :] @ WK)[:, 0, :] - uy * WK.sum(axis=1)
         return 2.0 * (ra @ hats), -2.0 * (rb @ hats)
 
-    for (a, b, _), (to_a, to_b) in _separated_map(bm, separated, threads):
+    for (a, b, _), (to_a, to_b) in _separated_map(bm, separated, threads, far=False):
         np.add.at(out, lp[a], to_a)
         np.add.at(out, lp[b], to_b)
     return out
+
+
+def _bulk_load_terms(problem, mesh: Mesh, triangles: np.ndarray) -> np.ndarray:
+    """Int grad u . grad phi_i - Int f phi_i per mesh node, summed over the
+    triangles selected by the boolean mask `triangles`."""
+    tris = mesh.triangles[triangles]
+    lam, _ = tri_rule(_LOAD_BULK_DEGREE)
+    pts, w = tri_points_weights(mesh.tri_verts[triangles], _LOAD_BULK_DEGREE)
+    flat = pts.reshape(-1, 2)
+    gu = np.asarray(problem.grad_u(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
+    int_grad = np.einsum("tk,tkd->td", w, gu)
+    bulk_term = np.zeros(mesh.n_nodes)
+    np.add.at(bulk_term, tris.ravel(), np.einsum("tid,td->ti", _p1_gradients(mesh)[triangles], int_grad).ravel())
+    fv = np.asarray(problem.f(flat), dtype=float).reshape(pts.shape[:2])
+    f_term = np.zeros(mesh.n_nodes)
+    np.add.at(f_term, tris.ravel(), np.einsum("tk,tk,kl->tl", w, fv, lam).ravel())
+    return bulk_term - f_term
 
 
 def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
@@ -834,21 +875,12 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: i
     as in nonlocal_matrix.
     """
     mesh = bm.mesh
-    lam, _ = tri_rule(_LOAD_BULK_DEGREE)
-    pts, w = tri_points_weights(mesh.tri_verts, _LOAD_BULK_DEGREE)
-    flat = pts.reshape(-1, 2)
-    gu = np.asarray(problem.grad_u(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
-    grads = _p1_gradients(mesh)
-    int_grad = np.einsum("tk,tkd->td", w, gu)
-    bulk_term = np.zeros(mesh.n_nodes)
-    np.add.at(
-        bulk_term,
-        mesh.triangles.ravel(),
-        np.einsum("tid,td->ti", grads, int_grad).ravel(),
-    )
-    fv = np.asarray(problem.f(flat), dtype=float).reshape(pts.shape[:2])
-    f_term = np.zeros(mesh.n_nodes)
-    np.add.at(f_term, mesh.triangles.ravel(), np.einsum("tk,tk,kl->tl", w, fv, lam).ravel())
+    # only boundary entries are read, so only triangles with a boundary vertex
+    # are integrated; each entry sums the same terms in the same order as the
+    # full mesh would
+    on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
+    on_boundary[bm.boundary_nodes] = True
+    bulk_term = _bulk_load_terms(problem, mesh, np.any(on_boundary[mesh.triangles], axis=1))
 
     pts_b, wts, hats = bm.gauss_points(_LOAD_BDRY_ORDER)
     flat_b = pts_b.reshape(-1, 2)
@@ -868,12 +900,7 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: i
 
     theta_term = _theta_load(bm, problem, problem.s, threads)
 
-    vals = (
-        bulk_term[bm.boundary_nodes]
-        - f_term[bm.boundary_nodes]
-        + bdry_term
-        + theta_term
-    )
+    vals = bulk_term[bm.boundary_nodes] + bdry_term + theta_term
     return BoundaryLoadTable(values=vals)
 
 

@@ -9,7 +9,8 @@ solution. The failure message carries the measured data; everything else in
 this module is a hard criterion.
 
 Run `pytest tests/test_acceptance.py -s` to watch the lines live; a copy is
-written to acceptance_report.txt at the repository root.
+written to the path in VENTTSEL_ACCEPTANCE_REPORT, by default
+acceptance_report.txt at the repository root.
 """
 import math
 import os
@@ -57,7 +58,8 @@ def _report(num, name, passed, detail=""):
 @pytest.fixture(scope="module", autouse=True)
 def _acceptance_report():
     yield
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "acceptance_report.txt")
+    default = os.path.join(os.path.dirname(__file__), os.pardir, "acceptance_report.txt")
+    path = os.environ.get("VENTTSEL_ACCEPTANCE_REPORT", default)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(sorted(RESULTS)) + "\n")
 

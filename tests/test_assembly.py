@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -261,20 +262,125 @@ def test_rayleigh_quotient_equivalence(square, rng):
     assert max(c2a, c2b) / min(c2a, c2b) < 2.0
 
 
+def _record_far_blocks(monkeypatch):
+    """Patch assembly._far_kernel to log (order, r0, r1, K.shape) per block."""
+    blocks = []
+    kernel = assembly._far_kernel
+
+    def recording(bm, s, order, r0, r1):
+        K = kernel(bm, s, order, r0, r1)
+        blocks.append((order, r0, r1, K.shape))
+        return K
+
+    monkeypatch.setattr(assembly, "_far_kernel", recording)
+    return blocks
+
+
 def test_nonlocal_thread_determinism(lshape, monkeypatch):
-    # both threaded users of the separated-pair chunk driver: Theta and the
+    # both threaded users of the separated-pair drivers: Theta and the
     # form-based load
     from venttsel.verify import energy_load_table, make_manufactured
 
     monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
+    blocks = _record_far_blocks(monkeypatch)
     bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
     prob = make_manufactured("cubic", lshape, 0.7, 1.0)
     t1 = nonlocal_matrix(bm, 0.5, 1)
-    t4 = nonlocal_matrix(bm, 0.5, 4)
-    assert np.array_equal(t1, t4)
+    assert len(blocks) > 1  # several far blocks, read from the patched _CHUNK_SIZE
     l1 = energy_load_table(prob, bm, 1).values
-    l4 = energy_load_table(prob, bm, 4).values
-    assert np.array_equal(l1, l4)
+    # far blocks write their own rows of one shared array: switch threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 4):
+            assert np.array_equal(t1, nonlocal_matrix(bm, 0.5, threads))
+            assert np.array_equal(l1, energy_load_table(prob, bm, threads).values)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _far_theta_reference(bm, s):
+    """Far-class part of Theta pair by pair: _separated_chunk blocks scattered
+    onto each pair's nodes."""
+    a, b, order = _separated_pairs(bm)[0]
+    Caa, Cbb, Cab = assembly._separated_chunk(bm, s, a, b, order)
+    lp = bm.local_pairs()
+    ia, ib = lp[a], lp[b]
+    ref = np.zeros((bm.n_nodes, bm.n_nodes))
+    np.add.at(ref, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
+    np.add.at(ref, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
+    np.add.at(ref, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
+    np.add.at(ref, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
+    return ref
+
+
+def _far_load_reference(bm, s, u, order):
+    """Far-class part of <theta_s u, phi_i> pair by pair: WK (u_x - u_y) as a
+    (pairs, n, n) array, contracted with the hats of each side."""
+    a, b, _ = _separated_pairs(bm)[0]
+    F = assembly._separated_kernel(bm, s, a, b, order) * (u[a][:, :, None] - u[b][:, None, :])
+    hats = bm.gauss_points(order)[2]
+    lp = bm.local_pairs()
+    ref = np.zeros(bm.n_nodes)
+    np.add.at(ref, lp[a], 2.0 * F.sum(axis=2) @ hats)
+    np.add.at(ref, lp[b], -2.0 * F.sum(axis=1) @ hats)
+    return ref
+
+
+@pytest.mark.parametrize(
+    "h, q, chunk",
+    [(0.25, 1.0 / (1.0 - 0.42), 512), (0.25, 1.0 / (1.0 - 0.42), None), (1.0 / 8.0, 1.0, 512)],
+)
+@pytest.mark.parametrize("s", [0.25, 0.7])
+def test_far_blocks_match_per_pair_reference(lshape, h, q, chunk, s, monkeypatch):
+    from venttsel.verify import _far_load, make_manufactured
+
+    if chunk is not None:
+        monkeypatch.setattr(assembly, "_CHUNK_SIZE", chunk)
+    bm = triangulate(lshape, h, q).boundary
+    S = bm.n_segments
+    _, far_b, order = _separated_pairs(bm)[0]
+    assert np.any(far_b == S - 1)  # wrap pairs: segment S-1 ends at node 0
+    blocks = _record_far_blocks(monkeypatch)
+
+    theta = assembly._far_theta(bm, s, 1)
+    ref = _far_theta_reference(bm, s)
+    assert np.abs(theta - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    n = order + 4
+    pts = bm.gauss_points(n)[0]
+    u = make_manufactured("cubic", lshape, s, 1.0).trace(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    load = _far_load(bm, s, n, u, 1)
+    ref = _far_load_reference(bm, s, u, n)
+    assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    for k in (order, n):
+        spans = [(r0, r1) for o, r0, r1, _ in blocks if o == k]
+        assert spans[0][0] == 0 and spans[-1][1] == S
+        assert all(r1 == r0 for (_, r1), (r0, _) in zip(spans, spans[1:]))
+        if chunk is not None and q != 1.0:
+            # S = 69 is no multiple of either order's block row count
+            assert len(spans) > 1 and spans[-1][1] - spans[-1][0] < spans[0][1] - spans[0][0]
+
+
+def test_far_blocks_within_entry_budget(lshape, monkeypatch):
+    # the far kernel rows at S = 512 for Theta (order 4) and the form-based
+    # load (order 8) stay within _CHUNK_SIZE * 64 entries per block
+    from venttsel.verify import _theta_load, make_manufactured
+
+    bm = triangulate(lshape, 1.0 / 64.0).boundary
+    S = bm.n_segments
+    assert S == 512
+    blocks = _record_far_blocks(monkeypatch)
+    nonlocal_matrix(bm, 0.5)
+    _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7, 1)
+    budget = assembly._CHUNK_SIZE * 64
+    for n, rows in ((4, 32), (8, 8)):
+        shapes = [(r0, r1, shape) for o, r0, r1, shape in blocks if o == n]
+        assert len(shapes) == S // rows
+        for r0, r1, shape in shapes:
+            assert r1 - r0 == rows and shape == (rows * n, (S - r0) * n)
+            assert shape[0] * shape[1] <= budget
 
 
 def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):

@@ -365,6 +365,24 @@ def test_load_route_equivalence(square):
     assert np.abs(lv_pw - lv_lt).max() <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("polygon, h, q", [("square", 1.0 / 16.0, 1.0), ("lshape", 0.25, 1.0 / (1.0 - 0.42))])
+def test_load_bulk_terms_boundary_triangles_bitwise(polygon, h, q, request, monkeypatch):
+    # the form-based load integrates the bulk terms only over triangles with a
+    # boundary vertex; its values are bitwise those of the full-mesh evaluation
+    poly = request.getfixturevalue(polygon)
+    bm = triangulate(poly, h, q).boundary
+    prob = make_manufactured("cubic", poly, 0.7, 1.0)
+    bulk_terms = verify._bulk_load_terms
+    used = []
+    monkeypatch.setattr(
+        verify, "_bulk_load_terms", lambda p, m, tris: used.append(tris.sum()) or bulk_terms(p, m, tris)
+    )
+    restricted = verify.energy_load_table(prob, bm).values
+    assert 0 < used[0] < bm.mesh.n_triangles
+    monkeypatch.setattr(verify, "_bulk_load_terms", lambda p, m, tris: bulk_terms(p, m, np.ones_like(tris)))
+    assert np.array_equal(verify.energy_load_table(prob, bm).values, restricted)
+
+
 def test_pointwise_table_skips_padding(square, monkeypatch):
     mesh = triangulate(square, 0.25)
     prob = make_manufactured("cubic", square, 0.25, 1.0)
