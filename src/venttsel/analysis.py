@@ -30,7 +30,7 @@ from .assembly import (
 from .errors import VenttselError
 from .geometry import Polygon, dist_to_vertices
 from .meshing import BoundaryMesh, Mesh
-from .quadrature import gauss01, graded_breakpoints, tri_points_weights, tri_rule
+from .quadrature import gauss_interval, graded_breakpoints, tri_points_weights, tri_rule
 
 __all__ = [
     "NormReport",
@@ -222,18 +222,14 @@ def weighted_l2(
 
 def _boundary_weighted_callable(func, polygon, sigma, n_layers: int = 40):
     total = 0.0
-    x, w = gauss01(_BOUNDARY_ORDER)
     for side in range(polygon.n_sides):
         L = polygon.side_lengths[side]
-        brk = np.union1d(
-            graded_breakpoints(0.0, L, 0.0, n_layers),
-            graded_breakpoints(0.0, L, L, n_layers),
-        )
+        brk = graded_breakpoints(0.0, L, (0.0, L), n_layers)
         for a, b in zip(brk[:-1], brk[1:]):
-            ts = a + (b - a) * x
+            ts, ws = gauss_interval(a, b, _BOUNDARY_ORDER)
             pts = polygon.boundary_point(side, ts)
             rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma) if sigma != 0.0 else 1.0
-            total += float(np.sum((b - a) * w * rw * np.asarray(func(pts)) ** 2))
+            total += float(np.sum(ws * rw * np.asarray(func(pts)) ** 2))
         # analytic tails over the innermost uncovered pieces at both corners
         eps = L * 0.5**n_layers
         for t_end in (0.0, L):

@@ -23,9 +23,8 @@ constants to roundoff by construction.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,7 +96,7 @@ class ProblemSpec:
     f : bulk source, callable on (k, 2) point arrays (scalars accepted)
     g : boundary source: callable, scalar, per-side array, a
         BoundaryQuadratureTable / BoundaryLoadTable, or a factory object
-        with .build(boundary_mesh, threads) returning one of those
+        with .build(boundary_mesh) returning one of those
     """
 
     s: float
@@ -234,10 +233,13 @@ def _assemble_coo(tri: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
 
 
 def bulk_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix of the bulk Dirichlet form; exact, no quadrature."""
-    g = _p1_gradients(mesh)
-    local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
-    return _assemble_coo(mesh.triangles, local, mesh.n_nodes)
+    """P1 stiffness matrix of the bulk Dirichlet form; exact, no quadrature.
+    Built once per mesh and cached, shared by assembly and the norms."""
+    if "stiffness" not in mesh._cache:
+        g = _p1_gradients(mesh)
+        local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
+        mesh._cache["stiffness"] = _assemble_coo(mesh.triangles, local, mesh.n_nodes)
+    return mesh._cache["stiffness"]
 
 
 def bulk_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -263,12 +265,15 @@ def _scatter_boundary(bm: BoundaryMesh, local: np.ndarray) -> sp.csr_matrix:
 
 
 def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
-    """1D arc-length stiffness along the closed boundary polyline; exact."""
-    if np.any(bm.lengths <= 0):
-        raise AssemblyError("zero-length boundary segment")
-    pat = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    local = pat[None, :, :] / bm.lengths[:, None, None]
-    return _scatter_boundary(bm, local)
+    """1D arc-length stiffness along the closed boundary polyline; exact.
+    Built once per boundary mesh and cached, like bulk_stiffness."""
+    if "stiffness" not in bm._cache:
+        if np.any(bm.lengths <= 0):
+            raise AssemblyError("zero-length boundary segment")
+        pat = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        local = pat[None, :, :] / bm.lengths[:, None, None]
+        bm._cache["stiffness"] = _scatter_boundary(bm, local)
+    return bm._cache["stiffness"]
 
 
 def _b_segment_values(bm: BoundaryMesh, b) -> np.ndarray:
@@ -413,29 +418,12 @@ def _separated_pairs(bm):
     return [(a, b, order) for (a, b), order in zip(bm._cache["ladder"], _ORDERS)]
 
 
-def _separated_map(bm, fn, threads, far=True):
-    """fn(a, b, order) on each chunk of at most _CHUNK_SIZE pairs of each ladder
-    class (the mid and near classes only when far=False), in a pool of
-    `threads` threads when threads > 1.
-
-    Returns [((a, b, order), fn(a, b, order))] in a fixed chunk order, so a
-    reduction over it is bitwise identical for every thread count.
-    """
-    jobs = [
-        (a[lo : lo + _CHUNK_SIZE], b[lo : lo + _CHUNK_SIZE], order)
-        for a, b, order in _separated_pairs(bm)[0 if far else 1 :]
-        for lo in range(0, len(a), _CHUNK_SIZE)
-    ]
-    return list(zip(jobs, _thread_map(fn, jobs, threads)))
-
-
-def _thread_map(fn, jobs, threads):
-    """[fn(*job) for job in jobs], in a pool of `threads` threads when
-    threads > 1; results keep the order of `jobs`."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: fn(*job), jobs))
-    return [fn(*job) for job in jobs]
+def _separated_chunks(classes):
+    """(a, b, order) chunks of at most _CHUNK_SIZE pairs of each (a, b, order)
+    ladder class in `classes` (a slice of _separated_pairs), in class order."""
+    for a, b, order in classes:
+        for lo in range(0, len(a), _CHUNK_SIZE):
+            yield a[lo : lo + _CHUNK_SIZE], b[lo : lo + _CHUNK_SIZE], order
 
 
 def _separated_kernel(bm, s, a, b, order):
@@ -498,47 +486,42 @@ def _far_kernel(bm, s, order, r0, r1):
     return K
 
 
-def _far_map(bm, s, order, fn, threads):
-    """fn(K, r0, r1) on each far row block K = _far_kernel(bm, s, order, r0, r1),
-    in a pool of `threads` threads when threads > 1.
+def _far_blocks(bm, s, order, g1):
+    """Far row blocks (r0, r1, K), K = _far_kernel(bm, s, order, r0, r1), in
+    row order; adds each block's per-point sums K 1 + K^T 1 to g1, shape
+    (S * order,), before yielding it.
 
     Blocks hold a fixed number of segment rows, so each K has at most
     _CHUNK_SIZE * 64 entries (the size of one order-8 chunk of _CHUNK_SIZE
-    pairs) unless one row alone is larger. Returns G1, the (S * order,)
-    per-point sums K 1 + K^T 1 over all blocks, and [(r0, r1, fn(K, r0, r1))],
-    both reduced in block order, so they are bitwise identical for every
-    thread count.
+    pairs) unless one row alone is larger. Neither this generator nor its
+    callers keep a K past its loop step, so one block is held at a time.
     """
     S = bm.n_segments
     rows = max(1, _CHUNK_SIZE * 64 // (order * order * S))
-    jobs = [(r0, min(r0 + rows, S)) for r0 in range(0, S, rows)]
-
-    def job(r0, r1):
+    for r0 in range(0, S, rows):
+        r1 = min(r0 + rows, S)
         K = _far_kernel(bm, s, order, r0, r1)
-        return K.sum(axis=1), K.sum(axis=0), fn(K, r0, r1)
-
-    g1 = np.zeros(S * order)
-    results = []
-    for (r0, r1), (row_sums, col_sums, res) in zip(jobs, _thread_map(job, jobs, threads)):
-        g1[r0 * order : r1 * order] += row_sums
-        g1[r0 * order :] += col_sums
-        results.append((r0, r1, res))
-    return g1, results
+        g1[r0 * order : r1 * order] += K.sum(axis=1)
+        g1[r0 * order :] += K.sum(axis=0)
+        yield r0, r1, K
+        del K
 
 
-def _far_theta(bm, s, threads):
+def _far_theta(bm, s):
     """Far-class part of Theta, upper triangle of segment pairs only.
 
     The cross term X = hats^T K hats is folded onto node rows a, a+1 and node
-    columns b, b+1 and enters as -2 (X + X^T). The self term is G1 of
-    _far_map contracted with the hat products onto the cyclic tridiagonal.
+    columns b, b+1 and enters as -2 (X + X^T). The self term is the per-point
+    sums G1 of _far_blocks contracted with the hat products onto the cyclic
+    tridiagonal.
     """
     S = bm.n_segments
     order = _separated_pairs(bm)[0][2]
     hats = bm.gauss_points(order)[2]
     X = np.zeros((S, S))
-
-    def block(K, r0, r1):
+    g1 = np.zeros(S * order)
+    last_rows = []
+    for r0, r1, K in _far_blocks(bm, s, order, g1):
         R, C = r1 - r0, S - r0
         Z = (hats.T @ (K.reshape(-1, order) @ hats).reshape(R, order, 2 * C)).reshape(R, 2, C, 2)
         # node rows r0 .. r1 by node columns r0 .. S: a pair (a, b) lands on
@@ -548,14 +531,13 @@ def _far_theta(bm, s, threads):
         nodes[:R, 1:] += Z[:, 0, :, 1]
         nodes[1:, :C] += Z[:, 1, :, 0]
         nodes[1:, 1:] += Z[:, 1, :, 1]
+        del K, Z  # before _far_blocks builds the next block
         # rows r0 .. r1-1 belong to this block alone; row r1 is added in block
         # order once every block has run
         X[r0:r1, r0:] = nodes[:R, :C]
         X[r0:r1, 0] += nodes[:R, C]
-        return nodes[R]
-
-    g1, blocks = _far_map(bm, s, order, block, threads)
-    for r0, r1, last in blocks:
+        last_rows.append((r0, r1, nodes[R]))
+    for r0, r1, last in last_rows:
         X[r1 % S, r0:] += last[:-1]
         X[r1 % S, 0] += last[-1]
     Theta = X + X.T
@@ -569,28 +551,27 @@ def _far_theta(bm, s, threads):
     return Theta
 
 
-def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
+def nonlocal_matrix(bm: BoundaryMesh, s: float) -> np.ndarray:
     """Dense Galerkin matrix of the nonlocal boundary form over boundary nodes.
 
     Entries use the Euclidean chord distance |x - y|; the matrix is symmetric,
     positive semidefinite, annihilates constants, and scales like t**(1-2s)
     under coordinate scaling by t. The far class of separated pairs is built
     from blocks of kernel rows over the Gauss points (_far_theta), the mid and
-    near classes pair by pair in chunks. threads > 1 evaluates the far blocks
-    and the chunks in a thread pool; the result is bitwise the same.
+    near classes pair by pair in chunks.
     """
     if not 0.0 < s < 1.0:
         raise AssemblyError(f"fractional order s={s} outside (0, 1)")
     S = bm.n_nodes
     if S < 3:
         raise AssemblyError("boundary mesh must have at least 3 segments")
-    Theta = _far_theta(bm, s, threads)
+    Theta = _far_theta(bm, s)
     _identical_blocks(Theta, bm, s)
     _adjacent_blocks(Theta, bm, s, _ANGULAR_ORDER)
 
     lp = bm.local_pairs()
-    chunks = _separated_map(bm, partial(_separated_chunk, bm, s), threads, far=False)
-    for (a, b, _), (Caa, Cbb, Cab) in chunks:
+    for a, b, order in _separated_chunks(_separated_pairs(bm)[1:]):
+        Caa, Cbb, Cab = _separated_chunk(bm, s, a, b, order)
         ia, ib = lp[a], lp[b]  # (P, 2) local node indices
         np.add.at(Theta, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
         np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
@@ -599,29 +580,32 @@ def nonlocal_matrix(bm: BoundaryMesh, s: float, threads: int = 1) -> np.ndarray:
     return Theta
 
 
-def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float) -> None:
+def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float) -> float:
     """Order check of the separated-pair rules behind `theta`.
 
     Every separated pair's blocks at its ladder order are compared with the
-    same blocks at twice that order. Raises QuadraturePairError for the worst
-    pair of the first chunk whose largest discrepancy exceeds
-    tolerance * max|theta|.
+    same blocks at twice that order. Returns the largest discrepancy over all
+    pairs relative to max|theta|. Raises QuadraturePairError, carrying that
+    relative discrepancy, for the worst pair of the first chunk whose largest
+    discrepancy exceeds tolerance * max|theta|.
     """
-
-    def discrepancy(a, b, order):
+    scale = np.abs(theta).max()
+    worst = 0.0
+    for a, b, order in _separated_chunks(_separated_pairs(bm)):
         lo_blocks = _separated_chunk(bm, s, a, b, order)
         hi_blocks = _separated_chunk(bm, s, a, b, 2 * order)
-        return np.max([np.abs(lb - hb).max(axis=(1, 2)) for lb, hb in zip(lo_blocks, hi_blocks)], axis=0)
-
-    scale = np.abs(theta).max()
-    for (a, b, order), err in _separated_map(bm, discrepancy, 1):
-        worst = int(np.argmax(err))
-        if err[worst] > tolerance * scale:
+        err = np.max([np.abs(lb - hb).max(axis=(1, 2)) for lb, hb in zip(lo_blocks, hi_blocks)], axis=0)
+        k = int(np.argmax(err))
+        relative = float(err[k] / scale)
+        if err[k] > tolerance * scale:
             raise QuadraturePairError(
-                (int(a[worst]), int(b[worst])),
+                (int(a[k]), int(b[k])),
                 f"order-{order} vs order-{2*order} discrepancy "
-                f"{err[worst]:.3e} exceeds {tolerance:.1e} * {scale:.3e}",
+                f"{err[k]:.3e} exceeds {tolerance:.1e} * {scale:.3e}",
+                discrepancy=relative,
             )
+        worst = max(worst, relative)
+    return worst
 
 
 # --- load vector ----------------------------------------------------------------
@@ -638,10 +622,9 @@ def _as_bulk_source(f):
 _BOUNDARY_ORDER = 8
 
 
-def load_vector(mesh: Mesh, f, g, threads: int = 1) -> np.ndarray:
+def load_vector(mesh: Mesh, f, g) -> np.ndarray:
     """Load vector: 3-point (degree-2) triangle rule for f; per-segment Gauss
-    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary. A g
-    factory is built with `threads` (see nonlocal_matrix)."""
+    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary."""
     bm = mesh.boundary
     load = np.zeros(mesh.n_nodes)
 
@@ -659,7 +642,7 @@ def load_vector(mesh: Mesh, f, g, threads: int = 1) -> np.ndarray:
     np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
 
     if hasattr(g, "build"):
-        g = g.build(bm, threads)
+        g = g.build(bm)
     if isinstance(g, BoundaryLoadTable):
         vals = np.asarray(g.values, dtype=float)
         if len(vals) != bm.n_nodes:
@@ -708,16 +691,16 @@ def load_vector(mesh: Mesh, f, g, threads: int = 1) -> np.ndarray:
     return load
 
 
-def assemble_system(mesh: Mesh, spec: ProblemSpec, threads: int = 1) -> DiscreteSystem:
+def assemble_system(mesh: Mesh, spec: ProblemSpec) -> DiscreteSystem:
     """Assemble all operator blocks and the load for a problem instance; the
-    boundary blocks live on mesh.boundary. `threads` as in nonlocal_matrix."""
+    boundary blocks live on mesh.boundary."""
     bm = mesh.boundary
     return DiscreteSystem(
         A_bulk=bulk_stiffness(mesh),
         A_bdry=boundary_stiffness(bm),
         M_b=boundary_mass(bm, spec.b),
-        Theta=nonlocal_matrix(bm, spec.s, threads),
-        load=load_vector(mesh, spec.f, spec.g, threads),
+        Theta=nonlocal_matrix(bm, spec.s),
+        load=load_vector(mesh, spec.f, spec.g),
         mesh=mesh,
         spec=spec,
     )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, singular, solver, verify
-from .assembly import NodalField, assemble_system, nonlocal_matrix
-from .errors import ConfigError, VenttselError
+from .assembly import NodalField, assemble_system, check_theta_orders, nonlocal_matrix
+from .errors import ConfigError, QuadraturePairError, VenttselError
 from .geometry import Polygon, build_polygon, sigma_window
 from .meshing import triangulate, write_field, write_mesh
 
@@ -46,7 +46,6 @@ class RunConfig:
     out_dir: str
     dump_fields: bool
     seed: int
-    threads: int = 1
 
     @property
     def sigma_value(self) -> float:
@@ -214,7 +213,7 @@ def _discretise(config: RunConfig):
     """The config's problem and its system assembled on the config's mesh."""
     problem = _problem_for(config)
     mesh = triangulate(config.polygon, config.h, config.grading_q)
-    return problem, assemble_system(mesh, problem.spec(), config.threads)
+    return problem, assemble_system(mesh, problem.spec())
 
 
 def _cmd_solve(config: RunConfig) -> dict:
@@ -255,7 +254,6 @@ def _cmd_converge(config: RunConfig) -> dict:
         h0=config.h,
         q=config.grading_q,
         solver_tol=config.tol,
-        threads=config.threads,
     )
     out = config.out_dir
     _atomic_write(os.path.join(out, "convergence.csv"), table.to_csv())
@@ -281,7 +279,8 @@ def _cmd_decompose(config: RunConfig) -> dict:
 
 def _cmd_check(config: RunConfig) -> dict:
     """Config-sized invariant suite: operator laws, coercivity, oracle
-    equivalence (small boundaries only), Friedrichs sampling, scaling law."""
+    equivalence (small boundaries only), Friedrichs sampling, scaling law,
+    and the separated-pair quadrature order check."""
     checks = []
     _, system = _discretise(config)
     mesh, bm, theta = system.mesh, system.mesh.boundary, system.Theta
@@ -294,9 +293,15 @@ def _cmd_check(config: RunConfig) -> dict:
 
     scaled = build_polygon(config.polygon.vertices * 2.0)
     mesh2 = triangulate(scaled, config.h * 2.0, config.grading_q)
-    theta2 = nonlocal_matrix(mesh2.boundary, config.s, config.threads)
+    theta2 = nonlocal_matrix(mesh2.boundary, config.s)
     law = float(np.abs(theta2 - 2.0 ** (1.0 - 2.0 * config.s) * theta).max() / np.abs(theta).max())
     checks.append({"name": "theta_scaling_law", "passed": bool(law <= 1e-8), "value": law})
+
+    try:
+        orders = {"passed": True, "value": check_theta_orders(bm, config.s, theta, 1e-8)}
+    except QuadraturePairError as exc:
+        orders = {"passed": False, "value": exc.discrepancy}
+    checks.append({"name": "theta_orders", **orders})
 
     if bm.n_nodes <= 512 and mesh.n_nodes <= 4000:
         lam, _ = solver.min_eigenpair(system)
@@ -354,7 +359,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--threads", type=int, default=1, help="assembly parallelism (default 1)")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for existing scripts; must be 1")
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
@@ -367,9 +372,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.out is not None:
             config.out_dir = args.out
-        if args.threads < 1:
-            raise ConfigError("threads", "--threads must be >= 1")
-        config.threads = args.threads
+        if args.threads != 1:
+            raise ConfigError("threads", f"--threads must be 1 (assembly runs in one thread), got {args.threads}")
         return run(args.command, config)
     except ConfigError as exc:
         diag = {"error": exc.rule, "message": str(exc)}

@@ -35,8 +35,12 @@ def gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def gauss_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_interval(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss nodes and weights on [a, b]; for arrays of panel ends a
+    and b, one row of n per panel, shape (..., n)."""
     x, w = gauss01(n)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     return a + (b - a) * x, (b - a) * w
 
 
@@ -118,21 +122,24 @@ def tri_points_weights(verts: np.ndarray, degree: int = 2):
     return pts, area[:, None] * w[None, :]
 
 
-def graded_breakpoints(a: float, b: float, toward: float, n_layers: int) -> np.ndarray:
+def graded_breakpoints(a: float, b: float, toward, n_layers: int) -> np.ndarray:
     """Dyadic breakpoints on [a, b] accumulating geometrically toward `toward`.
 
-    `toward` must be one of the endpoints. Returns sorted breakpoints including
-    both endpoints; the panel adjacent to `toward` has length (b-a)/2**n_layers.
+    `toward` is one endpoint or a sequence of endpoints (both for a side
+    graded toward its two corners). Returns sorted breakpoints including both
+    endpoints; the panel adjacent to each graded end has length
+    (b-a)/2**n_layers.
     """
-    length = b - a
-    offs = length * 0.5 ** np.arange(n_layers + 1)
-    if toward == a:
-        pts = np.concatenate([[a], a + offs[::-1]])
-    elif toward == b:
-        pts = np.concatenate([b - offs, [b]])
-    else:
-        raise ValueError("grade point must be an interval endpoint")
-    return np.unique(pts)
+    offs = (b - a) * 0.5 ** np.arange(1, n_layers + 1)
+    pts = [np.array([a, b], dtype=float)]
+    for end in np.atleast_1d(toward):
+        if end == a:
+            pts.append(a + offs)
+        elif end == b:
+            pts.append(b - offs)
+        else:
+            raise ValueError("grade point must be an interval endpoint")
+    return np.unique(np.concatenate(pts))
 
 
 # --- adaptive 1D -------------------------------------------------------------

@@ -22,12 +22,11 @@ from .assembly import (
     BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
-    _far_map,
+    _far_blocks,
     _p1_gradients,
+    _separated_chunks,
     _separated_kernel,
-    _separated_map,
     _separated_pairs,
-    _thread_map,
     assemble_system,
 )
 from .errors import OracleError, VenttselError
@@ -37,6 +36,7 @@ from .quadrature import (
     adaptive_interval,
     adaptive_rectangle,
     gauss01,
+    gauss_interval,
     graded_breakpoints,
     tri_points_weights,
     tri_rule,
@@ -86,18 +86,10 @@ def _numeric_tangential_derivative(trace, polygon, side, t, h_rel=1e-5):
     return (vals[:, 0] - 8 * vals[:, 1] + 8 * vals[:, 2] - vals[:, 3]) / (12 * h)
 
 
-def _panel_nodes(a, b, order):
-    """Gauss nodes and weights, shape (..., order), on panels [a, b]."""
-    x, w = gauss01(order)
-    a = a[..., None]
-    b = b[..., None]
-    return a + (b - a) * x, (b - a) * w
-
-
 @lru_cache(maxsize=None)
 def _graded_panels(L: float, k: int) -> np.ndarray:
     """Breakpoints on [0, L] graded toward both ends with k layers each."""
-    brk = np.union1d(graded_breakpoints(0.0, L, 0.0, k), graded_breakpoints(0.0, L, L, k))
+    brk = graded_breakpoints(0.0, L, (0.0, L), k)
     brk.flags.writeable = False
     return brk
 
@@ -171,7 +163,7 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
             g = other[k_end == k]
             brk = _graded_panels(L, k)
             for m, n in enumerate(orders):
-                ts, ws = _panel_nodes(brk[:-1], brk[1:], n)
+                ts, ws = gauss_interval(brk[:-1], brk[1:], n)
                 y = p0 + ts.reshape(-1, 1) * tan
                 uy = np.asarray(trace(y), dtype=float)
                 for c in _chunks(g, ts.size):
@@ -216,7 +208,7 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
                 a, b = (tg - oa, tg - ob) if left else (tg + oa, tg + ob)
                 sums = []
                 for n in orders:
-                    ts, ws = _panel_nodes(a, b, n)
+                    ts, ws = gauss_interval(a, b, n)
                     y = p0 + ts[..., None] * tan
                     uy = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
                     dt = ts - tg[:, None]
@@ -539,42 +531,26 @@ class PointwiseBoundarySource:
         self.problem = problem
         self.tol = tol
 
-    def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryQuadratureTable:
-        """The table on bm. threads > 1 runs the oracle on contiguous groups of
-        the points in a thread pool; per-point values do not depend on the
-        grouping, so the table is bitwise the same."""
-        x0, w0 = gauss01(_POINTWISE_ORDER)
-        xc, wc = gauss01(6)
+    def build(self, bm: BoundaryMesh) -> BoundaryQuadratureTable:
+        """The table on bm, one oracle call over all its points."""
         S = bm.n_segments
         corner = np.isin(np.arange(S), bm.corner_nodes)
-
-        nodes_rows, weights_rows = [], []
-        for k in range(S):
-            ends = []
-            if corner[k]:
-                ends.append(0.0)
-            if corner[(k + 1) % S]:
-                ends.append(1.0)
-            if not ends:
-                nodes_rows.append(x0)
-                weights_rows.append(w0 * bm.lengths[k])
-                continue
-            brk = np.array([0.0, 1.0])
-            for e in ends:
-                brk = np.union1d(brk, graded_breakpoints(0.0, 1.0, e, _CORNER_LAYERS))
-            xs, ws = [], []
-            for a_, b_ in zip(brk[:-1], brk[1:]):
-                xs.append(a_ + (b_ - a_) * xc)
-                ws.append((b_ - a_) * wc)
-            nodes_rows.append(np.concatenate(xs))
-            weights_rows.append(np.concatenate(ws) * bm.lengths[k])
-
-        width = max(len(r) for r in nodes_rows)
+        # layout per segment: 0 plain Gauss, 1 graded toward its start, 2
+        # toward its end, 3 toward both (the corner ends it touches)
+        layout = corner + 2 * np.roll(corner, -1)
+        rules = [gauss01(_POINTWISE_ORDER)]
+        for toward in ((0.0,), (1.0,), (0.0, 1.0)):
+            brk = graded_breakpoints(0.0, 1.0, toward, _CORNER_LAYERS)
+            x, w = gauss_interval(brk[:-1], brk[1:], 6)
+            rules.append((x.ravel(), w.ravel()))
+        kinds = np.unique(layout)
+        width = max(len(rules[k][0]) for k in kinds)
         nodes = np.full((S, width), 0.5)
         weights = np.zeros((S, width))
-        for k in range(S):
-            nodes[k, : len(nodes_rows[k])] = nodes_rows[k]
-            weights[k, : len(weights_rows[k])] = weights_rows[k]
+        for k in kinds:
+            (x, w), rows = rules[k], layout == k
+            nodes[rows, : len(x)] = x
+            weights[rows, : len(w)] = w * bm.lengths[rows, None]
         pts = bm.segment_starts[:, None, :] + nodes[:, :, None] * (
             bm.segment_ends - bm.segment_starts
         )[:, None, :]
@@ -582,11 +558,7 @@ class PointwiseBoundarySource:
         # padded entries carry weight 0: store 0 there instead of evaluating g
         used = weights > 0
         vals = np.zeros((S, width))
-        groups = [
-            (p, i, self.tol)
-            for p, i in zip(np.array_split(pts[used], threads), np.array_split(side_ids[used], threads))
-        ]
-        vals[used] = np.concatenate(_thread_map(self.problem.boundary_g_values, groups, threads))
+        vals[used] = self.problem.boundary_g_values(pts[used], side_ids[used], self.tol)
         return BoundaryQuadratureTable(
             values=vals,
             nodes=nodes,
@@ -603,8 +575,8 @@ class EnergyLoadSource:
     def __init__(self, problem: ManufacturedProblem):
         self.problem = problem
 
-    def build(self, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
-        return energy_load_table(self.problem, bm, threads)
+    def build(self, bm: BoundaryMesh) -> BoundaryLoadTable:
+        return energy_load_table(self.problem, bm)
 
 
 def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: str | None = None) -> ManufacturedProblem:
@@ -747,26 +719,24 @@ def _stable_diff(problem, x1, x2):
     return du.reshape(shape)
 
 
-def _far_load(bm: BoundaryMesh, s: float, order: int, u: np.ndarray, threads: int) -> np.ndarray:
+def _far_load(bm: BoundaryMesh, s: float, order: int, u: np.ndarray) -> np.ndarray:
     """Far-class part of <theta_s u, phi_i> from the trace u (S, order) at the
     order-`order` Gauss points: 2 hats^T (u G1 - Gu) per segment, with G1 of
-    _far_map and Gu = K u + K^T u over the far kernel rows K."""
+    _far_blocks and Gu = K u + K^T u over the far kernel rows K."""
     S = bm.n_segments
     u = u.reshape(-1)
-
-    def block(K, r0, r1):
-        return K @ u[r0 * order :], u[r0 * order : r1 * order] @ K
-
-    g1, blocks = _far_map(bm, s, order, block, threads)
+    g1 = np.zeros(S * order)
     gu = np.zeros(S * order)
-    for r0, r1, (Ku, uK) in blocks:
+    for r0, r1, K in _far_blocks(bm, s, order, g1):
+        Ku, uK = K @ u[r0 * order :], u[r0 * order : r1 * order] @ K
+        del K  # before _far_blocks builds the next block
         gu[r0 * order : r1 * order] += Ku
         gu[r0 * order :] += uK
     seg = (u * g1 - gu).reshape(S, order) @ bm.gauss_points(order)[2]  # (S, 2) per segment node
     return 2.0 * (seg[:, 0] + np.roll(seg[:, 1], 1))
 
 
-def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
+def _theta_load(bm: BoundaryMesh, problem, s: float):
     """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes."""
     S = bm.n_nodes
     out = np.zeros(S)
@@ -834,19 +804,16 @@ def _theta_load(bm: BoundaryMesh, problem, s: float, threads: int):
         pts = bm.gauss_points(order + 4)[0]
         traces[order] = np.asarray(problem.trace(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
 
-    out += _far_load(bm, s, groups[0][2] + 4, traces[groups[0][2]], threads)
+    out += _far_load(bm, s, groups[0][2] + 4, traces[groups[0][2]])
 
-    def separated(a, b, order):
+    for a, b, order in _separated_chunks(groups[1:]):
         WK = _separated_kernel(bm, s, a, b, order + 4)
         hats = bm.gauss_points(order + 4)[2]
         ux, uy = traces[order][a], traces[order][b]
         ra = ux * WK.sum(axis=2) - (WK @ uy[:, :, None])[:, :, 0]
         rb = (ux[:, None, :] @ WK)[:, 0, :] - uy * WK.sum(axis=1)
-        return 2.0 * (ra @ hats), -2.0 * (rb @ hats)
-
-    for (a, b, _), (to_a, to_b) in _separated_map(bm, separated, threads, far=False):
-        np.add.at(out, lp[a], to_a)
-        np.add.at(out, lp[b], to_b)
+        np.add.at(out, lp[a], 2.0 * (ra @ hats))
+        np.add.at(out, lp[b], -2.0 * (rb @ hats))
     return out
 
 
@@ -867,12 +834,11 @@ def _bulk_load_terms(problem, mesh: Mesh, triangles: np.ndarray) -> np.ndarray:
     return bulk_term - f_term
 
 
-def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: int = 1) -> BoundaryLoadTable:
+def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> BoundaryLoadTable:
     """Boundary load entries E(u, phi_i) - Int f phi_i from the continuum form.
 
     Valid for every s in (0, 1); sidesteps pointwise corner blow-up because
-    only the absolutely convergent double integrals are evaluated. `threads`
-    as in nonlocal_matrix.
+    only the absolutely convergent double integrals are evaluated.
     """
     mesh = bm.mesh
     # only boundary entries are read, so only triangles with a boundary vertex
@@ -898,7 +864,7 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh, threads: i
     np.add.at(bdry_term, lp[:, 0], -int_utan / bm.lengths + mass_term_local[:, 0])
     np.add.at(bdry_term, lp[:, 1], int_utan / bm.lengths + mass_term_local[:, 1])
 
-    theta_term = _theta_load(bm, problem, problem.s, threads)
+    theta_term = _theta_load(bm, problem, problem.s)
 
     vals = bulk_term[bm.boundary_nodes] + bdry_term + theta_term
     return BoundaryLoadTable(values=vals)
@@ -929,19 +895,14 @@ def manufactured_g_l2(problem: ManufacturedProblem, *, n_layers: int = 12, order
         return math.sqrt(float(np.sum(bvals**2 * problem.polygon.side_lengths)))
     poly = problem.polygon
     total = 0.0
-    x, w = gauss01(order)
     for side in range(poly.n_sides):
         L = poly.side_lengths[side]
-        brk = np.union1d(
-            graded_breakpoints(0.0, L, 0.0, n_layers),
-            graded_breakpoints(0.0, L, L, n_layers),
-        )
-        a_, b_ = brk[:-1, None], brk[1:, None]
-        ts = a_ + (b_ - a_) * x
+        brk = graded_breakpoints(0.0, L, (0.0, L), n_layers)
+        ts, ws = gauss_interval(brk[:-1], brk[1:], order)
         gv = problem.boundary_g_values(
             poly.boundary_point(side, ts.ravel()), np.full(ts.size, side), tol=1e-6
         ).reshape(ts.shape)
-        panel_vals = list(np.sum((b_ - a_) * w * gv**2, axis=1))
+        panel_vals = list(np.sum(ws * gv**2, axis=1))
         total += sum(panel_vals)
         # geometric tails at both corners
         for inner, nxt in ((panel_vals[0], panel_vals[1]), (panel_vals[-1], panel_vals[-2])):
@@ -1087,7 +1048,6 @@ def convergence_study(
     q: float = 1.0,
     solver_tol: float = 1e-10,
     reference_extra: int = 2,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Solve on a sequence of meshes with h halving per level.
 
@@ -1104,7 +1064,7 @@ def convergence_study(
 
     fields = []
     for mesh in meshes:
-        u, _ = solve(assemble_system(mesh, problem.spec(), threads), tol=solver_tol)
+        u, _ = solve(assemble_system(mesh, problem.spec()), tol=solver_tol)
         fields.append(u)
     ref = None if has_exact else fields[-1]
 

@@ -182,6 +182,24 @@ def test_norm_report_builds_weighted_rule_once(lshape, monkeypatch):
     assert len(calls) == 2 * per_build and len(rules()) == 2
 
 
+def test_stiffness_built_once_per_mesh(lshape, monkeypatch):
+    # assembly and the norms share one bulk and one boundary stiffness per mesh
+    from venttsel import assembly
+    from venttsel.assembly import ProblemSpec
+
+    mesh = triangulate(lshape, 0.25)
+    built = []
+    real = assembly._assemble_coo
+    monkeypatch.setattr(assembly, "_assemble_coo", lambda *a: built.append(1) or real(*a))
+    system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0))
+    assert len(built) == 1  # the bulk stiffness; assembly builds no bulk mass
+    u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
+    norm_report(u, theta=system.Theta)
+    assert len(built) == 2  # plus the norms' bulk mass, not a second stiffness
+    assert analysis._ops(mesh)["A"] is system.A_bulk
+    assert analysis._ops(mesh)["A_b"] is system.A_bdry
+
+
 def test_weighted_l2_boundary_callable(square):
     # Int over boundary of r^{2 sigma}: per-side graded panels + tails
     val = weighted_l2(lambda p: np.ones(len(p)), 0.25, "boundary", polygon=square)

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -276,29 +275,6 @@ def _record_far_blocks(monkeypatch):
     return blocks
 
 
-def test_nonlocal_thread_determinism(lshape, monkeypatch):
-    # both threaded users of the separated-pair drivers: Theta and the
-    # form-based load
-    from venttsel.verify import energy_load_table, make_manufactured
-
-    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
-    blocks = _record_far_blocks(monkeypatch)
-    bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
-    prob = make_manufactured("cubic", lshape, 0.7, 1.0)
-    t1 = nonlocal_matrix(bm, 0.5, 1)
-    assert len(blocks) > 1  # several far blocks, read from the patched _CHUNK_SIZE
-    l1 = energy_load_table(prob, bm, 1).values
-    # far blocks write their own rows of one shared array: switch threads often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (2, 4):
-            assert np.array_equal(t1, nonlocal_matrix(bm, 0.5, threads))
-            assert np.array_equal(l1, energy_load_table(prob, bm, threads).values)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def _far_theta_reference(bm, s):
     """Far-class part of Theta pair by pair: _separated_chunk blocks scattered
     onto each pair's nodes."""
@@ -343,14 +319,14 @@ def test_far_blocks_match_per_pair_reference(lshape, h, q, chunk, s, monkeypatch
     assert np.any(far_b == S - 1)  # wrap pairs: segment S-1 ends at node 0
     blocks = _record_far_blocks(monkeypatch)
 
-    theta = assembly._far_theta(bm, s, 1)
+    theta = assembly._far_theta(bm, s)
     ref = _far_theta_reference(bm, s)
     assert np.abs(theta - ref).max() <= 1e-14 * np.abs(ref).max()
 
     n = order + 4
     pts = bm.gauss_points(n)[0]
     u = make_manufactured("cubic", lshape, s, 1.0).trace(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    load = _far_load(bm, s, n, u, 1)
+    load = _far_load(bm, s, n, u)
     ref = _far_load_reference(bm, s, u, n)
     assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -373,7 +349,7 @@ def test_far_blocks_within_entry_budget(lshape, monkeypatch):
     assert S == 512
     blocks = _record_far_blocks(monkeypatch)
     nonlocal_matrix(bm, 0.5)
-    _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7, 1)
+    _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7)
     budget = assembly._CHUNK_SIZE * 64
     for n, rows in ((4, 32), (8, 8)):
         shapes = [(r0, r1, shape) for o, r0, r1, shape in blocks if o == n]
@@ -383,17 +359,43 @@ def test_far_blocks_within_entry_budget(lshape, monkeypatch):
             assert shape[0] * shape[1] <= budget
 
 
+def test_far_blocks_held_one_at_a_time(lshape, monkeypatch):
+    # Theta and the form-based load drop each far block before the next one
+    # is built, so the far field holds at most one block of kernel rows
+    import weakref
+
+    from venttsel.verify import _theta_load, make_manufactured
+
+    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
+    kernel = assembly._far_kernel
+    built = []
+
+    def tracking(*args):
+        assert all(block() is None for block in built)
+        K = kernel(*args)
+        built.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(assembly, "_far_kernel", tracking)
+    bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
+    nonlocal_matrix(bm, 0.5)
+    _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7)
+    assert len(built) > 2
+
+
 def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):
     from venttsel.verify import _theta_load, make_manufactured
 
     monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
+    blocks = _record_far_blocks(monkeypatch)
     bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
     prob = make_manufactured("cubic", lshape, 0.7, 1.0)
     calls = []
     trace = prob.trace
     monkeypatch.setattr(prob, "trace", lambda pts: calls.append(len(pts)) or trace(pts))
-    _theta_load(bm, prob, prob.s, 1)
-    assert len(assembly._separated_map(bm, lambda a, b, order: None, 1)) > 3  # several chunks
+    _theta_load(bm, prob, prob.s)
+    assert len(blocks) > 1  # several far blocks, read from the patched _CHUNK_SIZE
+    assert len(list(assembly._separated_chunks(_separated_pairs(bm)))) > 3  # several chunks
     assert len(calls) == len(_separated_pairs(bm)) == 3
 
 

@@ -1,11 +1,9 @@
 import json
-import os
 import sys
 
-import numpy as np
 import pytest
 
-from venttsel import assembly, meshing, verify
+from venttsel import assembly, meshing
 from venttsel.cli import load_config, main, validate_config
 from venttsel.errors import ConfigError
 from venttsel.geometry import build_polygon
@@ -91,6 +89,19 @@ def test_check_command(tmp_path):
     assert rep["all_passed"]
     names = {c["name"] for c in rep["checks"]}
     assert "theta_scaling_law" in names and "theta_oracle_equivalence" in names
+    orders = next(c for c in rep["checks"] if c["name"] == "theta_orders")
+    assert orders["passed"] and 0.0 < orders["value"] <= 1e-8
+
+
+def test_check_records_theta_order_failure(tmp_path, monkeypatch):
+    # one-point rules on every separated pair miss the 1e-8 order check
+    monkeypatch.setattr(assembly, "_ORDERS", (1, 1, 1))
+    path = _write_config(tmp_path, mesh={"h": 0.25, "grading_q": 1.0, "levels": 1})
+    assert main(["check", "--config", str(path)]) == 1
+    rep = json.loads((tmp_path / "out" / "check.json").read_text())
+    orders = next(c for c in rep["checks"] if c["name"] == "theta_orders")
+    assert not orders["passed"] and orders["value"] > 1e-8
+    assert not rep["all_passed"]
 
 
 def test_one_boundary_extraction_per_mesh(tmp_path, monkeypatch):
@@ -122,82 +133,20 @@ def test_one_ladder_per_boundary_mesh(tmp_path, monkeypatch):
     assert len(built) == 3  # three levels, each with Theta and the load table
 
 
-def test_check_threads_reach_both_theta_builds(tmp_path, monkeypatch):
-    threads = []
-    original = assembly.nonlocal_matrix
-
-    def recording(bm, s, n_threads=1):
-        threads.append(n_threads)
-        return original(bm, s, n_threads)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("venttsel") and getattr(module, "nonlocal_matrix", None) is original:
-            monkeypatch.setattr(module, "nonlocal_matrix", recording)
-    # h = 1/32: the far pairs span more than one chunk, so two threads do run
-    mesh = {"h": 1.0 / 32.0, "grading_q": 1.0, "levels": 1}
-    reports = []
-    for n in ("1", "2"):
-        path = _write_config(tmp_path, mesh=mesh, output={"directory": str(tmp_path / n)})
-        threads.clear()
-        assert main(["check", "--config", str(path), "--threads", n]) == 0
-        assert threads == [int(n)] * 2  # the system's Theta and the scaled polygon's
-        reports.append((tmp_path / n / "check.json").read_bytes())
-    assert reports[0] == reports[1]
-
-
-def test_converge_threads_reach_load_table(tmp_path, monkeypatch):
-    threads = []
-    original = verify.energy_load_table
-
-    def recording(problem, bm, n_threads=1):
-        threads.append(n_threads)
-        return original(problem, bm, n_threads)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("venttsel") and getattr(module, "energy_load_table", None) is original:
-            monkeypatch.setattr(module, "energy_load_table", recording)
-    mesh = {"h": 0.25, "grading_q": 1.0, "levels": 3}
+def test_threads_flag_accepts_only_one(tmp_path, capsys):
+    # the benchmark's argv (--out DIR --threads 1) gives the outputs of a run
+    # without the flag; any other count is refused by name, never ignored
+    path = _write_config(tmp_path, problem="cubic", s=0.7, mesh={"h": 0.25, "grading_q": 1.0, "levels": 3})
     outputs = []
-    for n in ("1", "2"):
-        out = tmp_path / n
-        path = _write_config(tmp_path, problem="cubic", s=0.7, mesh=mesh, output={"directory": str(out)})
-        threads.clear()
-        assert main(["converge", "--config", str(path), "--threads", n]) == 0
-        assert threads == [int(n)] * 3  # the load-table route on every level
-        outputs.append(((out / "convergence.csv").read_bytes(), (out / "rates.json").read_bytes()))
-    assert outputs[0] == outputs[1]
-
-
-def test_converge_threads_reach_pointwise_oracle(tmp_path, monkeypatch):
-    groups, tables = [], []
-    original_values = verify.ManufacturedProblem.boundary_g_values
-    original_build = verify.PointwiseBoundarySource.build
-
-    def values(self, pts, side_ids, tol=None):
-        groups.append(len(pts))
-        return original_values(self, pts, side_ids, tol)
-
-    def build(self, bm, n_threads=1):
-        groups.clear()
-        table = original_build(self, bm, n_threads)
-        assert len(groups) == n_threads  # one oracle call per group of points
-        tables.append((table.values, table.nodes, table.weights, table.point_masses))
-        return table
-
-    monkeypatch.setattr(verify.ManufacturedProblem, "boundary_g_values", values)
-    monkeypatch.setattr(verify.PointwiseBoundarySource, "build", build)
-    mesh = {"h": 0.25, "grading_q": 1.0, "levels": 3}
-    outputs = []
-    for n in ("1", "2"):
-        out = tmp_path / n
-        path = _write_config(tmp_path, problem="cubic", s=0.25, mesh=mesh, output={"directory": str(out)})
-        assert main(["converge", "--config", str(path), "--threads", n]) == 0
-        outputs.append((out / "convergence.csv").read_bytes())
-    assert outputs[0] == outputs[1]
-    one, two = tables[:3], tables[3:]
-    assert len(one) == len(two) == 3  # the pointwise route on every level
-    for t1, t2 in zip(one, two):
-        assert all(np.array_equal(x, y) for x, y in zip(t1[:3], t2[:3])) and t1[3] == t2[3]
+    for flag in ([], ["--threads", "1"]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["converge", "--config", str(path), "--out", str(out), *flag]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] and set(outputs[0]) == {"convergence.csv", "rates.json"}
+    for n in ("2", "0"):
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path / n), "--threads", n]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "threads"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from venttsel.quadrature import (
     adaptive_rectangle,
     duffy_triangle_rule,
     gauss01,
+    gauss_interval,
     graded_breakpoints,
     tri_points_weights,
     tri_rule,
@@ -86,3 +87,24 @@ def test_graded_breakpoints():
     assert brk[1] == pytest.approx(2.0**-4)
     with pytest.raises(ValueError):
         graded_breakpoints(0.0, 1.0, 0.5, 3)
+
+
+def test_graded_breakpoints_toward_both_ends():
+    # one graded side: the union of the two one-sided layouts, endpoints exact
+    for L, k in ((1.0, 4), (2.0, 40), (np.sqrt(2.0), 52)):
+        both = graded_breakpoints(0.0, L, (0.0, L), k)
+        one_each = np.union1d(graded_breakpoints(0.0, L, 0.0, k), graded_breakpoints(0.0, L, L, k))
+        assert np.array_equal(both, one_each)
+        assert both[0] == 0.0 and both[-1] == L and len(both) == 2 * k + 1
+        assert np.array_equal(graded_breakpoints(0.0, L, (), k), [0.0, L])
+
+
+def test_gauss_interval_on_panel_arrays():
+    # arrays of panel ends give, row by row, the scalar rule of each panel
+    brk = graded_breakpoints(0.0, 1.5, (0.0, 1.5), 6)
+    ts, ws = gauss_interval(brk[:-1], brk[1:], 5)
+    assert ts.shape == ws.shape == (len(brk) - 1, 5)
+    for row, (a, b) in enumerate(zip(brk[:-1], brk[1:])):
+        t, w = gauss_interval(a, b, 5)
+        assert np.array_equal(ts[row], t) and np.array_equal(ws[row], w)
+    assert np.sum(ws) == pytest.approx(1.5, rel=1e-14)
