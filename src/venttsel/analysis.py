@@ -112,6 +112,7 @@ _DEGREE = 6  # Gauss degree away from the corners
 _NEAR_DEGREE = 13  # r^{2 sigma} has unbounded derivatives near a corner
 _LAYERS = 3
 _BOUNDARY_ORDER = 8
+_BOUNDARY_LAYERS = 40  # dyadic panels toward each corner of a side
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,18 +221,18 @@ def weighted_l2(
     raise VenttselError(f"unknown region {region!r}")
 
 
-def _boundary_weighted_callable(func, polygon, sigma, n_layers: int = 40):
+def _boundary_weighted_callable(func, polygon, sigma):
     total = 0.0
     for side in range(polygon.n_sides):
         L = polygon.side_lengths[side]
-        brk = graded_breakpoints(0.0, L, (0.0, L), n_layers)
+        brk = graded_breakpoints(0.0, L, (0.0, L), _BOUNDARY_LAYERS)
         for a, b in zip(brk[:-1], brk[1:]):
             ts, ws = gauss_interval(a, b, _BOUNDARY_ORDER)
             pts = polygon.boundary_point(side, ts)
             rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma) if sigma != 0.0 else 1.0
             total += float(np.sum(ws * rw * np.asarray(func(pts)) ** 2))
         # analytic tails over the innermost uncovered pieces at both corners
-        eps = L * 0.5**n_layers
+        eps = L * 0.5**_BOUNDARY_LAYERS
         for t_end in (0.0, L):
             vc = float(np.asarray(func(polygon.boundary_point(side, np.array([t_end]))))[0])
             total += vc**2 * eps ** (1.0 + 2.0 * sigma) / (1.0 + 2.0 * sigma)
@@ -251,25 +252,19 @@ def boundary_h2_diagnostic(u_bdry: np.ndarray, bm: BoundaryMesh) -> float:
     u_bdry = np.asarray(u_bdry, dtype=float)
     S = bm.n_segments
     total = 0.0
-    # contiguous runs of equal side id in cyclic order
-    sides = bm.side_ids
-    starts = np.nonzero(sides != np.roll(sides, 1))[0]
-    if len(starts) == 0:
-        starts = np.array([0])
-    for run, k0 in enumerate(starts):
-        k1 = starts[(run + 1) % len(starts)]
-        n_seg = (k1 - k0) % S or S
-        seg_ids = [(k0 + i) % S for i in range(n_seg)]
-        t = np.concatenate([[0.0], np.cumsum(bm.lengths[seg_ids])])
-        v = u_bdry[[(k0 + i) % S for i in range(n_seg + 1)]]
-        m = len(t) - 1
-        if m < 2:
+    # side j runs from corner node j to corner node j + 1 in cyclic order
+    starts = bm.corner_nodes
+    for j, k0 in enumerate(starts):
+        n_seg = (starts[(j + 1) % len(starts)] - k0) % S
+        if n_seg < 2:
             warnings.warn(
-                f"boundary side run starting at segment {k0} has fewer than 3 nodes; "
-                "it contributes 0 to the H2 diagnostic",
+                f"boundary side {j} has fewer than 3 nodes; it contributes 0 to the H2 diagnostic",
                 stacklevel=2,
             )
             continue
+        nodes = (k0 + np.arange(n_seg + 1)) % S
+        t = np.concatenate([[0.0], np.cumsum(bm.lengths[nodes[:-1]])])
+        v = u_bdry[nodes]
         h = np.diff(t)
         hk, hk1 = h[:-1], h[1:]
         d2 = 2.0 * (

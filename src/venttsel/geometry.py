@@ -136,9 +136,10 @@ class Polygon:
         t = np.asarray(t, dtype=float)
         return self.side_starts[side] + np.multiply.outer(t, self.side_tangents[side])
 
-    def locate_boundary_point(self, x, tol: float = 1e-9):
+    def locate_boundary_point(self, x):
         """Return (side index, arc offset from side start) of a boundary point x;
-        for points x of shape (P, 2), an index array and an offset array."""
+        for points x of shape (P, 2), an index array and an offset array. A
+        point farther than 1e-9 * max(1, perimeter) from every side raises."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         d = pts[:, None, :] - self.side_starts[None, :, :]
@@ -148,7 +149,7 @@ class Polygon:
         dist = np.linalg.norm(feet - pts[:, None, :], axis=2)
         rows = np.arange(len(pts))
         k = np.argmin(dist, axis=1)
-        off = dist[rows, k] > tol * max(1.0, self.perimeter)
+        off = dist[rows, k] > 1e-9 * max(1.0, self.perimeter)
         if np.any(off):
             i = int(np.argmax(off))
             raise GeometryError(
@@ -206,7 +207,8 @@ def _orient(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _on_segment(a, b, p, tol):
+def _on_segment(a, b, p):
+    tol = 1e-14
     if _orient(a, b, p) ** 2 > tol * np.dot(b - a, b - a):
         return False
     return min(a[0], b[0]) - tol <= p[0] <= max(a[0], b[0]) + tol and (
@@ -214,14 +216,14 @@ def _on_segment(a, b, p, tol):
     )
 
 
-def _segments_conflict(a, b, c, d, tol=1e-14):
+def _segments_conflict(a, b, c, d):
     """True when segment ab intersects or touches cd away from shared endpoints."""
     o1, o2 = _orient(a, b, c), _orient(a, b, d)
     o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if (o1 * o2 < 0) and (o3 * o4 < 0):
         return True
     for (p, q, r) in ((a, b, c), (a, b, d), (c, d, a), (c, d, b)):
-        if _on_segment(p, q, r, tol):
+        if _on_segment(p, q, r):
             return True
     return False
 

@@ -249,18 +249,17 @@ def _hex_seeds(polygon: Polygon, h: float, q: float) -> np.ndarray:
     return pts
 
 
-def triangulate(
-    polygon: Polygon,
-    h: float,
-    q: float = 1.0,
-    *,
-    min_angle_deg: float = 20.0,
-    size_factor: float = 2.0,
-    max_iter: int = 40,
-) -> Mesh:
+# Ruppert refinement: quality floor, size tolerance of the local size rule,
+# and the pass budget before a mesh is accepted with a warning
+_MIN_ANGLE_DEG = 20.0
+_SIZE_FACTOR = 2.0
+_MAX_PASSES = 40
+
+
+def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
     """Generate a conforming triangulation with mesh size h and grading q.
 
-    q = 1 gives a quasi-uniform mesh (max element diameter <= size_factor * h);
+    q = 1 gives a quasi-uniform mesh (max element diameter <= 2 h);
     q > 1 grades element sizes toward the polygon corners following
     h * max(r, h**q)**(1 - 1/q), down to h**q at the corners.
     """
@@ -279,7 +278,7 @@ def triangulate(
 
     mesh = None
     clean = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_PASSES):
         # boundary points in cyclic order (corner shared between sides appears once)
         bpts = []
         for s in range(polygon.n_sides):
@@ -335,8 +334,8 @@ def triangulate(
         lengths = _edge_lengths(verts)
         min_ang = _min_angles(lengths)
         diam = lengths.max(axis=1)
-        target = size_factor * _local_size(polygon, h, q, verts.mean(axis=1))
-        bad = (min_ang < math.radians(min_angle_deg) - 1e-12) | (diam > target)
+        target = _SIZE_FACTOR * _local_size(polygon, h, q, verts.mean(axis=1))
+        bad = (min_ang < math.radians(_MIN_ANGLE_DEG) - 1e-12) | (diam > target)
         if not bad.any():
             clean = True
             break
@@ -522,13 +521,13 @@ def refine(mesh: Mesh) -> Mesh:
 # --- consistency checks and plain-text dumps ----------------------------------
 
 
-def check_mesh(mesh: Mesh, rel_tol: float = 1e-10):
+def check_mesh(mesh: Mesh):
     """Raise MeshError if basic mesh invariants are violated: positive areas
     tiling the polygon, flagged nodes on its boundary, and extract_boundary's
     rules (no edge in three triangles, one cycle through every polygon vertex)."""
     if np.any(mesh.areas <= 0):
         raise MeshError("non-positive triangle area")
-    if abs(mesh.areas.sum() - mesh.polygon.area) > rel_tol * mesh.polygon.area:
+    if abs(mesh.areas.sum() - mesh.polygon.area) > 1e-10 * mesh.polygon.area:
         raise MeshError("triangle areas do not sum to the polygon area")
     bidx = np.nonzero(mesh.boundary_node_flags)[0]
     d = mesh.polygon.distance_to_boundary(mesh.nodes[bidx])

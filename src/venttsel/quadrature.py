@@ -144,6 +144,8 @@ def graded_breakpoints(a: float, b: float, toward, n_layers: int) -> np.ndarray:
 
 # --- adaptive 1D -------------------------------------------------------------
 
+_MAX_PANELS = 4000  # panel splits before adaptive_interval gives up
+
 
 def adaptive_interval(
     f,
@@ -153,13 +155,10 @@ def adaptive_interval(
     *,
     singular_end: float | None = None,
     singular_power: float | None = None,
-    max_panels: int = 4000,
-    lo_order: int = 8,
-    hi_order: int = 16,
 ):
     """Adaptive Gauss quadrature of a vectorized f on [a, b].
 
-    Error per panel is |G_hi - G_lo|; panels split until the global sum meets
+    Error per panel is |G_16 - G_8|; panels split until the global sum meets
     tol (absolute). If `singular_end` is given, f may blow up like
     dist**singular_power (power > -1) at that endpoint: the panel touching it
     is bounded analytically instead of Gauss-estimated and shrinks until its
@@ -169,8 +168,8 @@ def adaptive_interval(
         return 0.0, 0.0
 
     def panel_vals(lo, hi):
-        xl, wl = gauss_interval(lo, hi, lo_order)
-        xh, wh = gauss_interval(lo, hi, hi_order)
+        xl, wl = gauss_interval(lo, hi, 8)
+        xh, wh = gauss_interval(lo, hi, 16)
         fl = f(xl)
         fh = f(xh)
         return float(fl @ wl), float(fh @ wh)
@@ -198,7 +197,7 @@ def adaptive_interval(
             panels.append([abs(v_hi - v_lo), lo, hi, v_hi])
 
     push(a, b)
-    for _ in range(max_panels):
+    for _ in range(_MAX_PANELS):
         total_err = sum(p[0] for p in panels)
         if total_err <= tol:
             break
@@ -236,11 +235,10 @@ def adaptive_rectangle(
     singular_power: float | None = None,
     singular_scale: float = 1.0,
     max_cells: int = 40000,
-    lo_order: int = 4,
-    hi_order: int = 8,
 ):
     """Adaptive tensor-Gauss quadrature of vectorized f(x, y) over a rectangle.
 
+    Error per cell is the difference of the 8 x 8 and 4 x 4 tensor rules.
     Cells touching one of the `singular_points` are never Gauss-estimated;
     their contribution is bounded by singular_scale * diam**(2 + power)
     (suitable for |f| <= C * dist**power with power > -2) and they subdivide
@@ -264,8 +262,8 @@ def adaptive_rectangle(
             diam = np.hypot(cx1 - cx0, cy1 - cy0)
             bound = singular_scale * diam ** (2.0 + singular_power)
             return [bound, cell, 0.0, True]
-        lo = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, lo_order)
-        hi = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, hi_order)
+        lo = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, 4)
+        hi = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, 8)
         return [abs(hi - lo), cell, hi, False]
 
     cells = [make((x0, x1, y0, y1))]

@@ -10,7 +10,7 @@ function vanishes on both edges of the corner wedge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,11 @@ class Decomposition:
         ]
 
 
-def make_singular_term(
-    polygon: Polygon, corner_index: int, cutoff_radius: float | None = None
-) -> SingularTerm:
+def make_singular_term(polygon: Polygon, corner_index: int) -> SingularTerm:
     """Build the singular term of one reentrant corner.
 
-    The cutoff radius defaults to a third of the shorter edge adjacent to the
-    corner, keeping the supports of distinct corners disjoint.
+    The cutoff radius is a third of the shorter edge adjacent to the corner,
+    keeping the supports of distinct corners disjoint.
     """
     alpha = float(polygon.angles[corner_index])
     if alpha <= math.pi:
@@ -92,14 +90,7 @@ def make_singular_term(
     next_vertex = polygon.vertices[(corner_index + 1) % n]
     edge_dir = prev_vertex - corner
     edge_dir = edge_dir / np.linalg.norm(edge_dir)
-    if cutoff_radius is None:
-        cutoff_radius = (
-            min(
-                np.linalg.norm(prev_vertex - corner),
-                np.linalg.norm(next_vertex - corner),
-            )
-            / 3.0
-        )
+    cutoff_radius = min(np.linalg.norm(prev_vertex - corner), np.linalg.norm(next_vertex - corner)) / 3.0
     return SingularTerm(
         corner_index=corner_index,
         alpha=alpha,
@@ -180,13 +171,14 @@ def fit_coefficient(u: NodalField, term: SingularTerm) -> float:
     return float(coef[0])
 
 
-def decompose(u: NodalField, polygon: Polygon | None = None) -> Decomposition:
-    """Fit every reentrant corner's coefficient and split off the smooth part.
+def decompose(u: NodalField) -> Decomposition:
+    """Fit every reentrant corner's coefficient of u's polygon and split off
+    the smooth part.
 
     The reconstruction u = sum c_j chi s_j + w holds exactly at the nodes by
     construction. Convex polygons yield an empty term list and w = u.
     """
-    polygon = polygon if polygon is not None else u.mesh.polygon
+    polygon = u.mesh.polygon
     terms = []
     w = u.values.copy()
     for j in polygon.reentrant_corners:

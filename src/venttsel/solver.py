@@ -30,6 +30,7 @@ _HYPOTHESIS = "coercivity needs b >= 0 with b not identically zero on the bounda
 # iteration count near 20-30 from N = 3.6k to 57k on the L-shape; wider bands
 # cut a few iterations but cost more in the factorization
 _NEAR_BAND = 4
+_DIRECT_CAP = 2000  # unknowns of the dense direct cross-check
 
 
 @dataclass(eq=False)
@@ -45,7 +46,6 @@ def solve(
     system: DiscreteSystem,
     tol: float = 1e-10,
     maxit: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[NodalField, SolveReport]:
     """Preconditioned conjugate gradients on the global operator A.
 
@@ -53,9 +53,9 @@ def solve(
     (the entries at cyclic boundary-local distance <= _NEAR_BAND), factored
     once per solve with a minimum-degree ordering on P^T + P. P holds the
     bulk and local boundary forms exactly, so the iteration count stays
-    nearly flat under refinement. CG stops at relative residual <= tol;
-    solve_seconds includes the factorization. One INFO line per solve goes
-    to the `venttsel` logger.
+    nearly flat under refinement. CG starts from zero and stops at relative
+    residual <= tol; solve_seconds includes the factorization. One INFO line
+    per solve goes to the `venttsel` logger.
 
     Requires a coercive problem (b not identically zero); the indefinite case
     is reported as a violated hypothesis, not silently iterated.
@@ -85,7 +85,7 @@ def solve(
         raise SolverError(f"preconditioner factorization failed ({exc}); {_HYPOTHESIS}") from exc
     factor_seconds = time.perf_counter() - t0
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     r = bvec - system.matvec(x)
     z = lu.solve(r)
     p = z.copy()
@@ -163,10 +163,10 @@ def _lanczos_lambda_min(alphas, betas):
     return float(scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)[0])
 
 
-def direct_solve(system: DiscreteSystem, max_unknowns: int = 2000) -> NodalField:
+def direct_solve(system: DiscreteSystem) -> NodalField:
     """Dense direct solve; independent cross-check for small systems."""
-    if system.n > max_unknowns:
-        raise SolverError(f"direct solve capped at {max_unknowns} unknowns (got {system.n})")
+    if system.n > _DIRECT_CAP:
+        raise SolverError(f"direct solve capped at {_DIRECT_CAP} unknowns (got {system.n})")
     x = scipy.linalg.solve(system.dense(), system.load, assume_a="sym")
     return NodalField(x, system.mesh)
 

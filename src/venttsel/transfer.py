@@ -11,6 +11,8 @@ from .meshing import BoundaryMesh, Mesh
 __all__ = ["locate_points", "evaluate_field", "evaluate_gradient", "boundary_interp"]
 
 _BARY_TOL = 1e-10
+# nearest centroids tried first per point; the count grows 4x per round
+_K_START = 8
 
 
 def _locator(mesh: Mesh):
@@ -30,7 +32,7 @@ def _bary(mesh: Mesh, tris: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
-def locate_points(mesh: Mesh, pts: np.ndarray, k_start: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def locate_points(mesh: Mesh, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Containing triangle and barycentric coordinates for each query point.
 
     Points must lie in the closed domain; the nearest element is used as a
@@ -42,7 +44,7 @@ def locate_points(mesh: Mesh, pts: np.ndarray, k_start: int = 8) -> tuple[np.nda
     found = np.full(n, -1, dtype=int)
     bary = np.zeros((n, 3))
     pending = np.arange(n)
-    k = min(k_start, mesh.n_triangles)
+    k = min(_K_START, mesh.n_triangles)
     while len(pending):
         _, cand = tree.query(pts[pending], k=k)
         cand = cand.reshape(len(pending), -1)

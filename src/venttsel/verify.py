@@ -10,7 +10,7 @@ no formula with the assembly path it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -72,11 +72,11 @@ _ORACLE_STAGES = ((16, 44), (24, 52))
 _ORACLE_CHUNK = 4 * 2496
 
 
-def _numeric_tangential_derivative(trace, polygon, side, t, h_rel=1e-5):
-    """Fourth-order differences of the trace along each point's side; the
-    stencil is shifted inward near a corner."""
+def _numeric_tangential_derivative(trace, polygon, side, t):
+    """Fourth-order differences of the trace along each point's side, with
+    step 1e-5 of the side length; the stencil is shifted inward near a corner."""
     L = polygon.side_lengths[side]
-    h = h_rel * L
+    h = 1e-5 * L
     center = np.where(np.minimum(t, L - t) < 2 * h, np.clip(t, 2 * h, L - 2 * h), t)
     ts = center[:, None] + h[:, None] * np.array([-2.0, -1.0, 1.0, 2.0])
     y = polygon.side_starts[side][:, None, :] + (
@@ -341,15 +341,15 @@ def theta_entry_oracle(
     j: int,
     s: float,
     tol: float = 1e-9,
-    max_cells: int = 60000,
 ) -> float:
     """Adaptive reference value of one Galerkin entry of the nonlocal form.
 
     Sums over all contributing segment pairs: the identical-segment part
     reduces exactly to a 1D integral (endpoint singularity handled by adaptive
     dyadic bisection); adjacent pairs use a 2D quadtree refined toward the
-    shared corner; separated pairs plain adaptive tensor Gauss. Desk-scale
-    only (boundary node count <= 64).
+    shared corner; separated pairs plain adaptive tensor Gauss, each pair
+    within a budget of 60,000 cells. Desk-scale only (boundary node count
+    <= 64).
     """
     S = bm.n_nodes
     if S > 64:
@@ -421,7 +421,7 @@ def theta_entry_oracle(
             singular_points=singular_pts,
             singular_power=1.0 - 2.0 * s,
             singular_scale=scale,
-            max_cells=max_cells,
+            max_cells=60000,
         )
         total += 2.0 * val
     return total
@@ -452,8 +452,6 @@ class ManufacturedProblem:
     hess_u: Callable
     lap_u: Callable
     g_route: str  # "exact" | "pointwise" | "load_table"
-    oracle_tol: float = 1e-9
-    description: str = ""
 
     def f(self, pts):
         return -np.asarray(self.lap_u(np.atleast_2d(pts)), dtype=float)
@@ -475,8 +473,9 @@ class ManufacturedProblem:
         tan_in = np.roll(poly.side_tangents, 1, axis=0)  # side j-1 ends at vertex j
         return np.einsum("jd,jd->j", g, tan_in) - np.einsum("jd,jd->j", g, tan_out)
 
-    def boundary_g_values(self, pts, side_ids, tol: float | None = None) -> np.ndarray:
-        """Identity right-hand side at non-corner boundary points."""
+    def boundary_g_values(self, pts, side_ids, tol: float) -> np.ndarray:
+        """Identity right-hand side at non-corner boundary points, with the
+        nonlocal term from the pointwise oracle at tolerance tol."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         side_ids = np.atleast_1d(np.asarray(side_ids, dtype=int))
         poly = self.polygon
@@ -486,7 +485,6 @@ class ManufacturedProblem:
         lap_ell = np.einsum("pd,pdc,pc->p", tau, H, tau)
         dn = np.einsum("pd,pd->p", nu, np.asarray(self.grad_u(pts), dtype=float))
         bu = self.b_per_side()[side_ids] * self.trace(pts)
-        tol = tol if tol is not None else self.oracle_tol
         theta = theta_pointwise_oracle(
             poly,
             self.trace,
@@ -523,11 +521,10 @@ class PointwiseBoundarySource:
     Segments touching a corner get composite Gauss nodes graded toward the
     corner: the tabulated g inherits an r^{1-2s}-type kink there from the
     nonlocal term, which plain Gauss cannot integrate to the load-route
-    equivalence tolerance. tol is the pointwise oracle tolerance (None: the
-    problem's oracle_tol).
+    equivalence tolerance. tol is the pointwise oracle tolerance.
     """
 
-    def __init__(self, problem: ManufacturedProblem, tol: float | None = None):
+    def __init__(self, problem: ManufacturedProblem, tol: float = 1e-9):
         self.problem = problem
         self.tol = tol
 
@@ -594,7 +591,6 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             hess_u=lambda p: np.zeros((len(np.atleast_2d(p)), 2, 2)),
             lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
             g_route="exact",
-            description="u = 1; all derivative terms vanish and g reduces to b",
         )
     if preset == "cubic":
         def hess(p):
@@ -614,7 +610,6 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             hess_u=hess,
             lap_u=lambda p: 6.0 * (np.atleast_2d(p)[:, 0] + np.atleast_2d(p)[:, 1]),
             g_route="pointwise",
-            description="u = x^3 + y^3, f = -6(x + y)",
         )
     elif preset == "harmonic":
         def hessh(p):
@@ -641,7 +636,6 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             hess_u=hessh,
             lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
             g_route="pointwise",
-            description="u = exp(x) sin(y), harmonic so f = 0",
         )
     else:
         raise VenttselError(f"unknown manufactured preset {preset!r}")
@@ -662,7 +656,6 @@ class BenchmarkProblem:
     b: object
     f: object
     g: object
-    description: str = ""
 
     def spec(self) -> ProblemSpec:
         return ProblemSpec(s=self.s, b=self.b, f=self.f, g=self.g)
@@ -678,7 +671,6 @@ def lshape_benchmark() -> BenchmarkProblem:
         b=1.0,
         f=1.0,
         g=0.0,
-        description="reentrant-corner benchmark with unit bulk source",
     )
 
 
@@ -742,12 +734,11 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     out = np.zeros(S)
     p = _substitution_power(s)
     n = 16
-    y_nodes, y_w = _power_gauss(n, p)
-    z_nodes, z_w = _power_gauss(n, p)
+    x, w = _power_gauss(n, p)  # one rule in each of the two variables
 
     # identical segments: J = 2 II (u(t) - u(t(1-v))) (t v)^{-2s} t dv dt
-    t_grid = bm.lengths[:, None, None] * y_nodes[None, :, None]  # (S, n, 1)
-    v_grid = z_nodes[None, None, :]
+    t_grid = bm.lengths[:, None, None] * x[None, :, None]  # (S, n, 1)
+    v_grid = x[None, None, :]
     tv = t_grid * v_grid  # (S, n, n) arc separation
     x1 = bm.segment_starts[:, None, None, :] + (t_grid * np.ones_like(v_grid))[
         ..., None
@@ -755,7 +746,7 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     x2 = x1 - tv[..., None] * bm.tangents[:, None, None, :]
     du = _stable_diff(problem, x1, x2)
     integ = du * tv ** (-2.0 * s) * t_grid
-    J = 2.0 * bm.lengths * np.einsum("i,j,sij->s", y_w, z_w, integ)
+    J = 2.0 * bm.lengths * np.einsum("i,j,sij->s", w, w, integ)
     lp = bm.local_pairs()
     np.add.at(out, lp[:, 0], -J / bm.lengths)
     np.add.at(out, lp[:, 1], J / bm.lengths)
@@ -768,8 +759,8 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     P = bm.mesh.nodes[bm.boundary_nodes[kn]][:, None, None, :]
     ea = -bm.tangents[k][:, None, None, :]
     eb = bm.tangents[kn][:, None, None, :]
-    U = y_nodes[None, :, None] * np.ones((1, 1, n))  # (1, n, n)
-    V = np.ones((1, n, 1)) * z_nodes[None, None, :]
+    U = x[None, :, None] * np.ones((1, 1, n))  # (1, n, n)
+    V = np.ones((1, n, 1)) * x[None, None, :]
     dofs = np.column_stack([kn, k, (k + 2) % S])
 
     def duffy_part(xi_over_u, eta_over_u, d_hats):
@@ -786,7 +777,7 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
         )
         res = np.empty((S, 3))
         for m, dh in enumerate(d_hats):
-            res[:, m] = np.einsum("i,j,sij->s", y_w, z_w, base * dh)
+            res[:, m] = np.einsum("i,j,sij->s", w, w, base * dh)
         return res
 
     ones = np.ones_like(V)
@@ -873,9 +864,10 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
 # --- data norms -------------------------------------------------------------------
 
 
-def source_l2_bulk(f, mesh: Mesh, degree: int = 7) -> float:
-    """L2 norm of a bulk source callable (or scalar) over the meshed polygon."""
-    pts, w = tri_points_weights(mesh.tri_verts, degree)
+def source_l2_bulk(f, mesh: Mesh) -> float:
+    """L2 norm of a bulk source callable (or scalar) over the meshed polygon,
+    by the degree-7 triangle rule."""
+    pts, w = tri_points_weights(mesh.tri_verts, 7)
     if callable(f):
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     else:
@@ -883,12 +875,13 @@ def source_l2_bulk(f, mesh: Mesh, degree: int = 7) -> float:
     return math.sqrt(max(0.0, float(np.sum(w * fv**2))))
 
 
-def manufactured_g_l2(problem: ManufacturedProblem, *, n_layers: int = 12, order: int = 6) -> float:
+def manufactured_g_l2(problem: ManufacturedProblem) -> float:
     """L2(boundary) norm of the manufactured pointwise g (off-corner identity).
 
-    Near a corner the integrand can follow a power law for s > 1/2; the
-    innermost panels are summed by geometric extrapolation instead of assuming
-    a finite corner value.
+    Each side is integrated by 6-point Gauss on panels graded toward both
+    corners with 12 layers. Near a corner the integrand can follow a power
+    law for s > 1/2; the innermost panels are summed by geometric
+    extrapolation instead of assuming a finite corner value.
     """
     if problem.g_route == "exact":
         bvals = problem.b_per_side()
@@ -897,8 +890,8 @@ def manufactured_g_l2(problem: ManufacturedProblem, *, n_layers: int = 12, order
     total = 0.0
     for side in range(poly.n_sides):
         L = poly.side_lengths[side]
-        brk = graded_breakpoints(0.0, L, (0.0, L), n_layers)
-        ts, ws = gauss_interval(brk[:-1], brk[1:], order)
+        brk = graded_breakpoints(0.0, L, (0.0, L), 12)
+        ts, ws = gauss_interval(brk[:-1], brk[1:], 6)
         gv = problem.boundary_g_values(
             poly.boundary_point(side, ts.ravel()), np.full(ts.size, side), tol=1e-6
         ).reshape(ts.shape)
@@ -925,11 +918,12 @@ def benchmark_g_l2(problem: BenchmarkProblem) -> float:
 # --- errors ------------------------------------------------------------------------
 
 
-def errors_vs_exact(u: NodalField, problem: ManufacturedProblem, degree: int = 4):
-    """Per-element quadrature errors of u against the exact solution."""
+def errors_vs_exact(u: NodalField, problem: ManufacturedProblem):
+    """Per-element quadrature errors (degree-4 triangle rule, order-8 Gauss on
+    the boundary) of u against the exact solution."""
     mesh = u.mesh
-    lam, _ = tri_rule(degree)
-    pts, w = tri_points_weights(mesh.tri_verts, degree)
+    lam, _ = tri_rule(4)
+    pts, w = tri_points_weights(mesh.tri_verts, 4)
     flat = pts.reshape(-1, 2)
     uh = np.einsum("kl,tl->tk", lam, u.values[mesh.triangles])
     uex = np.asarray(problem.u(flat), dtype=float).reshape(pts.shape[:2])
@@ -999,29 +993,18 @@ CONVERGENCE_CSV_HEADER = (
 @dataclass(eq=False)
 class ConvergenceTable:
     rows: list
-    metadata: dict = field(default_factory=dict)
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
-        lines = [CONVERGENCE_CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["level"]),
-                        repr(float(row["h"])),
-                        str(row["unknowns"]),
-                        repr(float(row["err_l2_bulk"])),
-                        repr(float(row["err_h1_bulk"])),
-                        repr(float(row["err_l2_bdry"])),
-                        repr(float(row["err_h1_bdry"])),
-                        repr(float(row["bdry_h2_diag"])),
-                        repr(float(row["stability_ratio"])),
-                    ]
-                )
-            )
+        """The header, then one line per row: the whole-number columns
+        (level, unknowns) as str, every other column as repr(float)."""
+        names = CONVERGENCE_CSV_HEADER.split(",")
+        lines = [CONVERGENCE_CSV_HEADER] + [
+            ",".join(str(row[n]) if n in ("level", "unknowns") else repr(float(row[n])) for n in names)
+            for row in self.rows
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -1047,7 +1030,6 @@ def convergence_study(
     h0: float,
     q: float = 1.0,
     solver_tol: float = 1e-10,
-    reference_extra: int = 2,
 ) -> ConvergenceTable:
     """Solve on a sequence of meshes with h halving per level.
 
@@ -1058,8 +1040,7 @@ def convergence_study(
     if levels < 3:
         raise VenttselError("a convergence study needs at least 3 levels")
     has_exact = isinstance(problem, ManufacturedProblem)
-    n_meshes = levels if has_exact else levels + reference_extra
-    used = list(range(levels)) if has_exact else [*range(levels), n_meshes - 1]
+    used = list(range(levels)) if has_exact else [*range(levels), levels + 1]
     meshes = _mesh_sequence(problem.polygon, h0, q, used)
 
     fields = []
@@ -1094,14 +1075,7 @@ def convergence_study(
                 "_field": u,
             }
         )
-    meta = {
-        "problem": problem.name,
-        "s": problem.s,
-        "grading": q,
-        "h0": h0,
-        "reference": None if has_exact else f"level {n_meshes - 1}",
-    }
-    return ConvergenceTable(rows=rows, metadata=meta)
+    return ConvergenceTable(rows=rows)
 
 
 def rate_estimate(table: ConvergenceTable, column: str):

@@ -83,14 +83,25 @@ def test_decompose_lshape(tmp_path):
 
 
 def test_check_command(tmp_path):
-    path = _write_config(tmp_path, mesh={"h": 0.5, "grading_q": 1.0, "levels": 1})
-    assert main(["check", "--config", str(path)]) == 0
-    rep = json.loads((tmp_path / "out" / "check.json").read_text())
-    assert rep["all_passed"]
-    names = {c["name"] for c in rep["checks"]}
-    assert "theta_scaling_law" in names and "theta_oracle_equivalence" in names
-    orders = next(c for c in rep["checks"] if c["name"] == "theta_orders")
-    assert orders["passed"] and 0.0 < orders["value"] <= 1e-8
+    # the square, and a graded L-shape, whose mesh re-triangulated at twice
+    # the size would not be the scaled copy the scaling law compares against
+    inputs = {
+        "square": (SQUARE, 1.0),
+        "graded_lshape": (LSHAPE, 1.0 / (1.0 - 0.42)),
+    }
+    for name, (polygon, q) in inputs.items():
+        out = tmp_path / name
+        path = _write_config(
+            tmp_path, f"{name}.json", polygon=polygon, mesh={"h": 0.5, "grading_q": q, "levels": 1}
+        )
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "check.json").read_text())
+        assert rep["all_passed"]
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["theta_scaling_law"]["value"] <= 1e-8
+        assert name != "square" or "theta_oracle_equivalence" in checks
+        orders = checks["theta_orders"]
+        assert orders["passed"] and 0.0 < orders["value"] <= 1e-8
 
 
 def test_check_records_theta_order_failure(tmp_path, monkeypatch):
@@ -147,6 +158,8 @@ def test_threads_flag_accepts_only_one(tmp_path, capsys):
         assert main(["converge", "--config", str(path), "--out", str(tmp_path / n), "--threads", n]) == 2
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "threads"
+        # the error JSON also goes to the config's output directory
+        assert json.loads((tmp_path / n / "error.json").read_text()) == diag
 
 
 @pytest.mark.parametrize(

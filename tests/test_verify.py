@@ -483,6 +483,7 @@ def test_csv_format():
         "bdry_h2_diag,stability_ratio"
     )
     assert len(lines) == 3
+    assert lines[2] == "1,0.5,10,0.05,1.0,1.0,1.0,1.0,1.0"
     assert text.endswith("\n")
 
 
