@@ -297,8 +297,6 @@ def _cmd_check(config: RunConfig) -> dict:
         nodes=2.0 * mesh.nodes,
         triangles=mesh.triangles,
         boundary_node_flags=mesh.boundary_node_flags,
-        h_target=2.0 * mesh.h_target,
-        grading_exponent=mesh.grading_exponent,
         polygon=build_polygon(2.0 * mesh.polygon.vertices),
     )
     theta2 = nonlocal_matrix(mesh2.boundary, config.s)

@@ -7,6 +7,19 @@ seed points, enforces every boundary sub-segment as a mesh edge by midpoint
 splitting, culls triangles outside the polygon, and then inserts circumcenters
 (Ruppert style) until a 20-degree minimum-angle floor and the local size rule
 hold.
+
+The interior seeds lie on an equilateral lattice of spacing h. For q = 1 the
+first pass does not call qhull on all points: the lattice triangles at seeds
+at least 2 h from the boundary are built by index (an equilateral lattice has
+no four cocircular points, so these are its unique Delaunay triangles), and
+qhull runs only on the band of boundary nodes and shallower seeds. The result
+is the same triangle set as one Delaunay call over all points. The Ruppert
+loop builds the mesh instead when a boundary sub-segment is missing, when the
+culled triangles do not tile the polygon, when a triangle fails the quality or
+size marks, when four band points inside the polygon are cocircular (qhull's
+choice of diagonal then depends on all of its input), or when the boundary
+points of a convex-hull side are not exactly collinear (qhull then returns
+zero-area triangles along it); it builds every graded mesh.
 """
 from __future__ import annotations
 
@@ -42,15 +55,11 @@ class Mesh:
     nodes     : (N, 2) coordinates; boundary layout nodes come first
     triangles : (T, 3) node indices, counterclockwise
     boundary_node_flags : (N,) bool
-    h_target  : mesh-size parameter the mesh was generated for
-    grading_exponent : q >= 1
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_node_flags: np.ndarray
-    h_target: float
-    grading_exponent: float
     polygon: Polygon
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -229,7 +238,16 @@ def _circumcenters(verts: np.ndarray):
     return np.column_stack([ux, uy])
 
 
-def _hex_seeds(polygon: Polygon, h: float, q: float) -> np.ndarray:
+def _hex_seeds(polygon: Polygon, h: float, q: float):
+    """Interior seeds on an equilateral lattice of spacing h, with their lattice
+    positions and their distances to the boundary.
+
+    Row k lies at height ymin + (k + 1/2) h sqrt(3)/2, and odd rows are shifted
+    by h/2 to the right of even ones. Points outside the polygon or closer to
+    its boundary than 0.55 times the local size are pruned. Returns the seeds
+    (M, 2), the int32 grid with grid[k, j + 1] the seed index of column j of
+    row k or -1 (pruned, or a padding column or row), and the (M,) distances.
+    """
     (xmin, ymin), (xmax, ymax) = polygon.vertices.min(0), polygon.vertices.max(0)
     dy = h * math.sqrt(3.0) / 2.0
     rows = np.arange(ymin + 0.5 * dy, ymax, dy)
@@ -238,15 +256,19 @@ def _hex_seeds(polygon: Polygon, h: float, q: float) -> np.ndarray:
         off = 0.25 * h if k % 2 else -0.25 * h
         xs = np.arange(xmin + 0.5 * h + off, xmax, h)
         pts.append(np.column_stack([xs, np.full_like(xs, y)]))
-    if not pts:
-        return np.zeros((0, 2))
+    lens = np.array([len(p) for p in pts], dtype=int)
+    grid = np.full((len(lens) + 1, lens.max(initial=0) + 2), -1, dtype=np.int32)
+    if not lens.sum():
+        return np.zeros((0, 2)), grid, np.zeros(0)
     pts = np.vstack(pts)
-    keep = polygon.contains_points(pts)
-    pts = pts[keep]
-    if len(pts):
-        margin = 0.55 * _local_size(polygon, h, q, pts)
-        pts = pts[polygon.distance_to_boundary(pts) >= margin]
-    return pts
+    keep = np.flatnonzero(polygon.contains_points(pts))
+    depth = polygon.distance_to_boundary(pts[keep])
+    margin = 0.55 * _local_size(polygon, h, q, pts[keep])
+    keep, depth = keep[depth >= margin], depth[depth >= margin]
+    row = np.repeat(np.arange(len(lens)), lens)[keep]
+    col = keep - (np.cumsum(lens) - lens)[row]
+    grid[row, col + 1] = np.arange(len(keep))
+    return pts[keep], grid, depth
 
 
 # Ruppert refinement: quality floor, size tolerance of the local size rule,
@@ -254,6 +276,12 @@ def _hex_seeds(polygon: Polygon, h: float, q: float) -> np.ndarray:
 _MIN_ANGLE_DEG = 20.0
 _SIZE_FACTOR = 2.0
 _MAX_PASSES = 40
+
+# Seeds at least this many h from the boundary are deep. The circumdisks of
+# the six lattice triangles at a deep seed lie within 2 h / sqrt(3) of it, so
+# more than 0.55 h from the boundary, where no lattice point was pruned; they
+# hold no fourth point, so these six are its Delaunay triangles.
+_BAND_DEPTH = 2.0
 
 
 def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
@@ -273,18 +301,17 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
         )
 
     side_offsets = [_side_offsets(L, h, q) for L in polygon.side_lengths]
-    interior = _hex_seeds(polygon, h, q)
+    interior, grid, depth = _hex_seeds(polygon, h, q)
+    if q == 1.0 and _hull_sides_straight(polygon, side_offsets):
+        mesh = _lattice_mesh(polygon, h, _boundary_points(polygon, side_offsets), interior, grid, depth)
+        if mesh is not None:
+            return mesh
     scale = max(1.0, float(np.abs(polygon.vertices).max()))
 
     mesh = None
     clean = False
     for _ in range(_MAX_PASSES):
-        # boundary points in cyclic order (corner shared between sides appears once)
-        bpts = []
-        for s in range(polygon.n_sides):
-            offs = side_offsets[s][:-1]
-            bpts.append(polygon.boundary_point(s, offs))
-        bpts = np.vstack(bpts)
+        bpts = _boundary_points(polygon, side_offsets)
         B = len(bpts)
         pts = np.vstack([bpts, interior]) if len(interior) else bpts
         N = len(pts)
@@ -292,8 +319,7 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
         tri = Delaunay(pts)
         simp = tri.simplices
         codes = _edges(simp, N)[1]
-        req = np.column_stack([np.arange(B), (np.arange(B) + 1) % B])
-        present = np.isin(_edge_codes(req, N), codes)
+        present = np.isin(_edge_codes(_cycle_pairs(B), N), codes)
         if not present.all():
             # split every missing boundary sub-segment at its arc midpoint
             missing = np.nonzero(~present)[0]
@@ -305,37 +331,13 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
                 side_offsets[s] = np.insert(offs, i + 1, 0.5 * (offs[i] + offs[i + 1]))
             continue
 
-        cent = pts[simp].mean(axis=1)
-        keep = polygon.contains_points(cent)
-        simp = simp[keep]
+        simp = _cull_and_orient(polygon, pts, simp)
         verts = pts[simp]
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        flip = signed < 0
-        simp[flip] = simp[flip][:, [0, 2, 1]]
-        verts = pts[simp]
-        areas = np.abs(signed)
-        if abs(areas.sum() - polygon.area) > 1e-9 * polygon.area:
+        mesh = _new_mesh(polygon, pts, simp, B)
+        if abs(mesh.areas.sum() - polygon.area) > 1e-9 * polygon.area:
             raise MeshError("culled triangulation does not tile the polygon")
 
-        flags = np.zeros(N, dtype=bool)
-        flags[:B] = True
-        mesh = Mesh(
-            nodes=pts,
-            triangles=simp,
-            boundary_node_flags=flags,
-            h_target=h,
-            grading_exponent=q,
-            polygon=polygon,
-        )
-
-        # quality and size marks
-        lengths = _edge_lengths(verts)
-        min_ang = _min_angles(lengths)
-        diam = lengths.max(axis=1)
-        target = _SIZE_FACTOR * _local_size(polygon, h, q, verts.mean(axis=1))
-        bad = (min_ang < math.radians(_MIN_ANGLE_DEG) - 1e-12) | (diam > target)
+        bad = _quality_marks(polygon, h, q, verts)
         if not bad.any():
             clean = True
             break
@@ -358,6 +360,112 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
             MeshQualityWarning,
         )
     return mesh
+
+
+def _lattice_mesh(polygon, h, bpts, seeds, grid, depth):
+    """The first Delaunay pass of a uniform mesh, with qhull on a boundary band only.
+
+    Lattice triangles at a deep seed are built by index: two per seed (k, j),
+    the up triangle with its right neighbour and the row-(k+1) point between
+    them, and the down triangle with the two row-(k+1) points around it. The
+    band (boundary nodes and seeds that are not deep) is triangulated by qhull,
+    and of its triangles those whose open circumdisk holds no deep seed are the
+    Delaunay triangles of all points that have no deep vertex. Returns the
+    mesh, or None when the band has four cocircular points or a check of the
+    first pass fails (a boundary sub-segment missing, the tiling, a quality or
+    size mark), so that the Ruppert loop builds it instead.
+    """
+    B = len(bpts)
+    pts = np.vstack([bpts, seeds])
+    deep = depth >= _BAND_DEPTH * h
+
+    k, c = np.nonzero(grid[:-1] >= 0)
+    c1 = c + k % 2
+    a, right, top, left = grid[k, c], grid[k, c + 1], grid[k + 1, c1], grid[k + 1, c1 - 1]
+    lattice = np.stack([np.column_stack([a, right, top]), np.column_stack([a, top, left])], axis=1).reshape(-1, 3)
+    lattice = lattice[(lattice >= 0).all(axis=1)]
+    lattice = lattice[deep[lattice].any(axis=1)] + np.int32(B)
+
+    band = np.concatenate([np.arange(B), B + np.flatnonzero(~deep)]).astype(np.int32)
+    tri = Delaunay(pts[band])
+    simp = band[tri.simplices]
+    cc = _circumcenters(pts[simp])
+    radius = np.linalg.norm(pts[simp[:, 0]] - cc, axis=1)
+    # a triangle of three collinear points has no finite circumcentre and is
+    # no Delaunay triangle
+    kept = np.isfinite(radius)
+    if deep.any():
+        kept[kept] = cKDTree(seeds[deep]).query(cc[kept])[0] >= radius[kept]
+    # four cocircular points have two Delaunay triangulations, and qhull picks
+    # one by all of its input: two kept neighbours with one circumcentre, one
+    # of them inside the polygon
+    nb = tri.neighbors
+    inside = polygon.contains_points(pts[simp].mean(axis=1))
+    t, e = np.nonzero((nb >= 0) & kept[:, None] & kept[nb] & (inside[:, None] | inside[nb]))
+    if np.any(np.linalg.norm(cc[t] - cc[nb[t, e]], axis=1) <= 1e-9 * radius[t]):
+        return None
+    simp = simp[kept]
+    if not np.isin(_edge_codes(_cycle_pairs(B), len(pts)), _edges(simp, len(pts))[1]).all():
+        return None
+    simp = _cull_and_orient(polygon, pts, simp)
+    # lattice triangles are equilateral with side h, so only the band's are marked
+    if _quality_marks(polygon, h, 1.0, pts[simp]).any():
+        return None
+    mesh = _new_mesh(polygon, pts, np.concatenate([simp, lattice]), B)
+    if abs(mesh.areas.sum() - polygon.area) > 1e-9 * polygon.area:
+        return None
+    return mesh
+
+
+def _hull_sides_straight(polygon: Polygon, side_offsets) -> bool:
+    """Whether the boundary points of every polygon side on the convex hull lie
+    exactly on one line. Along a hull side whose points are not exactly
+    collinear, qhull returns zero-area triangles that depend on all its input,
+    and the centroid test can keep one of them."""
+    for s in range(polygon.n_sides):
+        a, (tx, ty) = polygon.side_starts[s], polygon.side_vectors[s]
+        rel = polygon.vertices - a
+        if (tx * rel[:, 1] - ty * rel[:, 0]).min() < 0:
+            continue  # a vertex lies to the right: not a hull side
+        rel = polygon.boundary_point(s, side_offsets[s]) - a
+        if np.any(tx * rel[:, 1] - ty * rel[:, 0] != 0):
+            return False
+    return True
+
+
+def _boundary_points(polygon: Polygon, side_offsets) -> np.ndarray:
+    """Boundary points in cyclic order; a corner shared by two sides appears once."""
+    return np.vstack([polygon.boundary_point(s, side_offsets[s][:-1]) for s in range(polygon.n_sides)])
+
+
+def _cycle_pairs(B: int) -> np.ndarray:
+    """The (B, 2) boundary sub-segments (k, k + 1 mod B) of the first B nodes."""
+    k = np.arange(B)
+    return np.column_stack([k, (k + 1) % B])
+
+
+def _cull_and_orient(polygon: Polygon, pts: np.ndarray, simp: np.ndarray) -> np.ndarray:
+    """The triangles whose centroid is inside the polygon, made counterclockwise."""
+    simp = simp[polygon.contains_points(pts[simp].mean(axis=1))]
+    verts = pts[simp]
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    simp[flip] = simp[flip][:, [0, 2, 1]]
+    return simp
+
+
+def _quality_marks(polygon: Polygon, h: float, q: float, verts: np.ndarray) -> np.ndarray:
+    """Triangles below the minimum-angle floor or above the local size rule."""
+    lengths = _edge_lengths(verts)
+    target = _SIZE_FACTOR * _local_size(polygon, h, q, verts.mean(axis=1))
+    return (_min_angles(lengths) < math.radians(_MIN_ANGLE_DEG) - 1e-12) | (lengths.max(axis=1) > target)
+
+
+def _new_mesh(polygon: Polygon, pts: np.ndarray, simp: np.ndarray, B: int) -> Mesh:
+    flags = np.zeros(len(pts), dtype=bool)
+    flags[:B] = True
+    return Mesh(nodes=pts, triangles=simp, boundary_node_flags=flags, polygon=polygon)
 
 
 def _process_candidates(polygon, side_offsets, pts, cc, h, q, scale):
@@ -512,8 +620,6 @@ def refine(mesh: Mesh) -> Mesh:
         nodes=new_nodes,
         triangles=children,
         boundary_node_flags=new_flags,
-        h_target=0.5 * mesh.h_target,
-        grading_exponent=mesh.grading_exponent,
         polygon=mesh.polygon,
     )
 

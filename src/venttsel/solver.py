@@ -39,7 +39,6 @@ class SolveReport:
     relative_residual: float
     solve_seconds: float
     lambda_min_estimate: float | None = None
-    residual_history: list | None = None
 
 
 def solve(
@@ -72,7 +71,7 @@ def solve(
     bnorm = float(np.linalg.norm(bvec))
     t0 = time.perf_counter()
     if bnorm == 0.0:
-        report = SolveReport(0, 0.0, time.perf_counter() - t0, residual_history=[0.0])
+        report = SolveReport(0, 0.0, time.perf_counter() - t0)
         log.info("solve N=%d S=%d: zero load, zero solution", n, n_boundary)
         return NodalField(np.zeros(n), system.mesh), report
 
@@ -86,7 +85,7 @@ def solve(
     factor_seconds = time.perf_counter() - t0
 
     x = np.zeros(n)
-    r = bvec - system.matvec(x)
+    r = bvec.copy()
     z = lu.solve(r)
     p = z.copy()
     rz = float(r @ z)
@@ -124,7 +123,6 @@ def solve(
         relative_residual=history[-1],
         solve_seconds=time.perf_counter() - t0,
         lambda_min_estimate=_lanczos_lambda_min(alphas, betas),
-        residual_history=history,
     )
     log.info(
         "solve N=%d S=%d band=%d nnz(L+U)=%d factor=%.3fs iterations=%d "

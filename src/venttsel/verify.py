@@ -736,54 +736,19 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     n = 16
     x, w = _power_gauss(n, p)  # one rule in each of the two variables
 
-    # identical segments: J = 2 II (u(t) - u(t(1-v))) (t v)^{-2s} t dv dt
-    t_grid = bm.lengths[:, None, None] * x[None, :, None]  # (S, n, 1)
-    v_grid = x[None, None, :]
-    tv = t_grid * v_grid  # (S, n, n) arc separation
-    x1 = bm.segment_starts[:, None, None, :] + (t_grid * np.ones_like(v_grid))[
-        ..., None
-    ] * bm.tangents[:, None, None, :]
-    x2 = x1 - tv[..., None] * bm.tangents[:, None, None, :]
-    du = _stable_diff(problem, x1, x2)
-    integ = du * tv ** (-2.0 * s) * t_grid
-    J = 2.0 * bm.lengths * np.einsum("i,j,sij->s", w, w, integ)
     lp = bm.local_pairs()
-    np.add.at(out, lp[:, 0], -J / bm.lengths)
-    np.add.at(out, lp[:, 1], J / bm.lengths)
-
-    # adjacent pairs (k, k+1): Duffy split, radial factor left explicit
-    k = np.arange(S)
-    kn = (k + 1) % S
-    La = bm.lengths[k][:, None, None]
-    Lb = bm.lengths[kn][:, None, None]
-    P = bm.mesh.nodes[bm.boundary_nodes[kn]][:, None, None, :]
-    ea = -bm.tangents[k][:, None, None, :]
-    eb = bm.tangents[kn][:, None, None, :]
-    U = x[None, :, None] * np.ones((1, 1, n))  # (1, n, n)
-    V = np.ones((1, n, 1)) * x[None, None, :]
-    dofs = np.column_stack([kn, k, (k + 2) % S])
-
-    def duffy_part(xi_over_u, eta_over_u, d_hats):
-        gdir = (La * xi_over_u)[..., None] * ea - (Lb * eta_over_u)[..., None] * eb
-        g = np.linalg.norm(gdir, axis=3)  # (S, n, n), the radial scale |x-y| / U
-        xpts = P + (La * xi_over_u * U)[..., None] * ea
-        ypts = P + (Lb * eta_over_u * U)[..., None] * eb
-        du_ = _stable_diff(problem, xpts, ypts)
-        base = (
-            (La[:, 0, 0] * Lb[:, 0, 0])[:, None, None]
-            * du_
-            * U ** (1.0 - 2.0 * s)
-            * g ** (-(1.0 + 2.0 * s))
-        )
-        res = np.empty((S, 3))
-        for m, dh in enumerate(d_hats):
-            res[:, m] = np.einsum("i,j,sij->s", w, w, base * dh)
-        return res
-
-    ones = np.ones_like(V)
-    part1 = duffy_part(ones, V, (V - 1.0, ones, -V))  # xi = La U, eta = Lb U V
-    part2 = duffy_part(V, ones, (1.0 - V, V, -ones))  # xi = La U V, eta = Lb U
-    np.add.at(out, dofs, 2.0 * (part1 + part2))
+    # the identical and adjacent parts run in chunks of segments, so that
+    # their (segments, n, n) temporaries hold at most 4096 entries; each
+    # segment's arithmetic and the order of the adds into out are those of one
+    # pass over all segments (every identical part goes in before any adjacent)
+    step = 4096 // n**2
+    chunks = [np.arange(k0, min(k0 + step, S)) for k0 in range(0, S, step)]
+    for k in chunks:
+        J = _identical_load(bm, problem, s, x, w, k)
+        np.add.at(out, lp[k, 0], -J / bm.lengths[k])
+        np.add.at(out, lp[k, 1], J / bm.lengths[k])
+    for k in chunks:
+        np.add.at(out, np.column_stack([(k + 1) % S, k, (k + 2) % S]), _adjacent_load(bm, problem, s, x, w, k))
 
     # separated pairs by the shared ratio ladder (orders bumped for the smooth
     # factor), the trace evaluated once per segment and order. The far class
@@ -806,6 +771,57 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
         np.add.at(out, lp[a], 2.0 * (ra @ hats))
         np.add.at(out, lp[b], -2.0 * (rb @ hats))
     return out
+
+
+def _identical_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> np.ndarray:
+    """J = 2 II (u(t) - u(t(1-v))) (t v)^{-2s} t dv dt of the segments k on
+    themselves, with the (x, w) rule in each variable."""
+    t_grid = bm.lengths[k][:, None, None] * x[None, :, None]  # (K, n, 1)
+    v_grid = x[None, None, :]
+    tv = t_grid * v_grid  # (K, n, n) arc separation
+    x1 = bm.segment_starts[k][:, None, None, :] + (t_grid * np.ones_like(v_grid))[
+        ..., None
+    ] * bm.tangents[k][:, None, None, :]
+    x2 = x1 - tv[..., None] * bm.tangents[k][:, None, None, :]
+    du = _stable_diff(problem, x1, x2)
+    integ = du * tv ** (-2.0 * s) * t_grid
+    return 2.0 * bm.lengths[k] * np.einsum("i,j,sij->s", w, w, integ)
+
+
+def _adjacent_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> np.ndarray:
+    """(K, 3) load of the adjacent segment pairs (k, k+1) on their nodes
+    k+1, k, k+2: Duffy split, radial factor left explicit."""
+    n = len(x)
+    kn = (k + 1) % bm.n_nodes
+    La = bm.lengths[k][:, None, None]
+    Lb = bm.lengths[kn][:, None, None]
+    P = bm.mesh.nodes[bm.boundary_nodes[kn]][:, None, None, :]
+    ea = -bm.tangents[k][:, None, None, :]
+    eb = bm.tangents[kn][:, None, None, :]
+    U = x[None, :, None] * np.ones((1, 1, n))  # (1, n, n)
+    V = np.ones((1, n, 1)) * x[None, None, :]
+
+    def duffy_part(xi_over_u, eta_over_u, d_hats):
+        gdir = (La * xi_over_u)[..., None] * ea - (Lb * eta_over_u)[..., None] * eb
+        g = np.linalg.norm(gdir, axis=3)  # (K, n, n), the radial scale |x-y| / U
+        xpts = P + (La * xi_over_u * U)[..., None] * ea
+        ypts = P + (Lb * eta_over_u * U)[..., None] * eb
+        du_ = _stable_diff(problem, xpts, ypts)
+        base = (
+            (La[:, 0, 0] * Lb[:, 0, 0])[:, None, None]
+            * du_
+            * U ** (1.0 - 2.0 * s)
+            * g ** (-(1.0 + 2.0 * s))
+        )
+        res = np.empty((len(k), 3))
+        for m, dh in enumerate(d_hats):
+            res[:, m] = np.einsum("i,j,sij->s", w, w, base * dh)
+        return res
+
+    ones = np.ones_like(V)
+    part1 = duffy_part(ones, V, (V - 1.0, ones, -V))  # xi = La U, eta = Lb U V
+    part2 = duffy_part(V, ones, (1.0 - V, V, -ones))  # xi = La U V, eta = Lb U
+    return 2.0 * (part1 + part2)
 
 
 def _bulk_load_terms(problem, mesh: Mesh, triangles: np.ndarray) -> np.ndarray:

@@ -31,8 +31,6 @@ def _single_triangle_mesh():
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
         boundary_node_flags=np.array([True, True, True]),
-        h_target=1.0,
-        grading_exponent=1.0,
         polygon=poly,
     )
 
@@ -49,8 +47,6 @@ def test_stiffness_row_sums_and_translation(square_mesh):
         nodes=square_mesh.nodes + np.array([3.0, -2.0]),
         triangles=square_mesh.triangles,
         boundary_node_flags=square_mesh.boundary_node_flags,
-        h_target=square_mesh.h_target,
-        grading_exponent=1.0,
         polygon=build_polygon(square_mesh.polygon.vertices + np.array([3.0, -2.0])),
     )
     assert np.abs((bulk_stiffness(shifted) - A).toarray()).max() <= 1e-12

@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from venttsel.errors import MeshError
+from venttsel import meshing
+from venttsel.errors import GeometryError, MeshError, MeshQualityWarning
 from venttsel.geometry import build_polygon
 from venttsel.meshing import (
     check_mesh,
@@ -146,8 +151,6 @@ def test_disconnected_boundary_rejected(square):
         nodes=nodes,
         triangles=tris,
         boundary_node_flags=np.ones(6, dtype=bool),
-        h_target=1.0,
-        grading_exponent=1.0,
         polygon=square,
     )
     with pytest.raises(MeshError):
@@ -162,8 +165,6 @@ def _bare_mesh(polygon, nodes, tris):
         nodes=nodes,
         triangles=np.asarray(tris),
         boundary_node_flags=np.ones(len(nodes), dtype=bool),
-        h_target=1.0,
-        grading_exponent=1.0,
         polygon=polygon,
     )
 
@@ -259,3 +260,114 @@ def test_read_mesh_rejects_bad_dumps(tmp_path, square_mesh):
         bad.write_text("".join(lines[: n + 2] + [row] + lines[n + 3 :]), encoding="utf-8")
         with pytest.raises(MeshError, match=rf"{name}\.txt:{n + 3}: node index outside 0 \.\. {n - 1}"):
             read_mesh(bad)
+
+
+def _canonical(triangles):
+    t = np.sort(triangles, axis=1)
+    return t[np.lexsort(t.T[::-1])]
+
+
+def _histogram(heights):
+    """Non-convex lattice polygon: columns of width 1 and the given heights."""
+    verts = [(0, 0), (len(heights), 0)]
+    for i in range(len(heights) - 1, -1, -1):
+        verts.append((i + 1, heights[i]))
+        if i == 0 or heights[i - 1] != heights[i]:
+            verts.append((i, heights[i]))
+    return [v for k, v in enumerate(verts) if v != verts[k - 1]]
+
+
+def _convex_hull(points):
+    """Convex lattice polygon: the hull of the given lattice points."""
+    points = np.array(points, dtype=float)
+    try:
+        return points[ConvexHull(points).vertices]
+    except QhullError:
+        return points[:0]
+
+
+_LATTICE_POLYGONS = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(_histogram),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda wh: [(0, 0), (wh[0], 0), wh, (0, wh[1])]),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=8).map(_convex_hull),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_LATTICE_POLYGONS, st.sampled_from([1 / 2, 1 / 3, 1 / 4, 1 / 5]))
+# qhull keeps a zero-area triangle inside this one's slanted hull side
+@example([(0, 5), (1, 0), (5, 2), (4, 3)], 1 / 4)
+# four boundary nodes at the corner (3, -4) are cocircular
+@example([(3, 4), (1, 3), (-2, 2), (-2, -2), (-1, -2), (3, -4), (2, -2)], 1 / 4)
+def test_uniform_mesh_is_culled_delaunay_of_its_nodes(vertices, h):
+    try:
+        polygon = build_polygon(vertices)
+    except GeometryError:
+        assume(False)
+    assume(h <= polygon.side_lengths.min())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshQualityWarning)
+        m = triangulate(polygon, h)
+    full = Delaunay(m.nodes).simplices
+    full = full[polygon.contains_points(m.nodes[full].mean(axis=1))]
+    assert np.array_equal(_canonical(m.triangles), _canonical(full))
+    # every interior edge lies in exactly two triangles, every boundary edge in
+    # one; not checked along a slanted hull side, where the Ruppert loop can
+    # keep a zero-area triangle of qhull's
+    sides = [meshing._side_offsets(L, h, 1.0) for L in polygon.side_lengths]
+    assume(meshing._hull_sides_straight(polygon, sides))
+    _, codes, _, counts = meshing._edges(m.triangles, m.n_nodes)
+    boundary = meshing._edge_codes(m.boundary.node_pairs, m.n_nodes)
+    assert np.array_equal(codes[counts == 1], np.sort(boundary))
+    assert np.all(counts[counts != 1] == 2)
+
+
+def _lattice_results(monkeypatch):
+    """Record what the lattice builder returns on each triangulate call."""
+    results = []
+    lattice_mesh = meshing._lattice_mesh
+
+    def spy(*args):
+        results.append(lattice_mesh(*args))
+        return results[-1]
+
+    monkeypatch.setattr(meshing, "_lattice_mesh", spy)
+    return results
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape"])
+def test_uniform_lattice_mesh_matches_ruppert_loop(shape, request, monkeypatch):
+    polygon = request.getfixturevalue(shape)
+    for h in (1 / 4, 1 / 8, 1 / 32):
+        results = _lattice_results(monkeypatch)
+        m = triangulate(polygon, h)
+        assert results == [m]
+        monkeypatch.undo()
+        with monkeypatch.context() as off:
+            off.setattr(meshing, "_lattice_mesh", lambda *args: None)
+            loop = triangulate(polygon, h)
+        assert np.array_equal(m.nodes, loop.nodes)
+        assert np.array_equal(_canonical(m.triangles), _canonical(loop.triangles))
+
+
+def test_uniform_fallback_matches_ruppert_loop(monkeypatch):
+    # the 22-degree spike tip makes the first pass's band triangles encroach
+    # on boundary sub-segments, so the lattice builder declines the mesh
+    polygon = build_polygon([(0, 0), (2, 0), (2, 1), (1.25, 1), (1.8, 1.15), (1, 1.25), (1, 2), (0, 2)])
+    results = _lattice_results(monkeypatch)
+    m = triangulate(polygon, 0.25)
+    assert results == [None]
+    first_pass = sum(len(meshing._side_offsets(L, 0.25, 1.0)) - 1 for L in polygon.side_lengths)
+    assert m.n_nodes > first_pass + len(meshing._hex_seeds(polygon, 0.25, 1.0)[0])
+    monkeypatch.setattr(meshing, "_lattice_mesh", lambda *args: None)
+    loop = triangulate(polygon, 0.25)
+    assert np.array_equal(m.nodes, loop.nodes)
+    assert np.array_equal(m.triangles, loop.triangles)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.0 / (1.0 - 0.42)])
+def test_triangles_int32_counterclockwise(lshape, square, q):
+    for polygon in (lshape, square):
+        m = triangulate(polygon, 0.125, q)
+        assert m.triangles.dtype == np.int32
+        assert np.all(m.areas > 0)
