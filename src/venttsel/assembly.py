@@ -378,8 +378,9 @@ def _adjacent_blocks(Theta, bm, s, order):
 _FAR_RATIO = 4.0
 _MID_RATIO = 1.0
 _ORDERS = (4, 8, 12)
-# Separated pairs per chunk; bounds the (chunk, n, n) kernel temporaries, and
-# the far blocks at _CHUNK_SIZE * 64 kernel entries (read at call time)
+# Kernel entries (pairs x n^2) per chunk of separated pairs, and per block of
+# far kernel rows, are at most _CHUNK_SIZE * 64 (read at call time): one
+# order-8 chunk of _CHUNK_SIZE pairs
 _CHUNK_SIZE = 4096
 # Gauss order of the smooth angular integral left by the adjacent-pair Duffy split
 _ANGULAR_ORDER = 16
@@ -419,22 +420,31 @@ def _separated_pairs(bm):
 
 
 def _separated_chunks(classes):
-    """(a, b, order) chunks of at most _CHUNK_SIZE pairs of each (a, b, order)
-    ladder class in `classes` (a slice of _separated_pairs), in class order."""
-    for a, b, order in classes:
-        for lo in range(0, len(a), _CHUNK_SIZE):
-            yield a[lo : lo + _CHUNK_SIZE], b[lo : lo + _CHUNK_SIZE], order
+    """(a, b, n) chunks of each (a, b, n) class in `classes` (a slice of
+    _separated_pairs, or those classes at another order n), in class order;
+    a chunk holds at most _CHUNK_SIZE * 64 kernel entries (pairs x n^2)."""
+    for a, b, n in classes:
+        step = max(1, _CHUNK_SIZE * 64 // (n * n))
+        for lo in range(0, len(a), step):
+            yield a[lo : lo + step], b[lo : lo + step], n
 
 
 def _separated_kernel(bm, s, a, b, order):
     """Weighted kernel WK = (wa x wb) |x - y|^{-(1+2s)} (P, n, n) of the tensor
-    Gauss rule on segments a and b, read from the cached bm.gauss_points(order)."""
+    Gauss rule on segments a and b, read from the cached bm.gauss_points(order).
+    Built in place, so it holds at most two (P, n, n) arrays at a time."""
     pts, wts, _ = bm.gauss_points(order)
     xq, yq = pts[a], pts[b]
-    dx = xq[:, :, None, 0] - yq[:, None, :, 0]
+    R2 = xq[:, :, None, 0] - yq[:, None, :, 0]
     dy = xq[:, :, None, 1] - yq[:, None, :, 1]
-    R2 = dx * dx + dy * dy
-    return (wts[a][:, :, None] * wts[b][:, None, :]) * R2 ** (-(1.0 + 2.0 * s) / 2.0)
+    R2 *= R2
+    dy *= dy
+    R2 += dy
+    del dy
+    R2 **= -(1.0 + 2.0 * s) / 2.0
+    WK = wts[a][:, :, None] * wts[b][:, None, :]
+    WK *= R2
+    return WK
 
 
 def _hat_products(hats):
@@ -455,22 +465,23 @@ def _separated_chunk(bm, s, a, b, order):
 
 
 def _far_kernel(bm, s, order, r0, r1):
-    """Far-class kernel rows K = w_x w_y |x - y|^{-(1+2s)}: the Gauss points of
-    segments r0 .. r1-1 against those of segments r0 .. S-1, shape
-    ((r1 - r0) n, (S - r0) n) for n = order.
+    """Far-class kernel rows R = |x - y|^{-(1+2s)}, without quadrature weights:
+    the Gauss points of segments r0 .. r1-1 against those of segments
+    r0 .. S-1, shape ((r1 - r0) n, (S - r0) n) for n = order.
 
     A segment pair (a, b) outside the far class (b <= a, adjacent, or in the
     mid or near class) gets R2 = inf before the power, so its entries are
-    exactly 0; the far entries are bitwise those of _separated_kernel.
+    exactly 0.
     """
     S = bm.n_segments
-    pts, wts, _ = bm.gauss_points(order)
+    pts = bm.gauss_points(order)[0]
     x, y = pts[r0:r1].reshape(-1, 2), pts[r0:].reshape(-1, 2)
     R2 = np.subtract.outer(x[:, 0], y[:, 0])
     dy = np.subtract.outer(x[:, 1], y[:, 1])
     R2 *= R2
     dy *= dy
     R2 += dy
+    del dy
     # segment pairs (a, b) outside the far class, as block-local (a - r0, b - r0)
     close = [np.tril_indices(r1 - r0, 1, S - r0)]
     if r0 == 0:
@@ -481,68 +492,75 @@ def _far_kernel(bm, s, order, r0, r1):
     ia, ib = (np.concatenate(c) for c in zip(*close))
     R2.reshape(r1 - r0, order, S - r0, order)[ia, :, ib, :] = np.inf
     np.power(R2, -(1.0 + 2.0 * s) / 2.0, out=R2)
-    K = wts[r0:r1].reshape(-1, 1) * wts[r0:].reshape(1, -1)
-    K *= R2
-    return K
+    return R2
 
 
-def _far_blocks(bm, s, order, g1):
-    """Far row blocks (r0, r1, K), K = _far_kernel(bm, s, order, r0, r1), in
-    row order; adds each block's per-point sums K 1 + K^T 1 to g1, shape
-    (S * order,), before yielding it.
+def _far_blocks(bm, s, order, V, G):
+    """Far row blocks (r0, r1, R), R = _far_kernel(bm, s, order, r0, r1), in
+    row order. Before yielding a block, adds its part of F V to G, where F is
+    the far kernel over all Gauss points with both orders of each pair
+    (F = F^T) and V, G have shape (S * order, k).
 
-    Blocks hold a fixed number of segment rows, so each K has at most
+    Blocks hold a fixed number of segment rows, so each R has at most
     _CHUNK_SIZE * 64 entries (the size of one order-8 chunk of _CHUNK_SIZE
     pairs) unless one row alone is larger. Neither this generator nor its
-    callers keep a K past its loop step, so one block is held at a time.
+    callers keep an R past its loop step, so one block is held at a time.
     """
     S = bm.n_segments
     rows = max(1, _CHUNK_SIZE * 64 // (order * order * S))
     for r0 in range(0, S, rows):
         r1 = min(r0 + rows, S)
-        K = _far_kernel(bm, s, order, r0, r1)
-        g1[r0 * order : r1 * order] += K.sum(axis=1)
-        g1[r0 * order :] += K.sum(axis=0)
-        yield r0, r1, K
-        del K
+        R = _far_kernel(bm, s, order, r0, r1)
+        G[r0 * order : r1 * order] += R @ V[r0 * order :]
+        G[r0 * order :] += (V[r0 * order : r1 * order].T @ R).T
+        yield r0, r1, R
+        del R
 
 
 def _far_theta(bm, s):
     """Far-class part of Theta, upper triangle of segment pairs only.
 
-    The cross term X = hats^T K hats is folded onto node rows a, a+1 and node
-    columns b, b+1 and enters as -2 (X + X^T). The self term is the per-point
-    sums G1 of _far_blocks contracted with the hat products onto the cyclic
-    tridiagonal.
+    With Gauss weights w_i = L_a v_i on segment a (v the rule on [0, 1]), the
+    cross term X = hats^T diag(w) R diag(w) hats of a pair (a, b) is
+    L_a L_b (v hats)^T R (v hats), folded onto node rows a, a+1 and node
+    columns b, b+1; it enters as -2 (X + X^T). The self term is the per-point
+    sums w (F w) of _far_blocks contracted with the hat products onto the
+    cyclic tridiagonal.
     """
     S = bm.n_segments
     order = _separated_pairs(bm)[0][2]
-    hats = bm.gauss_points(order)[2]
+    _, wts, hats = bm.gauss_points(order)
+    vhats = gauss01(order)[1][:, None] * hats
+    L = bm.lengths
     X = np.zeros((S, S))
-    g1 = np.zeros(S * order)
+    w = wts.reshape(-1, 1)
+    G = np.zeros_like(w)
     last_rows = []
-    for r0, r1, K in _far_blocks(bm, s, order, g1):
-        R, C = r1 - r0, S - r0
-        Z = (hats.T @ (K.reshape(-1, order) @ hats).reshape(R, order, 2 * C)).reshape(R, 2, C, 2)
+    for r0, r1, R in _far_blocks(bm, s, order, w, G):
+        nr, C = r1 - r0, S - r0
+        Z = (vhats.T @ (R.reshape(-1, order) @ vhats).reshape(nr, order, 2 * C)).reshape(nr, 2, C, 2)
+        del R  # before _far_blocks builds the next block
+        Z *= np.multiply.outer(L[r0:r1], L[r0:])[:, None, :, None]
         # node rows r0 .. r1 by node columns r0 .. S: a pair (a, b) lands on
         # rows a, a+1 and columns b, b+1, where node S is node 0
-        nodes = np.zeros((R + 1, C + 1))
-        nodes[:R, :C] = Z[:, 0, :, 0]
-        nodes[:R, 1:] += Z[:, 0, :, 1]
+        nodes = np.zeros((nr + 1, C + 1))
+        nodes[:nr, :C] = Z[:, 0, :, 0]
+        nodes[:nr, 1:] += Z[:, 0, :, 1]
         nodes[1:, :C] += Z[:, 1, :, 0]
         nodes[1:, 1:] += Z[:, 1, :, 1]
-        del K, Z  # before _far_blocks builds the next block
+        del Z
         # rows r0 .. r1-1 belong to this block alone; row r1 is added in block
         # order once every block has run
-        X[r0:r1, r0:] = nodes[:R, :C]
-        X[r0:r1, 0] += nodes[:R, C]
-        last_rows.append((r0, r1, nodes[R]))
+        X[r0:r1, r0:] = nodes[:nr, :C]
+        X[r0:r1, 0] += nodes[:nr, C]
+        last_rows.append((r0, r1, nodes[nr]))
     for r0, r1, last in last_rows:
         X[r1 % S, r0:] += last[:-1]
         X[r1 % S, 0] += last[-1]
     Theta = X + X.T
     Theta *= -2.0
-    C = 2.0 * (g1.reshape(S, order) @ _hat_products(hats))  # (S, 4): 2 Caa per segment
+    g1 = (w * G).reshape(S, order)
+    C = 2.0 * (g1 @ _hat_products(hats))  # (S, 4): 2 Caa per segment
     k = np.arange(S)
     kn = (k + 1) % S
     Theta[k, k] += C[:, 0] + np.roll(C[:, 3], 1)

@@ -50,11 +50,14 @@ def solve(
 
     The preconditioner is one sparse LU of P = local + Theta's near band
     (the entries at cyclic boundary-local distance <= _NEAR_BAND), factored
-    once per solve with a minimum-degree ordering on P^T + P. P holds the
-    bulk and local boundary forms exactly, so the iteration count stays
-    nearly flat under refinement. CG starts from zero and stops at relative
-    residual <= tol; solve_seconds includes the factorization. One INFO line
-    per solve goes to the `venttsel` logger.
+    once per solve with a minimum-degree ordering on P^T + P. P is factored
+    with its unknowns sorted by node coordinates (y, then x), so the
+    ordering's tie-breaks, and with them the fill, depend on the mesh's
+    geometry and not on its node numbering; CG runs in the mesh's numbering.
+    P holds the bulk and local boundary forms exactly, so the iteration
+    count stays nearly flat under refinement. CG starts from zero and stops
+    at relative residual <= tol; solve_seconds includes the factorization.
+    One INFO line per solve goes to the `venttsel` logger.
 
     Requires a coercive problem (b not identically zero); the indefinite case
     is reported as a violated hypothesis, not silently iterated.
@@ -77,16 +80,23 @@ def solve(
 
     if np.any(system.diagonal() <= 0):
         raise SolverError(f"non-positive diagonal entry; {_HYPOTHESIS}")
-    P = (system.local + system.embed(_near_band(system.Theta, _NEAR_BAND))).tocsc()
+    nodes = system.mesh.nodes
+    perm = np.lexsort((nodes[:, 0], nodes[:, 1]))
+    P = (system.local + system.embed(_near_band(system.Theta, _NEAR_BAND)))[perm][:, perm].tocsc()
     try:
         lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"preconditioner factorization failed ({exc}); {_HYPOTHESIS}") from exc
     factor_seconds = time.perf_counter() - t0
 
+    def precondition(r):
+        z = np.empty(n)
+        z[perm] = lu.solve(r[perm])
+        return z
+
     x = np.zeros(n)
     r = bvec.copy()
-    z = lu.solve(r)
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -103,7 +113,7 @@ def solve(
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = lu.solve(r)
+        z = precondition(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p

@@ -713,18 +713,17 @@ def _stable_diff(problem, x1, x2):
 
 def _far_load(bm: BoundaryMesh, s: float, order: int, u: np.ndarray) -> np.ndarray:
     """Far-class part of <theta_s u, phi_i> from the trace u (S, order) at the
-    order-`order` Gauss points: 2 hats^T (u G1 - Gu) per segment, with G1 of
-    _far_blocks and Gu = K u + K^T u over the far kernel rows K."""
+    order-`order` Gauss points: 2 hats^T w (u F w - F (w u)) per segment, with
+    F the far kernel of _far_blocks and w the Gauss weights, both products
+    taken in one pass over each block."""
     S = bm.n_segments
-    u = u.reshape(-1)
-    g1 = np.zeros(S * order)
-    gu = np.zeros(S * order)
-    for r0, r1, K in _far_blocks(bm, s, order, g1):
-        Ku, uK = K @ u[r0 * order :], u[r0 * order : r1 * order] @ K
-        del K  # before _far_blocks builds the next block
-        gu[r0 * order : r1 * order] += Ku
-        gu[r0 * order :] += uK
-    seg = (u * g1 - gu).reshape(S, order) @ bm.gauss_points(order)[2]  # (S, 2) per segment node
+    _, wts, hats = bm.gauss_points(order)
+    u, w = u.reshape(-1), wts.reshape(-1)
+    V = np.column_stack([w, w * u])
+    G = np.zeros_like(V)
+    for *_, R in _far_blocks(bm, s, order, V, G):
+        del R  # before _far_blocks builds the next block
+    seg = (w * (u * G[:, 0] - G[:, 1])).reshape(S, order) @ hats  # (S, 2) per segment node
     return 2.0 * (seg[:, 0] + np.roll(seg[:, 1], 1))
 
 
@@ -754,18 +753,18 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     # factor), the trace evaluated once per segment and order. The far class
     # runs as kernel rows (_far_load); mid and near chunks contract
     # WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and its transpose.
-    groups = _separated_pairs(bm)
+    groups = [(a, b, order + 4) for a, b, order in _separated_pairs(bm)]
     traces = {}
-    for _, _, order in groups:
-        pts = bm.gauss_points(order + 4)[0]
-        traces[order] = np.asarray(problem.trace(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    for _, _, n in groups:
+        pts = bm.gauss_points(n)[0]
+        traces[n] = np.asarray(problem.trace(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
 
-    out += _far_load(bm, s, groups[0][2] + 4, traces[groups[0][2]])
+    out += _far_load(bm, s, groups[0][2], traces[groups[0][2]])
 
-    for a, b, order in _separated_chunks(groups[1:]):
-        WK = _separated_kernel(bm, s, a, b, order + 4)
-        hats = bm.gauss_points(order + 4)[2]
-        ux, uy = traces[order][a], traces[order][b]
+    for a, b, n in _separated_chunks(groups[1:]):
+        WK = _separated_kernel(bm, s, a, b, n)
+        hats = bm.gauss_points(n)[2]
+        ux, uy = traces[n][a], traces[n][b]
         ra = ux * WK.sum(axis=2) - (WK @ uy[:, :, None])[:, :, 0]
         rb = (ux[:, None, :] @ WK)[:, 0, :] - uy * WK.sum(axis=1)
         np.add.at(out, lp[a], 2.0 * (ra @ hats))
@@ -791,21 +790,22 @@ def _identical_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) ->
 def _adjacent_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> np.ndarray:
     """(K, 3) load of the adjacent segment pairs (k, k+1) on their nodes
     k+1, k, k+2: Duffy split, radial factor left explicit."""
-    n = len(x)
     kn = (k + 1) % bm.n_nodes
     La = bm.lengths[k][:, None, None]
     Lb = bm.lengths[kn][:, None, None]
+    cos = np.einsum("kd,kd->k", bm.tangents[k], bm.tangents[kn])[:, None, None]
     P = bm.mesh.nodes[bm.boundary_nodes[kn]][:, None, None, :]
     ea = -bm.tangents[k][:, None, None, :]
     eb = bm.tangents[kn][:, None, None, :]
-    U = x[None, :, None] * np.ones((1, 1, n))  # (1, n, n)
-    V = np.ones((1, n, 1)) * x[None, None, :]
+    U = x[None, :, None]  # (1, n, 1)
+    V = x[None, None, :]  # (1, 1, n)
 
     def duffy_part(xi_over_u, eta_over_u, d_hats):
-        gdir = (La * xi_over_u)[..., None] * ea - (Lb * eta_over_u)[..., None] * eb
-        g = np.linalg.norm(gdir, axis=3)  # (K, n, n), the radial scale |x-y| / U
-        xpts = P + (La * xi_over_u * U)[..., None] * ea
-        ypts = P + (Lb * eta_over_u * U)[..., None] * eb
+        a, b = La * xi_over_u, Lb * eta_over_u  # (K, 1, n) with U = 1
+        # the radial scale |x-y| / U = |a ea - b eb| depends on V alone
+        g = np.sqrt(a * a + b * b + 2.0 * a * b * cos)
+        xpts = P + (a * U)[..., None] * ea
+        ypts = P + (b * U)[..., None] * eb
         du_ = _stable_diff(problem, xpts, ypts)
         base = (
             (La[:, 0, 0] * Lb[:, 0, 0])[:, None, None]
@@ -880,15 +880,27 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
 # --- data norms -------------------------------------------------------------------
 
 
+# Triangles per chunk of the bulk norms, which run after the last solve: their
+# (triangles, points, 2) quadrature arrays stay near 0.5 MB
+_NORM_CHUNK = 2048
+
+
+def _triangle_chunks(mesh: Mesh) -> list[slice]:
+    return [slice(lo, lo + _NORM_CHUNK) for lo in range(0, mesh.n_triangles, _NORM_CHUNK)]
+
+
 def source_l2_bulk(f, mesh: Mesh) -> float:
     """L2 norm of a bulk source callable (or scalar) over the meshed polygon,
-    by the degree-7 triangle rule."""
-    pts, w = tri_points_weights(mesh.tri_verts, 7)
-    if callable(f):
-        fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    else:
-        fv = np.full(pts.shape[:2], float(f))
-    return math.sqrt(max(0.0, float(np.sum(w * fv**2))))
+    by the degree-7 triangle rule, summed over chunks of _NORM_CHUNK triangles."""
+    total = 0.0
+    for t in _triangle_chunks(mesh):
+        pts, w = tri_points_weights(mesh.tri_verts[t], 7)
+        if callable(f):
+            fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+        else:
+            fv = np.full(pts.shape[:2], float(f))
+        total += float(np.sum(w * fv**2))
+    return math.sqrt(max(0.0, total))
 
 
 def manufactured_g_l2(problem: ManufacturedProblem) -> float:
@@ -903,15 +915,21 @@ def manufactured_g_l2(problem: ManufacturedProblem) -> float:
         bvals = problem.b_per_side()
         return math.sqrt(float(np.sum(bvals**2 * problem.polygon.side_lengths)))
     poly = problem.polygon
-    total = 0.0
+    rules = []
     for side in range(poly.n_sides):
         L = poly.side_lengths[side]
         brk = graded_breakpoints(0.0, L, (0.0, L), 12)
-        ts, ws = gauss_interval(brk[:-1], brk[1:], 6)
-        gv = problem.boundary_g_values(
-            poly.boundary_point(side, ts.ravel()), np.full(ts.size, side), tol=1e-6
-        ).reshape(ts.shape)
-        panel_vals = list(np.sum(ws * gv**2, axis=1))
+        rules.append(gauss_interval(brk[:-1], brk[1:], 6))
+    sides = range(poly.n_sides)
+    # one oracle call over the points of all sides
+    gvs = problem.boundary_g_values(
+        np.concatenate([poly.boundary_point(side, rules[side][0].ravel()) for side in sides]),
+        np.concatenate([np.full(rules[side][0].size, side) for side in sides]),
+        tol=1e-6,
+    )
+    total = 0.0
+    for (ts, ws), gv in zip(rules, np.split(gvs, np.cumsum([ts.size for ts, _ in rules])[:-1])):
+        panel_vals = list(np.sum(ws * gv.reshape(ts.shape) ** 2, axis=1))
         total += sum(panel_vals)
         # geometric tails at both corners
         for inner, nxt in ((panel_vals[0], panel_vals[1]), (panel_vals[-1], panel_vals[-2])):
@@ -936,19 +954,25 @@ def benchmark_g_l2(problem: BenchmarkProblem) -> float:
 
 def errors_vs_exact(u: NodalField, problem: ManufacturedProblem):
     """Per-element quadrature errors (degree-4 triangle rule, order-8 Gauss on
-    the boundary) of u against the exact solution."""
+    the boundary) of u against the exact solution; the bulk sums run over
+    chunks of _NORM_CHUNK triangles."""
     mesh = u.mesh
     lam, _ = tri_rule(4)
-    pts, w = tri_points_weights(mesh.tri_verts, 4)
-    flat = pts.reshape(-1, 2)
-    uh = np.einsum("kl,tl->tk", lam, u.values[mesh.triangles])
-    uex = np.asarray(problem.u(flat), dtype=float).reshape(pts.shape[:2])
-    err_l2 = math.sqrt(max(0.0, float(np.sum(w * (uh - uex) ** 2))))
     grads = _p1_gradients(mesh)
-    gh = np.einsum("tid,ti->td", grads, u.values[mesh.triangles])
-    gex = np.asarray(problem.grad_u(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
-    diff = gex - gh[:, None, :]
-    err_h1 = math.sqrt(max(0.0, float(np.sum(w * np.einsum("tkd,tkd->tk", diff, diff)))))
+    sq_l2 = sq_h1 = 0.0
+    for t in _triangle_chunks(mesh):
+        pts, w = tri_points_weights(mesh.tri_verts[t], 4)
+        flat = pts.reshape(-1, 2)
+        vals = u.values[mesh.triangles[t]]
+        uh = np.einsum("kl,tl->tk", lam, vals)
+        uex = np.asarray(problem.u(flat), dtype=float).reshape(pts.shape[:2])
+        sq_l2 += float(np.sum(w * (uh - uex) ** 2))
+        gh = np.einsum("tid,ti->td", grads[t], vals)
+        gex = np.asarray(problem.grad_u(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], 2)
+        diff = gex - gh[:, None, :]
+        sq_h1 += float(np.sum(w * np.einsum("tkd,tkd->tk", diff, diff)))
+    err_l2 = math.sqrt(max(0.0, sq_l2))
+    err_h1 = math.sqrt(max(0.0, sq_h1))
 
     bm = mesh.boundary
     pts_b, wts, hats = bm.gauss_points(8)

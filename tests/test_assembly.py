@@ -395,6 +395,60 @@ def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):
     assert len(calls) == len(_separated_pairs(bm)) == 3
 
 
+def test_separated_chunks_within_entry_budget(lshape, monkeypatch):
+    # mid and near chunks are cut by kernel entries (pairs x n^2), for Theta's
+    # ladder orders and for the load's orders bumped by 4, within the same
+    # _CHUNK_SIZE * 64 budget as the far blocks
+    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
+    budget = assembly._CHUNK_SIZE * 64
+    bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
+    for bump in (0, 4):
+        classes = [(a, b, order + bump) for a, b, order in _separated_pairs(bm)[1:]]
+        chunks = list(assembly._separated_chunks(classes))
+        assert all(len(a) * n * n <= budget for a, _, n in chunks)
+        for a, b, n in classes:  # every pair once, in class order
+            got = [(ca, cb) for ca, cb, cn in chunks if cn == n]
+            assert len(got) > 1
+            assert np.array_equal(np.concatenate([ca for ca, _ in got]), a)
+            assert np.array_equal(np.concatenate([cb for _, cb in got]), b)
+
+
+def test_small_chunks_match_default(lshape, monkeypatch):
+    # Theta and the form-based load do not depend on how the far field and
+    # the mid and near classes are cut into blocks and chunks (to roundoff:
+    # a BLAS product's rows can round by their position in the block)
+    from venttsel.verify import _theta_load, make_manufactured
+
+    bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
+    prob = make_manufactured("cubic", lshape, 0.7, 1.0)
+    theta, load = nonlocal_matrix(bm, 0.7), _theta_load(bm, prob, 0.7)
+    monkeypatch.setattr(assembly, "_CHUNK_SIZE", 64)
+    theta64, load64 = nonlocal_matrix(bm, 0.7), _theta_load(bm, prob, 0.7)
+    assert np.abs(theta64 - theta).max() <= 1e-14 * np.abs(theta).max()
+    assert np.abs(load64 - load).max() <= 1e-14 * np.abs(load).max()
+
+
+def test_load_traced_peak_within_chunk_budget(lshape):
+    # at S = 512 the nonlocal part of the form-based load holds at most two
+    # kernel arrays of the _CHUNK_SIZE * 64 entry budget at a time (4.2 MB;
+    # 5.2 MB traced in all)
+    import tracemalloc
+
+    from venttsel.verify import _theta_load, make_manufactured
+
+    bm = triangulate(lshape, 1.0 / 64.0).boundary
+    assert bm.n_segments == 512
+    prob = make_manufactured("cubic", lshape, 0.7, 1.0)
+    _theta_load(bm, prob, 0.7)  # fills the boundary mesh's caches
+    tracemalloc.start()
+    try:
+        _theta_load(bm, prob, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * assembly._CHUNK_SIZE * 64 * 8
+
+
 # Recorded before the separated-pair kernel read the cached Gauss data and
 # contracted with matmul: Theta entries (0, 0), (0, i1), (i1, i2), (i2, i3);
 # Theta @ v and energy_load_table(cubic).values at (0, i1, i2, i3), where

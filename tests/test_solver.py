@@ -1,4 +1,8 @@
+import gc
 import logging
+import re
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from venttsel import solver
 from venttsel.assembly import NodalField, ProblemSpec, assemble_system
 from venttsel.errors import SolverError
 from venttsel.geometry import build_polygon
-from venttsel.meshing import extract_boundary, refine, triangulate
+from venttsel.meshing import Mesh, extract_boundary, refine, triangulate
 from venttsel.solver import (
     direct_solve,
     min_eigenpair,
@@ -210,3 +214,60 @@ def test_solve_logs_one_info_line(patch_system, caplog):
     assert f"iterations={report.iterations} " in message
     assert f"relative_residual={report.relative_residual:.3e}" in message
     assert f"lambda_min={report.lambda_min_estimate}" in message
+
+
+def _nnz_and_report(system, caplog):
+    caplog.clear()
+    u, report = solve(system, tol=1e-10)
+    (record,) = [r for r in caplog.records if r.name == "venttsel"]
+    return int(re.search(r"nnz\(L\+U\)=(\d+)", record.getMessage()).group(1)), u, report
+
+
+def test_preconditioner_fill_independent_of_numbering(square, rng, caplog):
+    # the same refined square with its nodes numbered at random: the factor's
+    # fill, the iteration count and the solution do not change
+    mesh = refine(refine(refine(triangulate(square, 0.25))))
+    order = rng.permutation(mesh.n_nodes)  # new number -> old number
+    new_number = np.argsort(order)
+    renumbered = Mesh(
+        nodes=mesh.nodes[order],
+        triangles=new_number[mesh.triangles],
+        boundary_node_flags=mesh.boundary_node_flags[order],
+        polygon=square,
+    )
+    spec = ProblemSpec(s=0.7, b=1.0, f=lambda p: 1.0 + np.atleast_2d(p)[:, 0], g=0.5)
+    caplog.set_level(logging.INFO, logger="venttsel")
+    nnz, u, report = _nnz_and_report(assemble_system(mesh, spec), caplog)
+    nnz2, u2, report2 = _nnz_and_report(assemble_system(renumbered, spec), caplog)
+    assert nnz2 == nnz
+    assert report2.iterations == report.iterations
+    assert np.abs(u2.values[new_number] - u.values).max() <= 1e-12 * np.abs(u.values).max()
+
+
+def test_solve_releases_factor(patch_system, monkeypatch):
+    # no reference cycle keeps the factor alive after solve returns, so it is
+    # freed at once even with the cyclic collector off
+    factors = []
+    splu = solver.spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, r):
+            return self.lu.solve(r)
+
+    def recording_splu(*args, **kwargs):
+        factor = Factor(splu(*args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=recording_splu))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solve(patch_system, tol=1e-12)
+        assert len(factors) == 1 and factors[0]() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from venttsel.assembly import (
     BoundaryQuadratureTable,
+    NodalField,
     load_vector,
     nonlocal_matrix,
 )
 from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
-from venttsel.quadrature import gauss_interval
+from venttsel.quadrature import gauss_interval, graded_breakpoints
 from venttsel import verify
 from venttsel.verify import (
     ConvergenceTable,
@@ -418,6 +419,54 @@ def test_corner_jumps_cubic(square):
     jumps = prob.corner_jumps()
     # at (1, 0): incoming tangent (1,0) gives 3x^2 = 3; outgoing (0,1) gives 3y^2 = 0
     assert jumps[1] == pytest.approx(3.0)
+
+
+def _g_l2_per_side(problem):
+    """manufactured_g_l2 with one boundary_g_values call per side."""
+    poly = problem.polygon
+    total = 0.0
+    for side in range(poly.n_sides):
+        L = poly.side_lengths[side]
+        brk = graded_breakpoints(0.0, L, (0.0, L), 12)
+        ts, ws = gauss_interval(brk[:-1], brk[1:], 6)
+        gv = problem.boundary_g_values(
+            poly.boundary_point(side, ts.ravel()), np.full(ts.size, side), tol=1e-6
+        ).reshape(ts.shape)
+        panel_vals = list(np.sum(ws * gv**2, axis=1))
+        total += sum(panel_vals)
+        for inner, nxt in ((panel_vals[0], panel_vals[1]), (panel_vals[-1], panel_vals[-2])):
+            ratio = min(abs(inner / nxt), 0.95) if nxt else 0.0
+            total += inner * ratio / (1.0 - ratio)
+    return math.sqrt(max(0.0, total))
+
+
+@pytest.mark.parametrize("polygon, s", [("square", 0.25), ("lshape", 0.7)])
+def test_g_norm_one_oracle_call(polygon, s, request, monkeypatch):
+    # the pointwise oracle runs once over the points of all sides, and its
+    # batch invariance keeps the norm bitwise that of one call per side
+    problem = make_manufactured("cubic", request.getfixturevalue(polygon), s, 1.0)
+    reference = _g_l2_per_side(problem)
+    calls = []
+    oracle = verify.theta_pointwise_oracle
+    monkeypatch.setattr(
+        verify, "theta_pointwise_oracle", lambda *args, **kwargs: calls.append(1) or oracle(*args, **kwargs)
+    )
+    assert verify.manufactured_g_l2(problem) == reference
+    assert len(calls) == 1
+
+
+def test_bulk_norms_independent_of_chunks(square, monkeypatch):
+    # the chunked bulk sums cover every triangle once; chunking moves them by
+    # summation order only
+    mesh = triangulate(square, 1.0 / 16.0)
+    problem = make_manufactured("cubic", square, 0.7, 1.0)
+    u = NodalField(problem.u(mesh.nodes) + 1e-3 * np.sin(7.0 * mesh.nodes[:, 0]), mesh)
+    monkeypatch.setattr(verify, "_NORM_CHUNK", 10**9)
+    whole = (verify.source_l2_bulk(problem.f, mesh), *verify.errors_vs_exact(u, problem))
+    monkeypatch.setattr(verify, "_NORM_CHUNK", 7)
+    assert mesh.n_triangles > 10 * 7
+    chunked = (verify.source_l2_bulk(problem.f, mesh), *verify.errors_vs_exact(u, problem))
+    assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
 # --- assembly vs oracle on richer geometry ---------------------------------------
