@@ -609,9 +609,11 @@ def check_theta_orders(bm: BoundaryMesh, s: float, theta, tolerance: float) -> f
     """
     scale = np.abs(theta).max()
     worst = 0.0
-    for a, b, order in _separated_chunks(_separated_pairs(bm)):
+    # chunks cut for the doubled order, the larger of the two kernels
+    for a, b, n in _separated_chunks([(a, b, 2 * order) for a, b, order in _separated_pairs(bm)]):
+        order = n // 2
         lo_blocks = _separated_chunk(bm, s, a, b, order)
-        hi_blocks = _separated_chunk(bm, s, a, b, 2 * order)
+        hi_blocks = _separated_chunk(bm, s, a, b, n)
         err = np.max([np.abs(lb - hb).max(axis=(1, 2)) for lb, hb in zip(lo_blocks, hi_blocks)], axis=0)
         k = int(np.argmax(err))
         relative = float(err[k] / scale)

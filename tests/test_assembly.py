@@ -396,21 +396,37 @@ def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):
 
 
 def test_separated_chunks_within_entry_budget(lshape, monkeypatch):
-    # mid and near chunks are cut by kernel entries (pairs x n^2), for Theta's
-    # ladder orders and for the load's orders bumped by 4, within the same
-    # _CHUNK_SIZE * 64 budget as the far blocks
+    # chunks are cut by kernel entries (pairs x n^2) within the far blocks'
+    # _CHUNK_SIZE * 64 budget, for Theta's ladder orders, the load's orders
+    # bumped by 4 and the order check's doubled orders
+    from venttsel.verify import _theta_load, make_manufactured
+
     monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
     budget = assembly._CHUNK_SIZE * 64
     bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
     for bump in (0, 4):
         classes = [(a, b, order + bump) for a, b, order in _separated_pairs(bm)[1:]]
         chunks = list(assembly._separated_chunks(classes))
-        assert all(len(a) * n * n <= budget for a, _, n in chunks)
         for a, b, n in classes:  # every pair once, in class order
             got = [(ca, cb) for ca, cb, cn in chunks if cn == n]
             assert len(got) > 1
             assert np.array_equal(np.concatenate([ca for ca, _ in got]), a)
             assert np.array_equal(np.concatenate([cb for _, cb in got]), b)
+
+    sizes = []
+    kernel = assembly._separated_kernel
+
+    def recording(*args):
+        WK = kernel(*args)
+        sizes.append(WK.size)
+        return WK
+
+    monkeypatch.setattr(assembly, "_separated_kernel", recording)
+    monkeypatch.setattr("venttsel.verify._separated_kernel", recording)
+    theta = nonlocal_matrix(bm, 0.7)
+    _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7)
+    check_theta_orders(bm, 0.7, theta, 1.0)
+    assert len(sizes) > 10 and max(sizes) <= budget
 
 
 def test_small_chunks_match_default(lshape, monkeypatch):
