@@ -23,13 +23,12 @@ from .assembly import (
     NodalField,
     boundary_mass,
     boundary_stiffness,
-    bulk_mass,
     bulk_stiffness,
     _p1_gradients,
 )
 from .errors import VenttselError
 from .geometry import Polygon, dist_to_vertices
-from .meshing import BoundaryMesh, Mesh
+from .meshing import BoundaryMesh, Mesh, _edge_lengths
 from .quadrature import gauss_interval, graded_breakpoints, tri_points_weights, tri_rule
 
 __all__ = [
@@ -56,7 +55,6 @@ def _ops(mesh: Mesh):
         bm = mesh.boundary
         mesh._cache["norm_ops"] = {
             "A": bulk_stiffness(mesh),
-            "M": bulk_mass(mesh),
             "A_b": boundary_stiffness(bm),
             "M_1": boundary_mass(bm, 1.0),
         }
@@ -68,7 +66,14 @@ def _quad_form(mat, v):
 
 
 def l2_bulk(u: NodalField) -> float:
-    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["M"], u.values)))
+    """Bulk L2 norm of the P1 field: on each triangle u^T M_T u is
+    |T|/12 (sum u_i^2 + (sum u_i)^2), summed over the mesh's triangle chunks."""
+    mesh = u.mesh
+    total = 0.0
+    for t in mesh.triangle_chunks():
+        vals = u.values[mesh.triangles[t]]
+        total += float(mesh.areas[t] @ (np.einsum("ti,ti->t", vals, vals) + vals.sum(axis=1) ** 2)) / 12.0
+    return math.sqrt(max(0.0, total))
 
 
 def h1_bulk_semi(u: NodalField) -> float:
@@ -133,32 +138,24 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
     touching a corner, listed corner first, gets `layers` dyadic layers toward
     the corner plus one point at the corner for the analytic tail: the layers
     are self-similar, so the remaining core is layer 0 times the geometric
-    series rho^L / (1 - rho), with the value frozen at the corner.
+    series rho^L / (1 - rho), with the value frozen at the corner. Each of the
+    mesh's triangle chunks adds its own groups, so every group, and every
+    temporary a norm builds from one, is chunk-sized.
     """
     key = ("weighted_rule", sigma, layers)
     if key in mesh._cache:
         return mesh._cache[key]
     polygon = mesh.polygon
+    corner_nodes = mesh.boundary.boundary_nodes[mesh.boundary.corner_nodes]
 
     def weighted(pts, w):
         return w * dist_to_vertices(polygon, pts.reshape(-1, 2)).reshape(w.shape) ** (2.0 * sigma)
 
-    def group(mask, degree):
-        pts, w = tri_points_weights(verts[mask], degree)
+    def group(elems, degree):
+        pts, w = tri_points_weights(mesh.tri_verts[elems], degree)
         if sigma != 0.0:
             w = weighted(pts, w)
-        return _RuleGroup(elems[mask], mesh.triangles[mask], tri_rule(degree)[0], w)
-
-    elems = np.arange(len(mesh.triangles))
-    verts = mesh.tri_verts
-    if sigma == 0.0:
-        mesh._cache[key] = [group(slice(None), _DEGREE)]
-        return mesh._cache[key]
-
-    at_corner = np.isin(mesh.triangles, mesh.boundary.boundary_nodes[mesh.boundary.corner_nodes])
-    corner = at_corner.any(axis=1)
-    near = ~corner & (dist_to_vertices(polygon, verts.mean(axis=1)) <= 3.0 * mesh.diameters())
-    rule = [group(~corner & ~near, _DEGREE), group(near, _NEAR_DEGREE)]
+        return _RuleGroup(elems, mesh.triangles[elems], tri_rule(degree)[0], w)
 
     # a corner element is (c, c + a1, c + a2); layer k is cut into two triangles,
     # given by their (a1, a2) coefficients, between 2^-(k+1) and 2^-k
@@ -167,18 +164,35 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
         hi, lo = 0.5**k, 0.5 ** (k + 1)
         ab += [[[lo, 0.0], [hi, 0.0], [0.0, hi]], [[lo, 0.0], [0.0, hi], [0.0, lo]]]
     ab = np.array(ab)
-    ce = elems[corner]
-    loc = np.argmax(at_corner[corner], axis=1)
-    tris = mesh.triangles[ce[:, None], (loc[:, None] + np.arange(3)) % 3]
-    c = mesh.nodes[tris[:, 0]]
-    sub = c[:, None, None, :] + np.einsum("jvc,ecd->ejvd", ab, mesh.nodes[tris[:, 1:]] - c[:, None, :])
-    pts, w = tri_points_weights(sub.reshape(-1, 3, 2), _DEGREE)
-    w = weighted(pts, w).reshape(len(ce), len(ab) * pts.shape[1])
     rho = 2.0 ** (-(2.0 + 2.0 * sigma))
-    tail = w[:, : 2 * pts.shape[1]].sum(axis=1) * rho**layers / (1.0 - rho)
     bary = np.concatenate([1.0 - ab.sum(axis=2, keepdims=True), ab], axis=2)
-    lam = np.einsum("kl,jlm->jkm", tri_rule(_DEGREE)[0], bary).reshape(-1, 3)
-    rule.append(_RuleGroup(ce, tris, np.vstack([lam, [1.0, 0.0, 0.0]]), np.column_stack([w, tail])))
+    lam = np.vstack([np.einsum("kl,jlm->jkm", tri_rule(_DEGREE)[0], bary).reshape(-1, 3), [1.0, 0.0, 0.0]])
+
+    def corner_group(ce, loc):
+        tris = mesh.triangles[ce[:, None], (loc[:, None] + np.arange(3)) % 3]
+        c = mesh.nodes[tris[:, 0]]
+        sub = c[:, None, None, :] + np.einsum("jvc,ecd->ejvd", ab, mesh.nodes[tris[:, 1:]] - c[:, None, :])
+        pts, w = tri_points_weights(sub.reshape(-1, 3, 2), _DEGREE)
+        w = weighted(pts, w).reshape(len(ce), len(ab) * pts.shape[1])
+        tail = w[:, : 2 * pts.shape[1]].sum(axis=1) * rho**layers / (1.0 - rho)
+        return _RuleGroup(ce, tris, lam, np.column_stack([w, tail]))
+
+    rule = []
+    all_elems = np.arange(mesh.n_triangles)
+    for t in mesh.triangle_chunks():
+        elems = all_elems[t]
+        if sigma == 0.0:
+            rule.append(group(elems, _DEGREE))
+            continue
+        verts = mesh.tri_verts[t]
+        at_corner = np.isin(mesh.triangles[t], corner_nodes)
+        corner = at_corner.any(axis=1)
+        near = ~corner & (dist_to_vertices(polygon, verts.mean(axis=1)) <= 3.0 * _edge_lengths(verts).max(axis=1))
+        rule += [
+            group(elems[~corner & ~near], _DEGREE),
+            group(elems[near], _NEAR_DEGREE),
+            corner_group(elems[corner], np.argmax(at_corner[corner], axis=1)),
+        ]
     mesh._cache[key] = rule
     return rule
 

@@ -47,6 +47,11 @@ __all__ = [
     "check_mesh",
 ]
 
+# Triangles per chunk of every whole-mesh quadrature sum (the norms, the error
+# norms and the weighted rule): their (triangles, points, 2) arrays stay near
+# 0.5 MB, so these sums do not set a run's memory peak
+_TRIANGLE_CHUNK = 2048
+
 
 @dataclass(eq=False)
 class Mesh:
@@ -92,6 +97,10 @@ class Mesh:
 
     def diameters(self) -> np.ndarray:
         return _edge_lengths(self.tri_verts).max(axis=1)
+
+    def triangle_chunks(self) -> list[slice]:
+        """Consecutive slices of at most _TRIANGLE_CHUNK triangles covering the mesh."""
+        return [slice(lo, lo + _TRIANGLE_CHUNK) for lo in range(0, self.n_triangles, _TRIANGLE_CHUNK)]
 
 
 @dataclass(eq=False)

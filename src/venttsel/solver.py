@@ -26,9 +26,9 @@ __all__ = [
 log = logging.getLogger("venttsel")
 
 _HYPOTHESIS = "coercivity needs b >= 0 with b not identically zero on the boundary"
-# Half-width of Theta's cyclic band in the CG preconditioner: 4 keeps the
-# iteration count near 20-30 from N = 3.6k to 57k on the L-shape; wider bands
-# cut a few iterations but cost more in the factorization
+# Half-width of Theta's cyclic band in the CG preconditioner: with the row-sum
+# compensation, 4 keeps the iteration count at 18-19 from N = 3.6k to 57k on
+# the L-shape; wider bands cost more in the factorization
 _NEAR_BAND = 4
 _DIRECT_CAP = 2000  # unknowns of the dense direct cross-check
 
@@ -49,8 +49,12 @@ def solve(
     """Preconditioned conjugate gradients on the global operator A.
 
     The preconditioner is one sparse LU of P = local + Theta's near band
-    (the entries at cyclic boundary-local distance <= _NEAR_BAND), factored
-    once per solve with a minimum-degree ordering on P^T + P. P is factored
+    (the entries at cyclic boundary-local distance <= _NEAR_BAND, with each
+    row's dropped entries added to its diagonal), factored once per solve
+    with a minimum-degree ordering on P^T + P. The dropped far entries are
+    negative, so A - P is the graph Laplacian of the far couplings: it is
+    positive semidefinite and annihilates constants, so lambda_min(P^-1 A)
+    is 1, attained at constant traces. P is factored
     with its unknowns sorted by node coordinates (y, then x), so the
     ordering's tie-breaks, and with them the fill, depend on the mesh's
     geometry and not on its node numbering; CG runs in the mesh's numbering.
@@ -144,23 +148,27 @@ def solve(
 
 
 def _near_band(theta: np.ndarray, width: int) -> sp.csr_matrix:
-    """Theta's entries at cyclic boundary-local distance |i - j| <= width."""
+    """Theta's entries at cyclic boundary-local distance |i - j| <= width, with
+    each row's dropped entries added to its diagonal (row-sum compensation)."""
     S = len(theta)
     offsets = np.unique(np.arange(-width, width + 1) % S)
     rows = np.repeat(np.arange(S), len(offsets))
     cols = (rows + np.tile(offsets, S)) % S
-    return sp.csr_matrix((theta[rows, cols], (rows, cols)), shape=(S, S))
+    band = sp.csr_matrix((theta[rows, cols], (rows, cols)), shape=(S, S))
+    band.setdiag(band.diagonal() + theta.sum(axis=1) - np.asarray(band.sum(axis=1)).ravel())
+    return band
 
 
 def _lanczos_lambda_min(alphas, betas):
     """Smallest Ritz value of the CG-Lanczos tridiagonal matrix.
 
     Estimates lambda_min(P^-1 A) of the preconditioned operator (P the
-    near-band preconditioner of `solve`) from the run's own coefficients;
-    None when the run was too short.
+    compensated near-band preconditioner of `solve`, so the exact value is 1)
+    from the run's own coefficients: 1 / alpha_0 after one step, None when CG
+    took no step.
     """
     k = len(alphas)
-    if k < 2:
+    if k == 0:
         return None
     diag = np.empty(k)
     off = np.empty(k - 1)

@@ -882,20 +882,11 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
 # --- data norms -------------------------------------------------------------------
 
 
-# Triangles per chunk of the bulk norms, which run after the last solve: their
-# (triangles, points, 2) quadrature arrays stay near 0.5 MB
-_NORM_CHUNK = 2048
-
-
-def _triangle_chunks(mesh: Mesh) -> list[slice]:
-    return [slice(lo, lo + _NORM_CHUNK) for lo in range(0, mesh.n_triangles, _NORM_CHUNK)]
-
-
 def source_l2_bulk(f, mesh: Mesh) -> float:
     """L2 norm of a bulk source callable (or scalar) over the meshed polygon,
-    by the degree-7 triangle rule, summed over chunks of _NORM_CHUNK triangles."""
+    by the degree-7 triangle rule, summed over the mesh's triangle chunks."""
     total = 0.0
-    for t in _triangle_chunks(mesh):
+    for t in mesh.triangle_chunks():
         pts, w = tri_points_weights(mesh.tri_verts[t], 7)
         if callable(f):
             fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
@@ -956,13 +947,13 @@ def benchmark_g_l2(problem: BenchmarkProblem) -> float:
 
 def errors_vs_exact(u: NodalField, problem: ManufacturedProblem):
     """Per-element quadrature errors (degree-4 triangle rule, order-8 Gauss on
-    the boundary) of u against the exact solution; the bulk sums run over
-    chunks of _NORM_CHUNK triangles."""
+    the boundary) of u against the exact solution; the bulk sums run over the
+    mesh's triangle chunks."""
     mesh = u.mesh
     lam, _ = tri_rule(4)
     grads = _p1_gradients(mesh)
     sq_l2 = sq_h1 = 0.0
-    for t in _triangle_chunks(mesh):
+    for t in mesh.triangle_chunks():
         pts, w = tri_points_weights(mesh.tri_verts[t], 4)
         flat = pts.reshape(-1, 2)
         vals = u.values[mesh.triangles[t]]
@@ -993,18 +984,23 @@ def errors_vs_exact(u: NodalField, problem: ManufacturedProblem):
 
 
 def errors_vs_reference(u: NodalField, ref: NodalField):
-    """Quadrature (on the reference mesh) of the difference to a finer solution."""
+    """Quadrature (on the reference mesh) of the difference to a finer solution;
+    the bulk sums run over the reference mesh's triangle chunks, and each
+    chunk's points are located in u's mesh on their own."""
     rmesh = ref.mesh
     lam, _ = tri_rule(2)
-    pts, w = tri_points_weights(rmesh.tri_verts, 2)
-    flat = pts.reshape(-1, 2)
-    uref = np.einsum("kl,tl->tk", lam, ref.values[rmesh.triangles])
-    uh = evaluate_field(u, flat).reshape(pts.shape[:2])
-    err_l2 = math.sqrt(max(0.0, float(np.sum(w * (uh - uref) ** 2))))
-    gref = np.einsum("tid,ti->td", _p1_gradients(rmesh), ref.values[rmesh.triangles])
-    gh = evaluate_gradient(u, rmesh.tri_verts.mean(axis=1))
-    diff = gref - gh
-    err_h1 = math.sqrt(max(0.0, float(np.sum(rmesh.areas * np.einsum("td,td->t", diff, diff)))))
+    grads = _p1_gradients(rmesh)
+    sq_l2 = sq_h1 = 0.0
+    for t in rmesh.triangle_chunks():
+        pts, w = tri_points_weights(rmesh.tri_verts[t], 2)
+        vals = ref.values[rmesh.triangles[t]]
+        uref = np.einsum("kl,tl->tk", lam, vals)
+        uh = evaluate_field(u, pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        sq_l2 += float(np.sum(w * (uh - uref) ** 2))
+        diff = np.einsum("tid,ti->td", grads[t], vals) - evaluate_gradient(u, rmesh.tri_verts[t].mean(axis=1))
+        sq_h1 += float(np.sum(rmesh.areas[t] * np.einsum("td,td->t", diff, diff)))
+    err_l2 = math.sqrt(max(0.0, sq_l2))
+    err_h1 = math.sqrt(max(0.0, sq_h1))
 
     rbm = rmesh.boundary
     cbm = u.mesh.boundary

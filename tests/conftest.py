@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,16 @@ from venttsel.meshing import extract_boundary, triangulate
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 LSHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of traced Python allocations, numpy arrays included, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

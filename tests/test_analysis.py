@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venttsel import analysis
+from venttsel import analysis, meshing
 from venttsel.analysis import (
     boundary_h2_diagnostic,
     friedrichs_ratio,
@@ -195,9 +196,36 @@ def test_stiffness_built_once_per_mesh(lshape, monkeypatch):
     assert len(built) == 1  # the bulk stiffness; assembly builds no bulk mass
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
     norm_report(u, theta=system.Theta)
-    assert len(built) == 2  # plus the norms' bulk mass, not a second stiffness
+    assert len(built) == 1  # the norms build no bulk mass and no second stiffness
     assert analysis._ops(mesh)["A"] is system.A_bulk
     assert analysis._ops(mesh)["A_b"] is system.A_bdry
+
+
+def test_norm_report_traced_peak(lshape):
+    # at N = 14,318 the weighted rule and every norm temporary are built per
+    # triangle chunk; the whole-mesh rule traced 23.2 MB
+    mesh = triangulate(lshape, 1.0 / 64.0)
+    system = assemble_system(mesh, lshape_benchmark().spec())  # caches the stiffness matrices
+    assert mesh.n_nodes == 14318
+    u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
+    assert traced_peak(lambda: norm_report(u, theta=system.Theta, sigma=5.0 / 12.0)) <= 8e6
+
+
+def test_bulk_norms_independent_of_triangle_chunks(lshape, monkeypatch):
+    # the weighted rule's groups and the l2 sums are cut by the chunk rule at
+    # build time; chunking moves the norms by summation order only
+    def norms():
+        mesh = triangulate(lshape, 1.0 / 16.0)
+        u = NodalField(np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1] ** 2, mesh)
+        return mesh, (weighted_l2(u, 0.42, "bulk"), weighted_hessian_diagnostic(u, 0.42), l2_bulk(u))
+
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 10**9)
+    _, whole = norms()
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 7)
+    mesh, chunked = norms()
+    assert mesh.n_triangles > 10 * 7
+    assert len(mesh._cache[("weighted_rule", 0.42, 3)]) == 3 * len(mesh.triangle_chunks())
+    assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
 
 
 def test_weighted_l2_boundary_callable(square):

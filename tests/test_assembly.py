@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from venttsel.assembly import (
     BoundaryLoadTable,
@@ -448,21 +449,13 @@ def test_load_traced_peak_within_chunk_budget(lshape):
     # at S = 512 the nonlocal part of the form-based load holds at most two
     # kernel arrays of the _CHUNK_SIZE * 64 entry budget at a time (4.2 MB;
     # 5.2 MB traced in all)
-    import tracemalloc
-
     from venttsel.verify import _theta_load, make_manufactured
 
     bm = triangulate(lshape, 1.0 / 64.0).boundary
     assert bm.n_segments == 512
     prob = make_manufactured("cubic", lshape, 0.7, 1.0)
     _theta_load(bm, prob, 0.7)  # fills the boundary mesh's caches
-    tracemalloc.start()
-    try:
-        _theta_load(bm, prob, 0.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * assembly._CHUNK_SIZE * 64 * 8
+    assert traced_peak(lambda: _theta_load(bm, prob, 0.7)) <= 3 * assembly._CHUNK_SIZE * 64 * 8
 
 
 # Recorded before the separated-pair kernel read the cached Gauss data and

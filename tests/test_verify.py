@@ -16,7 +16,7 @@ from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
 from venttsel.quadrature import gauss_interval, graded_breakpoints
-from venttsel import verify
+from venttsel import meshing, verify
 from venttsel.verify import (
     ConvergenceTable,
     EnergyLoadSource,
@@ -461,12 +461,29 @@ def test_bulk_norms_independent_of_chunks(square, monkeypatch):
     mesh = triangulate(square, 1.0 / 16.0)
     problem = make_manufactured("cubic", square, 0.7, 1.0)
     u = NodalField(problem.u(mesh.nodes) + 1e-3 * np.sin(7.0 * mesh.nodes[:, 0]), mesh)
-    monkeypatch.setattr(verify, "_NORM_CHUNK", 10**9)
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 10**9)
     whole = (verify.source_l2_bulk(problem.f, mesh), *verify.errors_vs_exact(u, problem))
-    monkeypatch.setattr(verify, "_NORM_CHUNK", 7)
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 7)
     assert mesh.n_triangles > 10 * 7
     chunked = (verify.source_l2_bulk(problem.f, mesh), *verify.errors_vs_exact(u, problem))
     assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_reference_errors_independent_of_chunks(lshape, monkeypatch):
+    # each chunk of reference triangles locates its own points; a point's
+    # triangle and barycentrics do not depend on the batch, so chunking moves
+    # the errors by summation order only
+    mesh, rmesh = triangulate(lshape, 1.0 / 8.0), triangulate(lshape, 1.0 / 16.0)
+
+    def field(m):
+        return NodalField(np.sin(3.0 * m.nodes[:, 0]) * m.nodes[:, 1] ** 2, m)
+
+    u, ref = field(mesh), field(rmesh)
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 10**9)
+    whole = verify.errors_vs_reference(u, ref)
+    monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 7)
+    assert rmesh.n_triangles > 10 * 7
+    assert np.allclose(verify.errors_vs_reference(u, ref), whole, rtol=1e-14, atol=0.0)
 
 
 # --- assembly vs oracle on richer geometry ---------------------------------------
