@@ -42,6 +42,7 @@ from .verify import (
     convergence_study,
     lshape_benchmark,
     make_manufactured,
+    operator_laws,
     rate_estimate,
     theta_entry_oracle,
     theta_pointwise_oracle,

@@ -17,16 +17,6 @@ class AssemblyError(VenttselError):
     """Operator or load assembly failure."""
 
 
-class QuadraturePairError(AssemblyError):
-    """A segment-pair quadrature did not reach the requested tolerance;
-    `discrepancy` is the pair's error relative to the operator's scale."""
-
-    def __init__(self, pair, message, discrepancy=None):
-        super().__init__(f"segment pair {pair}: {message}")
-        self.pair = pair
-        self.discrepancy = discrepancy
-
-
 class SolverError(VenttselError):
     """Linear solve failure; carries the residual history when available."""
 

@@ -28,6 +28,8 @@ from .assembly import (
     _separated_kernel,
     _separated_pairs,
     assemble_system,
+    check_theta_orders,
+    nonlocal_matrix,
 )
 from .errors import OracleError, VenttselError
 from .geometry import Polygon, build_polygon
@@ -47,6 +49,7 @@ from .transfer import boundary_interp, evaluate_field, evaluate_gradient
 __all__ = [
     "theta_pointwise_oracle",
     "theta_entry_oracle",
+    "operator_laws",
     "ManufacturedProblem",
     "make_manufactured",
     "BenchmarkProblem",
@@ -427,6 +430,52 @@ def theta_entry_oracle(
     return total
 
 
+# --- operator laws ----------------------------------------------------------------
+
+
+def operator_laws(bm: BoundaryMesh, s: float, theta: np.ndarray) -> list[dict]:
+    """The laws of the nonlocal form that `theta` must obey on `bm`, one
+    record `{name, value, bound, passed}` each, `passed = value <= bound`.
+
+    Symmetry and the scaling law are relative to max|theta|; PSD reads
+    -lambda_min / lambda_max. The scaling law compares `theta` with the
+    operator on copies of `bm.mesh` whose nodes are scaled by t = 0.5 and 3
+    (no re-triangulation, so graded meshes work too). Every entry is checked
+    against the entry oracle only when `bm` has at most 8 segments.
+    """
+    scale = np.abs(theta).max()
+    ev = np.linalg.eigvalsh(theta)
+    mesh = bm.mesh
+    law = 0.0
+    for t in (0.5, 3.0):
+        scaled = Mesh(
+            nodes=t * mesh.nodes,
+            triangles=mesh.triangles,
+            boundary_node_flags=mesh.boundary_node_flags,
+            polygon=build_polygon(t * mesh.polygon.vertices),
+        )
+        theta_t = nonlocal_matrix(scaled.boundary, s)
+        law = max(law, np.abs(theta_t - t ** (1.0 - 2.0 * s) * theta).max() / scale)
+    values = {
+        "theta_symmetric": (np.abs(theta - theta.T).max() / scale, 1e-12),
+        "theta_annihilates_constants": (np.abs(theta @ np.ones(bm.n_nodes)).max(), 1e-10),
+        "theta_psd": (-ev[0] / ev[-1], 1e-10),
+        "theta_scaling_law": (law, 1e-8),
+        "theta_orders": (check_theta_orders(bm, s, theta), 1e-8),
+    }
+    if bm.n_segments <= 8:
+        worst = 0.0
+        for i in range(bm.n_nodes):
+            for j in range(i, bm.n_nodes):
+                o = theta_entry_oracle(bm, i, j, s, tol=1e-9)
+                worst = max(worst, abs(theta[i, j] - o) / max(abs(o), 1e-10))
+        values["theta_oracle_equivalence"] = (worst, 1e-6)
+    return [
+        {"name": name, "value": float(value), "bound": bound, "passed": bool(value <= bound)}
+        for name, (value, bound) in values.items()
+    ]
+
+
 # --- manufactured problems -------------------------------------------------------
 
 
@@ -576,10 +625,11 @@ class EnergyLoadSource:
         return energy_load_table(self.problem, bm)
 
 
-def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: str | None = None) -> ManufacturedProblem:
+def make_manufactured(preset: str, polygon: Polygon, s: float, b) -> ManufacturedProblem:
     """Presets: `constant` (u = 1, f = 0, g = b), `cubic` (u = x^3 + y^3),
-    `harmonic` (u = e^x sin y). The boundary-data route defaults to the
-    pointwise table for s < 1/2 and the form-based load table otherwise."""
+    `harmonic` (u = e^x sin y). The boundary data of `cubic` and `harmonic`
+    come from the pointwise table for s < 1/2 and from the form-based load
+    table otherwise; `constant` has its exact data."""
     if preset == "constant":
         return ManufacturedProblem(
             name="constant",
@@ -592,6 +642,7 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
             g_route="exact",
         )
+    route = "pointwise" if s < 0.5 else "load_table"
     if preset == "cubic":
         def hess(p):
             p = np.atleast_2d(p)
@@ -600,7 +651,7 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             H[:, 1, 1] = 6.0 * p[:, 1]
             return H
 
-        prob = ManufacturedProblem(
+        return ManufacturedProblem(
             name="cubic",
             polygon=polygon,
             s=s,
@@ -609,9 +660,9 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             grad_u=lambda p: 3.0 * np.atleast_2d(p) ** 2,
             hess_u=hess,
             lap_u=lambda p: 6.0 * (np.atleast_2d(p)[:, 0] + np.atleast_2d(p)[:, 1]),
-            g_route="pointwise",
+            g_route=route,
         )
-    elif preset == "harmonic":
+    if preset == "harmonic":
         def hessh(p):
             p = np.atleast_2d(p)
             ex, sy, cy = np.exp(p[:, 0]), np.sin(p[:, 1]), np.cos(p[:, 1])
@@ -621,7 +672,7 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             H[:, 1, 1] = -ex * sy
             return H
 
-        prob = ManufacturedProblem(
+        return ManufacturedProblem(
             name="harmonic",
             polygon=polygon,
             s=s,
@@ -635,15 +686,9 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b, *, g_route: st
             ),
             hess_u=hessh,
             lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
-            g_route="pointwise",
+            g_route=route,
         )
-    else:
-        raise VenttselError(f"unknown manufactured preset {preset!r}")
-    if g_route is None:
-        prob.g_route = "pointwise" if s < 0.5 else "load_table"
-    else:
-        prob.g_route = g_route
-    return prob
+    raise VenttselError(f"unknown manufactured preset {preset!r}")
 
 
 @dataclass(eq=False)

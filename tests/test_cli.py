@@ -83,8 +83,8 @@ def test_decompose_lshape(tmp_path):
 
 
 def test_check_command(tmp_path):
-    # the square, and a graded L-shape, whose mesh re-triangulated at twice
-    # the size would not be the scaled copy the scaling law compares against
+    # the square, and a graded L-shape, whose mesh re-triangulated at a
+    # scaled size would not be the scaled copy the scaling law compares against
     inputs = {
         "square": (SQUARE, 1.0),
         "graded_lshape": (LSHAPE, 1.0 / (1.0 - 0.42)),
@@ -98,6 +98,9 @@ def test_check_command(tmp_path):
         rep = json.loads((out / "check.json").read_text())
         assert rep["all_passed"]
         checks = {c["name"]: c for c in rep["checks"]}
+        assert all({"name", "value", "bound", "passed"} <= set(c) for c in rep["checks"])
+        laws = [c for name, c in checks.items() if name.startswith("theta_")]
+        assert all(c["passed"] == (c["value"] <= c["bound"]) for c in laws)
         assert checks["theta_scaling_law"]["value"] <= 1e-8
         assert name != "square" or "theta_oracle_equivalence" in checks
         orders = checks["theta_orders"]

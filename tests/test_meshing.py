@@ -371,3 +371,17 @@ def test_triangles_int32_counterclockwise(lshape, square, q):
         m = triangulate(polygon, 0.125, q)
         assert m.triangles.dtype == np.int32
         assert np.all(m.areas > 0)
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape"])
+def test_uniform_mesh_scales_with_polygon(shape, request):
+    # triangulate(t P, t h) is t times triangulate(P, h): the same triangles,
+    # nodes to roundoff
+    polygon = request.getfixturevalue(shape)
+    for h in (1 / 4, 1 / 16):
+        m = triangulate(polygon, h)
+        for t in (0.5, 3.0):
+            m_t = triangulate(build_polygon(t * polygon.vertices), t * h)
+            assert m_t.nodes.shape == m.nodes.shape
+            assert np.array_equal(_canonical(m_t.triangles), _canonical(m.triangles))
+            assert np.abs(m_t.nodes - t * m.nodes).max() <= 1e-15 * t

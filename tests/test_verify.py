@@ -16,7 +16,7 @@ from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
 from venttsel.quadrature import gauss_interval, graded_breakpoints
-from venttsel import meshing, verify
+from venttsel import assembly, meshing, verify
 from venttsel.verify import (
     ConvergenceTable,
     EnergyLoadSource,
@@ -24,6 +24,7 @@ from venttsel.verify import (
     convergence_study,
     lshape_benchmark,
     make_manufactured,
+    operator_laws,
     random_smooth_fields,
     rate_estimate,
     theta_entry_oracle,
@@ -490,22 +491,48 @@ def test_reference_errors_independent_of_chunks(lshape, monkeypatch):
 
 
 def test_assembly_matches_oracle_coarse_square(square):
-    # one segment per side, s = 1/2: every entry against the adaptive oracle
+    # one segment per side, s = 1/2: every entry against the adaptive oracle,
+    # which rejects the operator scaled by 1 + 1e-5
     bm = extract_boundary(triangulate(square, 1.0))
     theta = nonlocal_matrix(bm, 0.5)
-    for i in range(bm.n_nodes):
-        for j in range(i, bm.n_nodes):
-            o = theta_entry_oracle(bm, i, j, 0.5, tol=1e-9)
-            assert abs(theta[i, j] - o) <= 1e-6 * abs(o) + 1e-10
+    for factor, passed in ((1.0, True), (1.0 + 1e-5, False)):
+        laws = {rec["name"]: rec for rec in operator_laws(bm, 0.5, factor * theta)}
+        assert laws["theta_oracle_equivalence"]["passed"] is passed
 
 
-def test_assembly_matches_oracle_lshape(lshape_bm8):
-    s = 0.5
-    theta = nonlocal_matrix(lshape_bm8, s)
-    for i in range(lshape_bm8.n_nodes):
-        for j in range(i, lshape_bm8.n_nodes):
-            o = theta_entry_oracle(lshape_bm8, i, j, s, tol=1e-9)
-            assert abs(theta[i, j] - o) <= 1e-6 * abs(o) + 1e-10
+def _flip_top_eigenpair(theta):
+    w, V = np.linalg.eigh(theta)
+    return theta - 2.0 * w[-1] * np.outer(V[:, -1], V[:, -1])
+
+
+def _bump_off_diagonal(theta):
+    theta = theta.copy()
+    theta[0, 1] += 1e-9
+    return theta
+
+
+_BROKEN_THETA = {
+    "theta_symmetric": _bump_off_diagonal,
+    "theta_annihilates_constants": lambda theta: theta + 1e-9 * np.eye(len(theta)),
+    "theta_psd": _flip_top_eigenpair,
+    "theta_scaling_law": lambda theta: theta * (1.0 + 1e-6),
+    "theta_orders": None,  # one-point separated-pair rules instead
+}
+
+
+@pytest.mark.parametrize("law", list(_BROKEN_THETA))
+def test_operator_laws_reject_broken_theta(square_bm, law, monkeypatch):
+    # the intact operator passes every law (criterion 2); on 16 segments the
+    # oracle record is skipped, so each case is cheap
+    s = 0.7
+    if _BROKEN_THETA[law] is None:
+        monkeypatch.setattr(assembly, "_ORDERS", (1, 1, 1))
+        theta = nonlocal_matrix(square_bm, s)
+    else:
+        theta = _BROKEN_THETA[law](nonlocal_matrix(square_bm, s))
+    records = {rec["name"]: rec for rec in operator_laws(square_bm, s, theta)}
+    assert not records[law]["passed"] and "theta_oracle_equivalence" not in records
+    assert all(rec["passed"] == (rec["value"] <= rec["bound"]) for rec in records.values())
 
 
 # --- tables and rates -------------------------------------------------------------
