@@ -293,29 +293,43 @@ def boundary_h2_diagnostic(u_bdry: np.ndarray, bm: BoundaryMesh) -> float:
     return math.sqrt(max(0.0, total))
 
 
-def recovered_hessian(u: NodalField) -> np.ndarray:
-    """(T, 2, 2) elementwise Hessian of the area-weighted recovered gradient."""
+def _recovered_hessian_chunks(u: NodalField):
+    """(slice, (t, 2, 2) Hessian) per triangle chunk: the elementwise Hessian of
+    the area-weighted recovered gradient. The nodal sums add the chunks in
+    triangle order, so each node gets its adds in the same order as one
+    whole-mesh pass."""
     mesh = u.mesh
     g = _p1_gradients(mesh)
-    grad_elem = np.einsum("tid,ti->td", g, u.values[mesh.triangles])
     num = np.zeros((mesh.n_nodes, 2))
     den = np.zeros(mesh.n_nodes)
-    np.add.at(num, mesh.triangles.ravel(), np.repeat(mesh.areas[:, None] * grad_elem, 3, axis=0).reshape(-1, 2))
-    np.add.at(den, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
-    nodal_grad = num / den[:, None]
-    return np.einsum("tid,tic->tdc", g, nodal_grad[mesh.triangles])
+    chunks = mesh.triangle_chunks()
+    for t in chunks:
+        tri = mesh.triangles[t]
+        grad_elem = np.einsum("tid,ti->td", g[t], u.values[tri])
+        np.add.at(num, tri.ravel(), np.repeat(mesh.areas[t, None] * grad_elem, 3, axis=0).reshape(-1, 2))
+        np.add.at(den, tri.ravel(), np.repeat(mesh.areas[t], 3))
+    num /= den[:, None]
+    for t in chunks:
+        yield t, np.einsum("tid,tic->tdc", g[t], num[mesh.triangles[t]])
+
+
+def recovered_hessian(u: NodalField) -> np.ndarray:
+    """(T, 2, 2) elementwise Hessian of the area-weighted recovered gradient."""
+    return np.concatenate([H for _, H in _recovered_hessian_chunks(u)])
 
 
 def weighted_hessian_diagnostic(u: NodalField, sigma: float) -> float:
     """Recovered-Hessian surrogate of the weighted second-derivative norm.
 
     This is a diagnostic observable (the exact elementwise Hessian of a P1
-    field vanishes), not a convergent norm estimator.
+    field vanishes), not a convergent norm estimator. The Hessian is built
+    per triangle chunk and kept only as its squared Frobenius norm.
     """
     if sigma <= -1.0:
         raise VenttselError(f"sigma={sigma} <= -1: weight not integrable")
-    H = recovered_hessian(u)
-    frob2 = np.einsum("tdc,tdc->t", H, H)
+    frob2 = np.empty(u.mesh.n_triangles)
+    for t, H in _recovered_hessian_chunks(u):
+        frob2[t] = np.einsum("tdc,tdc->t", H, H)
     total = sum(
         float(np.sum(g.w * frob2[g.elems, None])) for g in _weighted_rule(u.mesh, sigma, _LAYERS)
     )

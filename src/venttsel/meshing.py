@@ -6,7 +6,10 @@ toward each corner for q > 1), Delaunay-triangulates boundary plus interior
 seed points, enforces every boundary sub-segment as a mesh edge by midpoint
 splitting, culls triangles outside the polygon, and then inserts circumcenters
 (Ruppert style) until a 20-degree minimum-angle floor and the local size rule
-hold.
+hold. Each pass calls qhull on all points once; it reads the boundary
+sub-segments off the simplices, and gathers the triangles' vertex coordinates
+and centroids once for the cull, the orientation, the tiling check and the
+quality marks. The Mesh is built once, from the last pass.
 
 The interior seeds lie on an equilateral lattice of spacing h. For q = 1 the
 first pass does not call qhull on all points: the lattice triangles at seeds
@@ -213,11 +216,9 @@ def _edge_lengths(verts: np.ndarray) -> np.ndarray:
 def _min_angles(lengths: np.ndarray) -> np.ndarray:
     """Smallest interior angle (radians) of each triangle from its (T, 3) edge lengths."""
     c, a, b = lengths.T
-    angs = []
-    for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b)):
-        cosv = np.clip((e1**2 + e2**2 - opp**2) / (2 * e1 * e2), -1.0, 1.0)
-        angs.append(np.arccos(cosv))
-    return np.min(np.column_stack(angs), axis=1)
+    # the smallest angle has the largest cosine: clip and arccos are monotone
+    cosv = [(e1**2 + e2**2 - opp**2) / (2 * e1 * e2) for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b))]
+    return np.arccos(np.clip(np.maximum(np.maximum(cosv[0], cosv[1]), cosv[2]), -1.0, 1.0))
 
 
 def _edge_codes(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -317,18 +318,16 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
             return mesh
     scale = max(1.0, float(np.abs(polygon.vertices).max()))
 
-    mesh = None
+    last = None
     clean = False
     for _ in range(_MAX_PASSES):
         bpts = _boundary_points(polygon, side_offsets)
         B = len(bpts)
         pts = np.vstack([bpts, interior]) if len(interior) else bpts
-        N = len(pts)
 
         tri = Delaunay(pts)
         simp = tri.simplices
-        codes = _edges(simp, N)[1]
-        present = np.isin(_edge_codes(_cycle_pairs(B), N), codes)
+        present = _cycle_edges_present(simp, B)
         if not present.all():
             # split every missing boundary sub-segment at its arc midpoint
             missing = np.nonzero(~present)[0]
@@ -340,13 +339,12 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
                 side_offsets[s] = np.insert(offs, i + 1, 0.5 * (offs[i] + offs[i + 1]))
             continue
 
-        simp = _cull_and_orient(polygon, pts, simp)
-        verts = pts[simp]
-        mesh = _new_mesh(polygon, pts, simp, B)
-        if abs(mesh.areas.sum() - polygon.area) > 1e-9 * polygon.area:
+        simp, verts, cent, areas = _cull_and_orient(polygon, simp, pts[simp])
+        if abs(areas.sum() - polygon.area) > 1e-9 * polygon.area:
             raise MeshError("culled triangulation does not tile the polygon")
+        last = (pts, simp, B)
 
-        bad = _quality_marks(polygon, h, q, verts)
+        bad = _quality_marks(polygon, h, q, verts, cent)
         if not bad.any():
             clean = True
             break
@@ -361,8 +359,9 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
         if len(new_pts):
             interior = np.vstack([interior, new_pts]) if len(interior) else new_pts
 
-    if mesh is None:
+    if last is None:
         raise MeshError("triangulation failed to produce a mesh")
+    mesh = _new_mesh(polygon, *last)
     if not clean:
         warnings.warn(
             f"mesh refinement budget exhausted (min angle {mesh.min_angle_deg():.2f} deg)",
@@ -414,11 +413,11 @@ def _lattice_mesh(polygon, h, bpts, seeds, grid, depth):
     if np.any(np.linalg.norm(cc[t] - cc[nb[t, e]], axis=1) <= 1e-9 * radius[t]):
         return None
     simp = simp[kept]
-    if not np.isin(_edge_codes(_cycle_pairs(B), len(pts)), _edges(simp, len(pts))[1]).all():
+    if not _cycle_edges_present(simp, B).all():
         return None
-    simp = _cull_and_orient(polygon, pts, simp)
+    simp, verts, cent, _ = _cull_and_orient(polygon, simp, pts[simp])
     # lattice triangles are equilateral with side h, so only the band's are marked
-    if _quality_marks(polygon, h, 1.0, pts[simp]).any():
+    if _quality_marks(polygon, h, 1.0, verts, cent).any():
         return None
     mesh = _new_mesh(polygon, pts, np.concatenate([simp, lattice]), B)
     if abs(mesh.areas.sum() - polygon.area) > 1e-9 * polygon.area:
@@ -447,27 +446,43 @@ def _boundary_points(polygon: Polygon, side_offsets) -> np.ndarray:
     return np.vstack([polygon.boundary_point(s, side_offsets[s][:-1]) for s in range(polygon.n_sides)])
 
 
-def _cycle_pairs(B: int) -> np.ndarray:
-    """The (B, 2) boundary sub-segments (k, k + 1 mod B) of the first B nodes."""
-    k = np.arange(B)
-    return np.column_stack([k, (k + 1) % B])
+def _cycle_edges_present(simp: np.ndarray, B: int) -> np.ndarray:
+    """(B,) whether each boundary sub-segment (k, k + 1 mod B) of the first B
+    nodes is an edge of one of the (T, 3) triangles."""
+    present = np.zeros(B, dtype=bool)
+    a, b = simp.ravel(), simp[:, [1, 2, 0]].ravel()
+    present[a[(a < B) & (b == (a + 1) % B)]] = True
+    present[b[(b < B) & (a == (b + 1) % B)]] = True
+    return present
 
 
-def _cull_and_orient(polygon: Polygon, pts: np.ndarray, simp: np.ndarray) -> np.ndarray:
-    """The triangles whose centroid is inside the polygon, made counterclockwise."""
-    simp = simp[polygon.contains_points(pts[simp].mean(axis=1))]
-    verts = pts[simp]
+def _cull_and_orient(polygon: Polygon, simp: np.ndarray, verts: np.ndarray):
+    """The triangles whose centroid is inside the polygon, made counterclockwise.
+
+    Takes the (T, 3) triangles and their (T, 3, 2) vertex coordinates. Returns
+    the kept triangles, their vertex coordinates and centroids (both in the
+    counterclockwise order) and their areas.
+    """
+    cent = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
+    inside = polygon.contains_points(cent)
+    simp, verts, cent = simp[inside], verts[inside], cent[inside]
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    flip = cross < 0
     simp[flip] = simp[flip][:, [0, 2, 1]]
-    return simp
+    verts[flip] = verts[flip][:, [0, 2, 1]]
+    # the sum of the reordered vertices can round differently
+    cent[flip] = (verts[flip, 0] + verts[flip, 1] + verts[flip, 2]) / 3.0
+    # swapping two vertices negates the cross product exactly
+    return simp, verts, cent, 0.5 * np.abs(cross)
 
 
-def _quality_marks(polygon: Polygon, h: float, q: float, verts: np.ndarray) -> np.ndarray:
-    """Triangles below the minimum-angle floor or above the local size rule."""
+def _quality_marks(polygon: Polygon, h: float, q: float, verts: np.ndarray, cent: np.ndarray) -> np.ndarray:
+    """Triangles below the minimum-angle floor or above the local size rule,
+    from their (T, 3, 2) vertex coordinates and (T, 2) centroids."""
     lengths = _edge_lengths(verts)
-    target = _SIZE_FACTOR * _local_size(polygon, h, q, verts.mean(axis=1))
+    target = _SIZE_FACTOR * _local_size(polygon, h, q, cent)
     return (_min_angles(lengths) < math.radians(_MIN_ANGLE_DEG) - 1e-12) | (lengths.max(axis=1) > target)
 
 
@@ -529,10 +544,9 @@ def _process_candidates(polygon, side_offsets, pts, cc, h, q, scale):
     cand = cand[:4000]
     sizes = _local_size(polygon, h, q, cand)
     neigh = cKDTree(cand).query_ball_point(cand, r=0.3 * sizes)
-    keep = np.zeros(len(cand), dtype=bool)
+    keep = [False] * len(cand)
     for i, nb in enumerate(neigh):
-        if not any(keep[j] for j in nb if j != i):
-            keep[i] = True
+        keep[i] = not any(keep[j] for j in nb)
     cand = cand[keep]
     d_exist, _ = cKDTree(pts).query(cand, k=1)
     return cand[d_exist > 1e-10 * scale], split_any

@@ -91,6 +91,29 @@ def evaluate_gradient(u: NodalField, pts: np.ndarray) -> np.ndarray:
     return np.einsum("pkd,pk->pd", g[tris], u.values[u.mesh.triangles[tris]])
 
 
+def _evaluate_by_centroid(u: NodalField, cent: np.ndarray, pts: np.ndarray):
+    """Values of a P1 field at the (T, k, 2) points of T triangles of another
+    mesh, and its gradient at their (T, 2) centroids, with one point location
+    per triangle.
+
+    Each centroid is located in u's mesh, and each point is tested first
+    against the triangle that holds its centroid; only the points outside it
+    are located on their own. Returns the (T, k) values and (T, 2) gradients.
+    """
+    mesh = u.mesh
+    tri_c, _ = locate_points(mesh, cent)
+    tris = np.repeat(tri_c, pts.shape[1])
+    flat = pts.reshape(-1, 2)
+    lam = _bary(mesh, tris, flat)
+    miss = np.flatnonzero(lam.min(axis=1) < -_BARY_TOL)
+    if len(miss):
+        tris[miss], lam[miss] = locate_points(mesh, flat[miss])
+    vals = np.einsum("pk,pk->p", lam, u.values[mesh.triangles[tris]]).reshape(pts.shape[:2])
+    g = _p1_gradients(mesh)
+    grads = np.einsum("pkd,pk->pd", g[tri_c], u.values[mesh.triangles[tri_c]])
+    return vals, grads
+
+
 def boundary_interp(bm: BoundaryMesh, vals_b: np.ndarray, arc: np.ndarray):
     """Boundary trace and its arc derivative at arbitrary arc coordinates.
 

@@ -44,7 +44,7 @@ from .quadrature import (
     tri_rule,
 )
 from .solver import solve, stability_ratio
-from .transfer import boundary_interp, evaluate_field, evaluate_gradient
+from .transfer import _evaluate_by_centroid, boundary_interp
 
 __all__ = [
     "theta_pointwise_oracle",
@@ -1030,8 +1030,10 @@ def errors_vs_exact(u: NodalField, problem: ManufacturedProblem):
 
 def errors_vs_reference(u: NodalField, ref: NodalField):
     """Quadrature (on the reference mesh) of the difference to a finer solution;
-    the bulk sums run over the reference mesh's triangle chunks, and each
-    chunk's points are located in u's mesh on their own."""
+    the bulk sums run over the reference mesh's triangle chunks. Each chunk's
+    centroids are located in u's mesh once, and give the gradient term; a
+    quadrature point is located on its own only when it lies outside the
+    triangle that holds its centroid."""
     rmesh = ref.mesh
     lam, _ = tri_rule(2)
     grads = _p1_gradients(rmesh)
@@ -1040,9 +1042,9 @@ def errors_vs_reference(u: NodalField, ref: NodalField):
         pts, w = tri_points_weights(rmesh.tri_verts[t], 2)
         vals = ref.values[rmesh.triangles[t]]
         uref = np.einsum("kl,tl->tk", lam, vals)
-        uh = evaluate_field(u, pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        uh, grad_h = _evaluate_by_centroid(u, rmesh.tri_verts[t].mean(axis=1), pts)
         sq_l2 += float(np.sum(w * (uh - uref) ** 2))
-        diff = np.einsum("tid,ti->td", grads[t], vals) - evaluate_gradient(u, rmesh.tri_verts[t].mean(axis=1))
+        diff = np.einsum("tid,ti->td", grads[t], vals) - grad_h
         sq_h1 += float(np.sum(rmesh.areas[t] * np.einsum("td,td->t", diff, diff)))
     err_l2 = math.sqrt(max(0.0, sq_l2))
     err_h1 = math.sqrt(max(0.0, sq_h1))

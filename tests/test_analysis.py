@@ -19,7 +19,7 @@ from venttsel.analysis import (
     weighted_hessian_diagnostic,
     weighted_l2,
 )
-from venttsel.assembly import NodalField, assemble_system, nonlocal_matrix
+from venttsel.assembly import NodalField, _p1_gradients, assemble_system, nonlocal_matrix
 from venttsel.errors import VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, refine, triangulate
@@ -113,7 +113,7 @@ def test_weighted_l2_integrability_guards(square_mesh, monkeypatch):
     with pytest.raises(VenttselError):
         weighted_l2(one, -0.5, "boundary")
     # rejected before the recovered Hessian is computed
-    monkeypatch.setattr(analysis, "recovered_hessian", None)
+    monkeypatch.setattr(analysis, "_recovered_hessian_chunks", None)
     with pytest.raises(VenttselError):
         weighted_hessian_diagnostic(one, -1.0)
 
@@ -209,6 +209,18 @@ def test_norm_report_traced_peak(lshape):
     assert mesh.n_nodes == 14318
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
     assert traced_peak(lambda: norm_report(u, theta=system.Theta, sigma=5.0 / 12.0)) <= 8e6
+
+
+def test_hessian_diagnostic_traced_peak(lshape):
+    # at N = 14,318 the recovered Hessian is built per triangle chunk and kept
+    # only as its squared Frobenius norm; the whole-mesh (T, 2, 2) Hessian and
+    # (3T, 2) nodal-sum inputs traced 3.3 MB
+    mesh = triangulate(lshape, 1.0 / 64.0)
+    assert mesh.n_nodes == 14318
+    u = NodalField(np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1] ** 2, mesh)
+    weighted_l2(u, 5.0 / 12.0, "bulk")  # builds and caches the weighted rule
+    _p1_gradients(mesh)
+    assert traced_peak(lambda: weighted_hessian_diagnostic(u, 5.0 / 12.0)) <= 1.2e6
 
 
 def test_bulk_norms_independent_of_triangle_chunks(lshape, monkeypatch):

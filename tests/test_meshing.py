@@ -385,3 +385,102 @@ def test_uniform_mesh_scales_with_polygon(shape, request):
             assert m_t.nodes.shape == m.nodes.shape
             assert np.array_equal(_canonical(m_t.triangles), _canonical(m.triangles))
             assert np.abs(m_t.nodes - t * m.nodes).max() <= 1e-15 * t
+
+
+@pytest.mark.parametrize(
+    "h, n_nodes, n_triangles, n_boundary, sum_x, sum_y, sum_xy",
+    [
+        (0.5, 38, 46, 28, 34.92159912928645, 36.07798943422706, 27.41236045092524),
+        (0.25, 137, 203, 69, 129.89168608740206, 128.80857036405064, 104.35198346032305),
+        (0.125, 412, 694, 128, 367.9320250789785, 366.13399774530996, 276.99835458354835),
+        (1 / 32, 5468, 10405, 529, 4837.131182468724, 4848.2461717762835, 3643.120379304278),
+    ],
+)
+def test_graded_lshape_meshes_pinned(lshape, h, n_nodes, n_triangles, n_boundary, sum_x, sum_y, sum_xy):
+    # the graded L-shape of the convergence studies, q = 1/(1 - 0.42): the
+    # Ruppert passes take circumcentres in qhull's simplex order, so these
+    # meshes move under edits that change that order or the candidate rules
+    m = triangulate(lshape, h, 1.0 / (1.0 - 0.42))
+    assert (m.n_nodes, m.n_triangles, int(m.boundary_node_flags.sum())) == (n_nodes, n_triangles, n_boundary)
+    x, y = m.nodes.T
+    assert np.allclose([x.sum(), y.sum(), (x * y).sum()], [sum_x, sum_y, sum_xy], rtol=1e-12, atol=0.0)
+
+
+def _min_angles_each(lengths):
+    """The three angles by arccos each, then their minimum."""
+    c, a, b = lengths.T
+    angs = [
+        np.arccos(np.clip((e1**2 + e2**2 - opp**2) / (2 * e1 * e2), -1.0, 1.0))
+        for opp, e1, e2 in ((a, b, c), (b, c, a), (c, a, b))
+    ]
+    return np.min(np.column_stack(angs), axis=1)
+
+
+def test_min_angles_one_arccos_matches_three(rng):
+    random = rng.uniform(-1.0, 1.0, size=(200_000, 3, 2))
+    # near-degenerate: the third vertex within 1e-12 .. 1e-3 of the first edge's line
+    flat = rng.uniform(-1.0, 1.0, size=(100_000, 3, 2))
+    t = rng.uniform(-0.5, 1.5, size=100_000)
+    flat[:, 2] = flat[:, 0] + t[:, None] * (flat[:, 1] - flat[:, 0])
+    flat[:, 2, 1] += 10.0 ** rng.uniform(-12, -3, size=100_000) * rng.choice([-1, 1], size=100_000)
+    # isosceles, with an apex angle of 20 degrees up to 1e-13 radians: the floor's edge
+    ang = math.radians(20.0) + rng.integers(-10, 11, size=20_000) * 1e-14
+    leg = rng.uniform(0.5, 2.0, size=20_000)
+    floor = np.zeros((20_000, 3, 2))
+    floor[:, 1, 0] = leg
+    floor[:, 2] = leg[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    assert np.abs(meshing._min_angles(meshing._edge_lengths(floor)) - math.radians(20.0)).max() < 1e-12
+    # a zero-length edge gives NaN in both forms
+    zero = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+    for verts in (random, flat, floor, zero):
+        lengths = meshing._edge_lengths(verts)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(meshing._min_angles(lengths), _min_angles_each(lengths), equal_nan=True)
+
+
+def test_candidate_dedupe_keeps_first_in_input_order(lshape):
+    # each candidate drops when a kept one lies within its own radius, 0.3 times
+    # the local size at it; these sizes shrink toward the corner (1, 1)
+    h, q = 0.5, 3.0
+
+    def survivors(cand):
+        sides = [meshing._side_offsets(L, h, q) for L in lshape.side_lengths]
+        new, split = meshing._process_candidates(lshape, sides, lshape.vertices, np.array(cand), h, q, 2.0)
+        assert not split
+        return new.tolist()
+
+    a, b, c = [0.7, 0.7], [0.7, 0.72], [0.755, 0.755]
+    radius = 0.3 * meshing._local_size(lshape, h, q, np.array([a, b, c]))
+    assert 0.02 < radius.min()  # a and b lie within each other's radius
+    assert radius[2] < math.dist(a, c) < radius[0]  # c lies within a's radius only
+    assert survivors([a, b]) == [a]
+    assert survivors([b, a]) == [b]
+    assert survivors([a, c]) == [a, c]
+    assert survivors([c, a]) == [c]
+
+
+def _cycle_edges_by_codes(simp, B, n):
+    """The sub-segments (k, k + 1 mod B) found among the sorted edge codes."""
+    k = np.arange(B)
+    pairs = np.column_stack([k, (k + 1) % B])
+    return np.isin(meshing._edge_codes(pairs, n), meshing._edges(simp, n)[1])
+
+
+def test_cycle_edges_present_matches_edge_codes(lshape, rng):
+    m = triangulate(lshape, 0.25, 1.0 / (1.0 - 0.42))
+    B = int(m.boundary_node_flags.sum())
+    assert meshing._cycle_edges_present(m.triangles, B).all()
+    # drop the triangles on one boundary sub-segment: exactly that one is missing
+    k = B // 2
+    on_k = np.isin(m.triangles, [k, k + 1]).sum(axis=1) == 2
+    present = meshing._cycle_edges_present(m.triangles[~on_k], B)
+    assert np.flatnonzero(~present).tolist() == [k]
+    assert np.array_equal(present, _cycle_edges_by_codes(m.triangles[~on_k], B, m.n_nodes))
+    # random point sets whose first B points are a random cycle, and random index triples
+    for _ in range(50):
+        n, B = int(rng.integers(8, 60)), int(rng.integers(3, 8))
+        simp = Delaunay(rng.uniform(size=(n, 2))).simplices
+        present = meshing._cycle_edges_present(simp, B)
+        assert np.array_equal(present, _cycle_edges_by_codes(simp, B, n))
+        simp = rng.integers(0, 6, size=(int(rng.integers(1, 12)), 3))
+        assert np.array_equal(meshing._cycle_edges_present(simp, 5), _cycle_edges_by_codes(simp, 5, 6))

@@ -15,8 +15,9 @@ from venttsel.assembly import (
 from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
-from venttsel.quadrature import gauss_interval, graded_breakpoints
-from venttsel import assembly, meshing, verify
+from venttsel.transfer import evaluate_field, evaluate_gradient
+from venttsel.quadrature import gauss_interval, graded_breakpoints, tri_points_weights
+from venttsel import assembly, meshing, transfer, verify
 from venttsel.verify import (
     ConvergenceTable,
     EnergyLoadSource,
@@ -485,6 +486,44 @@ def test_reference_errors_independent_of_chunks(lshape, monkeypatch):
     monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 7)
     assert rmesh.n_triangles > 10 * 7
     assert np.allclose(verify.errors_vs_reference(u, ref), whole, rtol=1e-14, atol=0.0)
+
+
+def test_reference_errors_locate_once_per_triangle(lshape, monkeypatch):
+    # graded meshes are regenerated per level, so some quadrature points of a
+    # reference triangle lie outside the coarse triangle that holds its
+    # centroid; only those points are located on their own
+    q = 1.0 / (1.0 - 0.42)
+    mesh, rmesh = triangulate(lshape, 0.5, q), triangulate(lshape, 0.125, q)
+    u = NodalField(np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1] ** 2, mesh)
+    ref = NodalField(np.cos(2.0 * rmesh.nodes[:, 1]) * rmesh.nodes[:, 0], rmesh)
+    assert rmesh.n_triangles <= meshing._TRIANGLE_CHUNK
+
+    def located_each(u, cent, pts):
+        # every quadrature point and every centroid located on its own
+        return evaluate_field(u, pts.reshape(-1, 2)).reshape(pts.shape[:2]), evaluate_gradient(u, cent)
+
+    with monkeypatch.context() as each:
+        each.setattr(verify, "_evaluate_by_centroid", located_each)
+        expected = verify.errors_vs_reference(u, ref)
+
+    cent = rmesh.tri_verts.mean(axis=1)
+    pts = tri_points_weights(rmesh.tri_verts, 2)[0].reshape(-1, 2)
+    tri_c = transfer.locate_points(mesh, cent)[0]
+    lam = transfer._bary(mesh, np.repeat(tri_c, 3), pts)
+    misses = int(np.sum(lam.min(axis=1) < -transfer._BARY_TOL))
+    assert misses > 0
+
+    seen = []
+    locate = transfer.locate_points
+
+    def spy(m, p):
+        seen.append(len(p))
+        return locate(m, p)
+
+    monkeypatch.setattr(transfer, "locate_points", spy)
+    errors = verify.errors_vs_reference(u, ref)
+    assert seen == [rmesh.n_triangles, misses]
+    assert np.allclose(errors, expected, rtol=1e-13, atol=0.0)
 
 
 # --- assembly vs oracle on richer geometry ---------------------------------------
