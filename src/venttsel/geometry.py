@@ -131,10 +131,23 @@ class Polygon:
         xn, yn = np.roll(x, -1), np.roll(y, -1)
         return float(0.5 * np.sum(x * yn - xn * y))
 
-    def boundary_point(self, side: int, t: float | np.ndarray) -> np.ndarray:
-        """Point(s) on `side` at arc distance t from its start vertex."""
+    def boundary_point(self, side: int | np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """Point(s) on `side` at arc distance t from its start vertex.
+
+        `side` is one side index, or an index array that broadcasts with t
+        (each offset on its own side). The result has shape t.shape + (2,) and
+        is coordinate-major: the transpose of a (2, *t.shape) array, so for
+        1-D t each coordinate column is contiguous. Each coordinate is
+        start + t * tangent, the same bits as
+        side_starts[side] + np.multiply.outer(t, side_tangents[side]).
+        """
         t = np.asarray(t, dtype=float)
-        return self.side_starts[side] + np.multiply.outer(t, self.side_tangents[side])
+        p0, tan = self.side_starts[side], self.side_tangents[side]
+        out = np.empty((2, *np.broadcast(t, side).shape))
+        for d in range(2):
+            np.multiply(t, tan[..., d], out=out[d, ...])
+            out[d, ...] += p0[..., d]
+        return out.transpose(*range(1, out.ndim), 0)
 
     def locate_boundary_point(self, x):
         """Return (side index, arc offset from side start) of a boundary point x;

@@ -238,6 +238,8 @@ def _edges(triangles: np.ndarray, n: int):
 
 
 def _circumcenters(verts: np.ndarray):
+    """Circumcentres (T, 2) of triangles (T, 3, 2) and their circumradii (T,),
+    both non-finite for a triangle of three collinear points."""
     ax, ay = verts[:, 0, 0], verts[:, 0, 1]
     bx, by = verts[:, 1, 0], verts[:, 1, 1]
     cx, cy = verts[:, 2, 0], verts[:, 2, 1]
@@ -245,7 +247,8 @@ def _circumcenters(verts: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
         uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
-    return np.column_stack([ux, uy])
+        cc = np.column_stack([ux, uy])
+        return cc, np.linalg.norm(verts[:, 0] - cc, axis=1)
 
 
 def _hex_seeds(polygon: Polygon, h: float, q: float):
@@ -349,10 +352,10 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
             clean = True
             break
 
-        cc = _circumcenters(verts[bad])
-        cc = cc[np.isfinite(cc).all(axis=1)]
+        cc, radius = _circumcenters(verts[bad])
+        finite = np.isfinite(cc).all(axis=1)
         new_pts, split_any = _process_candidates(
-            polygon, side_offsets, pts, cc, h, q, scale
+            polygon, side_offsets, cc[finite], radius[finite], h, q, scale
         )
         if not len(new_pts) and not split_any:
             break  # nothing insertable: accept the mesh as is
@@ -397,8 +400,7 @@ def _lattice_mesh(polygon, h, bpts, seeds, grid, depth):
     band = np.concatenate([np.arange(B), B + np.flatnonzero(~deep)]).astype(np.int32)
     tri = Delaunay(pts[band])
     simp = band[tri.simplices]
-    cc = _circumcenters(pts[simp])
-    radius = np.linalg.norm(pts[simp[:, 0]] - cc, axis=1)
+    cc, radius = _circumcenters(pts[simp])
     # a triangle of three collinear points has no finite circumcentre and is
     # no Delaunay triangle
     kept = np.isfinite(radius)
@@ -492,13 +494,16 @@ def _new_mesh(polygon: Polygon, pts: np.ndarray, simp: np.ndarray, B: int) -> Me
     return Mesh(nodes=pts, triangles=simp, boundary_node_flags=flags, polygon=polygon)
 
 
-def _process_candidates(polygon, side_offsets, pts, cc, h, q, scale):
+def _process_candidates(polygon, side_offsets, cc, radius, h, q, scale):
     """Ruppert rule over all circumcenter candidates at once.
 
     A candidate inside the diametral circle of its nearest boundary
     sub-segment (or outside the polygon) splits that sub-segment; the rest are
     inserted as interior points after mutual and against-existing dedupe.
-    Fixed candidate order keeps the result deterministic.
+    A Delaunay triangle's circumdisk holds no point, so a candidate's nearest
+    existing point lies at its circumradius `radius`; a candidate is dropped
+    when that is within 1e-10 * scale. Fixed candidate order keeps the result
+    deterministic.
     """
     if not len(cc):
         return np.zeros((0, 2)), False
@@ -536,20 +541,18 @@ def _process_candidates(polygon, side_offsets, pts, cc, h, q, scale):
                 split_any = True
         side_offsets[s] = offs
 
-    cand = cc[inside & ~encroach]
+    free = inside & ~encroach
+    cand, radius = cc[free][:4000], radius[free][:4000]
     if not len(cand):
         return np.zeros((0, 2)), split_any
     # mutual dedupe at 0.3 * local size, greedy in fixed order (KDTree radius
     # queries keep this O(n log n) even for thousands of candidates)
-    cand = cand[:4000]
     sizes = _local_size(polygon, h, q, cand)
     neigh = cKDTree(cand).query_ball_point(cand, r=0.3 * sizes)
     keep = [False] * len(cand)
     for i, nb in enumerate(neigh):
         keep[i] = not any(keep[j] for j in nb)
-    cand = cand[keep]
-    d_exist, _ = cKDTree(pts).query(cand, k=1)
-    return cand[d_exist > 1e-10 * scale], split_any
+    return cand[np.array(keep) & (radius > 1e-10 * scale)], split_any
 
 
 # --- boundary extraction ------------------------------------------------------

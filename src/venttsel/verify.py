@@ -9,7 +9,9 @@ no formula with the assembly path it checks.
 """
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -64,6 +66,8 @@ __all__ = [
     "CONVERGENCE_CSV_HEADER",
 ]
 
+log = logging.getLogger("venttsel")
+
 
 # --- pointwise oracle -----------------------------------------------------------
 
@@ -82,19 +86,19 @@ def _numeric_tangential_derivative(trace, polygon, side, t):
     h = 1e-5 * L
     center = np.where(np.minimum(t, L - t) < 2 * h, np.clip(t, 2 * h, L - 2 * h), t)
     ts = center[:, None] + h[:, None] * np.array([-2.0, -1.0, 1.0, 2.0])
-    y = polygon.side_starts[side][:, None, :] + (
-        ts[:, :, None] * polygon.side_tangents[side][:, None, :]
-    )
-    vals = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
+    y = polygon.boundary_point(np.repeat(side, ts.shape[1]), ts.ravel())
+    vals = np.asarray(trace(y), dtype=float).reshape(ts.shape)
     return (vals[:, 0] - 8 * vals[:, 1] + 8 * vals[:, 2] - vals[:, 3]) / (12 * h)
 
 
 @lru_cache(maxsize=None)
-def _graded_panels(L: float, k: int) -> np.ndarray:
-    """Breakpoints on [0, L] graded toward both ends with k layers each."""
+def _graded_rule(L: float, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-n Gauss nodes and weights, (panels, n) each, on the panels of
+    [0, L] graded toward both ends with k layers each."""
     brk = graded_breakpoints(0.0, L, (0.0, L), k)
-    brk.flags.writeable = False
-    return brk
+    ts, ws = gauss_interval(brk[:-1], brk[1:], n)
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
 
 
 def _chunks(rows: np.ndarray, nodes: int):
@@ -104,13 +108,14 @@ def _chunks(rows: np.ndarray, nodes: int):
 
 
 def _row_sums(panels: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """Per-row sums of flat panel values, row r owning the next kk[r] of them
-    (kk ascending); the rows of one k reduce as one (rows, k) block."""
-    sums = np.empty(len(kk))
+    """Per-row sums of flat panel values (m, P), row r owning the next kk[r]
+    of them (kk ascending); the rows of one k reduce as one (m, rows, k) block."""
+    m = len(panels)
+    sums = np.empty((m, len(kk)))
     ks, lo = np.unique(kk, return_index=True)
     start = 0
     for k, a, b in zip(ks, lo, [*lo[1:], len(kk)]):
-        sums[a:b] = panels[start : start + (b - a) * k].reshape(b - a, k).sum(axis=1)
+        sums[:, a:b] = panels[:, start : start + (b - a) * k].reshape(m, b - a, k).sum(axis=2)
         start += (b - a) * k
     return sums
 
@@ -146,11 +151,9 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
     eps_corner = 1e-12 * np.maximum(1.0, L_x)
     for j in range(polygon.n_sides):
         L = polygon.side_lengths[j]
-        p0 = polygon.side_starts[j]
-        tan = polygon.side_tangents[j]
 
         # x's arc offset along side j: its own side, or (retry) a corner of j
-        d_start = np.linalg.norm(x - p0, axis=1)
+        d_start = np.linalg.norm(x - polygon.side_starts[j], axis=1)
         d_end = np.linalg.norm(x - polygon.side_ends[j], axis=1)
         on_j = side == j
         if retry:
@@ -164,17 +167,22 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
         k_end = np.minimum(layers, np.maximum(10, k_end))
         for k in np.unique(k_end).astype(int):
             g = other[k_end == k]
-            brk = _graded_panels(L, k)
             for m, n in enumerate(orders):
-                ts, ws = gauss_interval(brk[:-1], brk[1:], n)
-                y = p0 + ts.reshape(-1, 1) * tan
+                ts, ws = _graded_rule(L, k, n)
+                y = polygon.boundary_point(j, ts.ravel())
                 uy = np.asarray(trace(y), dtype=float)
                 for c in _chunks(g, ts.size):
-                    dx = y[:, 0] - x[c, 0:1]
-                    dy = y[:, 1] - x[c, 1:2]
-                    d2 = dx * dx + dy * dy
-                    f = (ux[c, None] - uy) * d2 ** (expo / 2.0)
-                    totals[m, c] += (f.reshape(len(c), *ts.shape) * ws).sum(axis=2).sum(axis=1)
+                    # (u(x) - u(y)) |x - y|^expo w, built in place in two
+                    # (rows, nodes) arrays
+                    f = np.subtract.outer(x[c, 0], y[:, 0])
+                    f *= f
+                    tmp = np.subtract.outer(x[c, 1], y[:, 1])
+                    tmp *= tmp
+                    f += tmp
+                    f **= expo / 2.0
+                    f *= np.subtract.outer(ux[c], uy, out=tmp)
+                    f *= ws.ravel()
+                    totals[m, c] += f.reshape(len(c), *ts.shape).sum(axis=2).sum(axis=1)
 
         # own side: subtract the tangential linearization (slope 0 at a corner)
         own = np.flatnonzero(on_j)
@@ -209,14 +217,20 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
                 oa = length[sel][row] * scale[ia]
                 ob = length[sel][row] * scale[ib]
                 a, b = (tg - oa, tg - ob) if left else (tg + oa, tg + ob)
-                sums = []
-                for n in orders:
+                ux_row, slope_row = ux[g][row, None], slope[g][row, None]
+                sums = np.empty((2, len(row)))
+                for m, n in enumerate(orders):
                     ts, ws = gauss_interval(a, b, n)
-                    y = p0 + ts[..., None] * tan
-                    uy = np.asarray(trace(y.reshape(-1, 2)), dtype=float).reshape(ts.shape)
+                    uy = np.asarray(trace(polygon.boundary_point(j, ts.ravel())), dtype=float)
                     dt = ts - tg[:, None]
-                    f = (ux[g][row, None] - uy + slope[g][row, None] * dt) * np.abs(dt) ** expo
-                    sums.append((f * ws).sum(axis=1))
+                    # (u(x) - u(y) + slope dt) |dt|^expo w, in place
+                    f = ux_row - uy.reshape(ts.shape)
+                    f += slope_row * dt
+                    np.abs(dt, out=dt)
+                    dt **= expo
+                    f *= dt
+                    f *= ws
+                    f.sum(axis=1, out=sums[m])
                 # close the dropped geometric tail with a two-term fit at the
                 # theoretical ratios; the one-term value bounds its error
                 hi = sums[0]
@@ -229,9 +243,8 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
                 Y = p_last - X
                 tail2 = X * r1 / (1.0 - r1) + Y * r2 / (1.0 - r2)
                 tail1 = p_last * r1 / (1.0 - r1)
-                for m in range(2):
-                    totals[m, g] += _row_sums(sums[m], kk)
-                    totals[m, g] += tail2
+                totals[:, g] += _row_sums(sums, kk)
+                totals[:, g] += tail2
                 # |tail2 - tail1| is the first-order tail correction; the
                 # two-term residual is another order down
                 err_extra[g] += 0.2 * np.abs(tail2 - tail1) + 1e-15 * (1.0 + np.abs(tail2))
@@ -269,23 +282,27 @@ def theta_pointwise_oracle(
     adjacent sides are integrated like its own side.
 
     x is one boundary point or an array of points (P, 2); the trace must
-    accept (M, 2) arrays. tangential_derivative (the trace's derivative along
-    the side at x; numeric differences when None) is a scalar or one value per
-    point. Returns a float, or P values, to match x, with the error estimates
+    accept (M, 2) arrays, and every array it gets is coordinate-major (each
+    coordinate column contiguous, as Polygon.boundary_point builds them).
+    tangential_derivative (the trace's derivative along the side at x;
+    numeric differences when None) is a scalar or one value per point. Returns a float, or P values, to match x, with the error estimates
     when return_error. Each stage of _ORACLE_STAGES is one _oracle_pass over
     all points still to do, with the work grouped by panel layout across the
     call and run in chunks of _ORACLE_CHUNK elements; a value is bitwise
-    independent of the other points of the call.
+    independent of the other points of the call. Each call writes one DEBUG
+    line to the `venttsel` logger: the points, the points retried, the worst
+    err / (1 + |value|) and the seconds.
 
     Preconditions: the trace is Lipschitz near x for s < 1/2 and C1 along the
     boundary near x for s >= 1/2; for s >= 1/2, x must not be a corner.
     """
     if not 0.0 < s < 1.0:
         raise OracleError(f"s={s} outside (0, 1)")
+    start = time.perf_counter()
     x = np.asarray(x, dtype=float)
-    # contiguous rows: a strided input can take another ufunc loop and move the
-    # last bit of a value with the layout of the call
-    pts = np.ascontiguousarray(np.atleast_2d(x))
+    # coordinate-major, as boundary_point builds the quadrature points: every
+    # trace call reads contiguous coordinate columns, whatever the layout of x
+    pts = np.asfortranarray(np.atleast_2d(x))
     side, t = polygon.locate_boundary_point(pts)
     L_x = polygon.side_lengths[side]
     eps_corner = 1e-12 * np.maximum(1.0, L_x)
@@ -305,6 +322,7 @@ def theta_pointwise_oracle(
     value = np.empty(len(pts))
     err = np.empty(len(pts))
     todo = np.arange(len(pts))
+    retried = 0
     for stage, (order, layers) in enumerate(_ORACLE_STAGES):
         value[todo], err[todo] = _oracle_pass(
             polygon, trace, s, order, layers, pts[todo], side[todo], t[todo],
@@ -314,11 +332,17 @@ def theta_pointwise_oracle(
         todo = np.flatnonzero(~(err <= tol * (1.0 + np.abs(value))))
         if todo.size == 0:
             break
+        retried = todo.size
     else:
         i = todo[0]
         raise OracleError(
             f"pointwise oracle error estimate {err[i]:.3e} exceeds tol at x={pts[i]}"
         )
+    log.debug(
+        "pointwise oracle s=%g tol=%.1e: points=%d retried=%d worst_err=%.3e %.3fs",
+        s, tol, len(pts), retried,
+        np.max(err / (1.0 + np.abs(value)), initial=0.0), time.perf_counter() - start,
+    )
     if x.ndim == 1:
         value, err = float(value[0]), float(err[0])
     return (value, err) if return_error else value
@@ -532,17 +556,12 @@ class ManufacturedProblem:
         nu = poly.side_normals[side_ids]
         H = np.asarray(self.hess_u(pts), dtype=float)
         lap_ell = np.einsum("pd,pdc,pc->p", tau, H, tau)
-        dn = np.einsum("pd,pd->p", nu, np.asarray(self.grad_u(pts), dtype=float))
+        grad = np.asarray(self.grad_u(pts), dtype=float)
+        dn = np.einsum("pd,pd->p", nu, grad)
         bu = self.b_per_side()[side_ids] * self.trace(pts)
         theta = theta_pointwise_oracle(
-            poly,
-            self.trace,
-            pts,
-            self.s,
-            tol,
-            tangential_derivative=np.einsum(
-                "pd,pd->p", np.asarray(self.grad_u(pts), dtype=float), tau
-            ),
+            poly, self.trace, pts, self.s, tol,
+            tangential_derivative=np.einsum("pd,pd->p", grad, tau),
         )
         return -lap_ell + dn + bu + theta
 
@@ -738,23 +757,25 @@ def _substitution_power(s: float) -> int:
 
 
 def _stable_diff(problem, x1, x2):
-    """u(x1) - u(x2), switching to the analytic midpoint-gradient form when the
-    separation nears roundoff (avoids catastrophic cancellation against the
-    singular kernel)."""
-    shape = x1.shape[:-1]
-    f1 = x1.reshape(-1, 2)
-    f2 = x2.reshape(-1, 2)
+    """u(x1) - u(x2) of coordinate-major points x1, x2 of shape (2, ...),
+    switching to the analytic midpoint-gradient form when the separation nears
+    roundoff (avoids catastrophic cancellation against the singular kernel).
+    The trace reads them as (points, 2) arrays with contiguous columns."""
+    shape = x1.shape[1:]
+    f1 = x1.reshape(2, -1).T
+    f2 = x2.reshape(2, -1).T
     du = np.asarray(problem.u(f1), dtype=float) - np.asarray(problem.u(f2), dtype=float)
-    delta = f1 - f2
-    # row norms written out: the same bits as np.linalg.norm(axis=1), which
-    # takes five times as long on these (points, 2) arrays
-    sep = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
+    delta = (x1 - x2).reshape(2, -1)
+    # norms written out: the same bits as np.linalg.norm(axis=1) of the
+    # (points, 2) rows, which takes five times as long
+    sep = np.sqrt(delta[0] ** 2 + delta[1] ** 2)
     scale = 1.0 + np.sqrt(f1[:, 0] ** 2 + f1[:, 1] ** 2)
     close = sep < 1e-5 * scale
     if np.any(close):
         mid = 0.5 * (f1[close] + f2[close])
         g = np.asarray(problem.grad_u(mid), dtype=float)
-        du[close] = np.einsum("pd,pd->p", g, delta[close])
+        # contiguous (points, 2) rows: einsum may pick its inner loop by layout
+        du[close] = np.einsum("pd,pd->p", g, np.ascontiguousarray(delta[:, close].T))
     return du.reshape(shape)
 
 
@@ -825,10 +846,10 @@ def _identical_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) ->
     t_grid = bm.lengths[k][:, None, None] * x[None, :, None]  # (K, n, 1)
     v_grid = x[None, None, :]
     tv = t_grid * v_grid  # (K, n, n) arc separation
-    x1 = bm.segment_starts[k][:, None, None, :] + (t_grid * np.ones_like(v_grid))[
-        ..., None
-    ] * bm.tangents[k][:, None, None, :]
-    x2 = x1 - tv[..., None] * bm.tangents[k][:, None, None, :]
+    # coordinate-major points (2, K, n, n)
+    tan = bm.tangents[k].T[:, :, None, None]
+    x1 = bm.segment_starts[k].T[:, :, None, None] + (t_grid * np.ones_like(v_grid)) * tan
+    x2 = x1 - tv * tan
     du = _stable_diff(problem, x1, x2)
     integ = du * tv ** (-2.0 * s) * t_grid
     return 2.0 * bm.lengths[k] * np.einsum("i,j,sij->s", w, w, integ)
@@ -841,9 +862,10 @@ def _adjacent_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> 
     La = bm.lengths[k][:, None, None]
     Lb = bm.lengths[kn][:, None, None]
     cos = np.einsum("kd,kd->k", bm.tangents[k], bm.tangents[kn])[:, None, None]
-    P = bm.mesh.nodes[bm.boundary_nodes[kn]][:, None, None, :]
-    ea = -bm.tangents[k][:, None, None, :]
-    eb = bm.tangents[kn][:, None, None, :]
+    # coordinate-major (2, K, 1, 1): the Duffy points are (2, K, n, n)
+    P = bm.mesh.nodes[bm.boundary_nodes[kn]].T[:, :, None, None]
+    ea = -bm.tangents[k].T[:, :, None, None]
+    eb = bm.tangents[kn].T[:, :, None, None]
     U = x[None, :, None]  # (1, n, 1)
     V = x[None, None, :]  # (1, 1, n)
 
@@ -851,8 +873,8 @@ def _adjacent_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> 
         a, b = La * xi_over_u, Lb * eta_over_u  # (K, 1, n) with U = 1
         # the radial scale |x-y| / U = |a ea - b eb| depends on V alone
         g = np.sqrt(a * a + b * b + 2.0 * a * b * cos)
-        xpts = P + (a * U)[..., None] * ea
-        ypts = P + (b * U)[..., None] * eb
+        xpts = P + (a * U) * ea
+        ypts = P + (b * U) * eb
         du_ = _stable_diff(problem, xpts, ypts)
         base = (
             (La[:, 0, 0] * Lb[:, 0, 0])[:, None, None]
@@ -958,15 +980,13 @@ def manufactured_g_l2(problem: ManufacturedProblem) -> float:
         L = poly.side_lengths[side]
         brk = graded_breakpoints(0.0, L, (0.0, L), 12)
         rules.append(gauss_interval(brk[:-1], brk[1:], 6))
-    sides = range(poly.n_sides)
     # one oracle call over the points of all sides
-    gvs = problem.boundary_g_values(
-        np.concatenate([poly.boundary_point(side, rules[side][0].ravel()) for side in sides]),
-        np.concatenate([np.full(rules[side][0].size, side) for side in sides]),
-        tol=1e-6,
-    )
+    sizes = [ts.size for ts, _ in rules]
+    sides = np.repeat(np.arange(poly.n_sides), sizes)
+    offsets = np.concatenate([ts.ravel() for ts, _ in rules])
+    gvs = problem.boundary_g_values(poly.boundary_point(sides, offsets), sides, tol=1e-6)
     total = 0.0
-    for (ts, ws), gv in zip(rules, np.split(gvs, np.cumsum([ts.size for ts, _ in rules])[:-1])):
+    for (ts, ws), gv in zip(rules, np.split(gvs, np.cumsum(sizes)[:-1])):
         panel_vals = list(np.sum(ws * gv.reshape(ts.shape) ** 2, axis=1))
         total += sum(panel_vals)
         # geometric tails at both corners

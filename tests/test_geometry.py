@@ -140,3 +140,26 @@ def test_cusp_rejected():
     # spike whose tip angle collapses to zero
     with pytest.raises(GeometryError):
         build_polygon([(0, 0), (1, 0), (1e-16, 1e-8), (0, 1)])
+
+
+def test_boundary_point_coordinate_major(lshape):
+    # the same bits as start + outer(t, tangent) for scalar, 1-D and 2-D
+    # offsets, on the L-shape and on a slanted polygon; with 1-D offsets each
+    # coordinate column is contiguous
+    slanted = build_polygon([(0, 5), (1, 0), (5, 2), (4, 3)])
+    rng = np.random.default_rng(3)
+    for poly in (lshape, slanted):
+        for k in range(poly.n_sides):
+            L = poly.side_lengths[k]
+            for t in (0.37 * L, rng.uniform(0.0, L, 23), rng.uniform(0.0, L, (5, 7))):
+                got = poly.boundary_point(k, t)
+                ref = poly.side_starts[k] + np.multiply.outer(t, poly.side_tangents[k])
+                assert got.shape == ref.shape and np.array_equal(got, ref)
+            got = poly.boundary_point(k, rng.uniform(0.0, L, 23))
+            assert got[:, 0].flags.c_contiguous and got[:, 1].flags.c_contiguous
+        # an index array: each offset on its own side
+        sides = rng.integers(0, poly.n_sides, 40)
+        t = rng.uniform(0.0, 1.0, 40) * poly.side_lengths[sides]
+        got = poly.boundary_point(sides, t)
+        assert np.array_equal(got, poly.side_starts[sides] + t[:, None] * poly.side_tangents[sides])
+        assert got[:, 0].flags.c_contiguous and got[:, 1].flags.c_contiguous

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from venttsel import meshing
 from venttsel.errors import GeometryError, MeshError, MeshQualityWarning
-from venttsel.geometry import build_polygon
+from venttsel.geometry import build_polygon, dist_to_vertices
 from venttsel.meshing import (
     check_mesh,
     extract_boundary,
@@ -445,7 +445,10 @@ def test_candidate_dedupe_keeps_first_in_input_order(lshape):
 
     def survivors(cand):
         sides = [meshing._side_offsets(L, h, q) for L in lshape.side_lengths]
-        new, split = meshing._process_candidates(lshape, sides, lshape.vertices, np.array(cand), h, q, 2.0)
+        # the existing points are the corners, so the nearest lies at the
+        # distance to them (a circumcentre's lies at its circumradius)
+        cand = np.array(cand)
+        new, split = meshing._process_candidates(lshape, sides, cand, dist_to_vertices(lshape, cand), h, q, 2.0)
         assert not split
         return new.tolist()
 

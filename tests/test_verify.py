@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -272,6 +273,57 @@ def test_pointwise_batch_invariance_across_chunks(lshape, monkeypatch):
     assert np.array_equal(together, alone)
 
 
+def _recording(trace, seen):
+    """The trace, noting whether each array it gets has contiguous columns."""
+
+    def wrapped(p):
+        p = np.atleast_2d(p)
+        seen.append(p[:, 0].flags.c_contiguous and p[:, 1].flags.c_contiguous)
+        return trace(p)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "polygon, trace, pts, s, tol, derivative",
+    [
+        # the second point misses tol in the first pass and meets it in the retry
+        ("square", "wave", [(0.0, 0.4), (0.0, 0.81)], 0.5, 1e-13, None),
+        # a corner's retry integrates the sides that meet there like its own
+        ("lshape", "harmonic", [(0.0, 0.0), (0.5, 0.0)], 0.4, 1e-7, [0.0, 0.0]),
+    ],
+)
+def test_pointwise_trace_reads_contiguous_columns(polygons, polygon, trace, pts, s, tol, derivative, monkeypatch):
+    # every array the trace gets is coordinate-major, whatever the layout of
+    # x: the points themselves, the numeric tangential derivative's stencil
+    # and both passes' quadrature points
+    stages = []
+    original = verify._oracle_pass
+    monkeypatch.setattr(
+        verify, "_oracle_pass", lambda *args, **kwargs: stages.append(kwargs["retry"]) or original(*args, **kwargs)
+    )
+    seen = []
+    value, err = theta_pointwise_oracle(
+        polygons[polygon], _recording(_TRACES[trace], seen), np.array(pts), s, tol,
+        tangential_derivative=derivative, return_error=True,
+    )
+    assert stages == [False, True] and np.all(err <= tol * (1.0 + np.abs(value)))
+    assert len(seen) > 10 and all(seen)
+
+
+def test_pointwise_logs_one_debug_line(square, caplog):
+    caplog.set_level(logging.DEBUG, logger="venttsel")
+    value, err = theta_pointwise_oracle(
+        square, _TRACES["wave"], [(0.0, 0.4), (0.0, 0.81)], 0.5, 1e-13, return_error=True
+    )
+    (record,) = [r for r in caplog.records if r.name == "venttsel"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "points=2 retried=1 " in message
+    assert f"worst_err={np.max(err / (1.0 + np.abs(value))):.3e} " in message
+    assert re.search(r" \d+\.\d{3}s$", message)
+
+
 # --- entry oracle --------------------------------------------------------------
 
 
@@ -386,6 +438,34 @@ def test_load_bulk_terms_boundary_triangles_bitwise(polygon, h, q, request, monk
     assert np.array_equal(verify.energy_load_table(prob, bm).values, restricted)
 
 
+def _stable_diff_rows(problem, x1, x2):
+    """u(x1) - u(x2) of (..., 2) points as rows, the midpoint-gradient form
+    where the separation nears roundoff."""
+    f1, f2 = x1.reshape(-1, 2), x2.reshape(-1, 2)
+    du = problem.u(f1) - problem.u(f2)
+    delta = f1 - f2
+    close = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2) < 1e-5 * (1.0 + np.sqrt(f1[:, 0] ** 2 + f1[:, 1] ** 2))
+    if np.any(close):
+        g = problem.grad_u(0.5 * (f1[close] + f2[close]))
+        du[close] = np.einsum("pd,pd->p", g, delta[close])
+    return du.reshape(x1.shape[:-1]), close.any()
+
+
+@pytest.mark.parametrize("preset", ["cubic", "harmonic"])
+def test_stable_diff_coordinate_major(square, preset):
+    # the coordinate-major form gives the bits of the row form, on and off
+    # its close branch
+    problem = make_manufactured(preset, square, 0.7, 1.0)
+    rng = np.random.default_rng(4)
+    x1 = rng.uniform(-1.0, 2.0, (3, 5, 5, 2))
+    for step, branch in ((0.3, False), (1e-7, True)):
+        x2 = x1 + step * rng.uniform(-1.0, 1.0, x1.shape)
+        expected, close = _stable_diff_rows(problem, x1, x2)
+        assert close == branch
+        got = verify._stable_diff(problem, np.moveaxis(x1, -1, 0).copy(), np.moveaxis(x2, -1, 0).copy())
+        assert np.array_equal(got, expected)
+
+
 def test_pointwise_table_skips_padding(square, monkeypatch):
     mesh = triangulate(square, 0.25)
     prob = make_manufactured("cubic", square, 0.25, 1.0)
@@ -455,6 +535,38 @@ def test_g_norm_one_oracle_call(polygon, s, request, monkeypatch):
     )
     assert verify.manufactured_g_l2(problem) == reference
     assert len(calls) == 1
+
+
+# Load values on the square, cubic preset: (s, h) -> sum and sum of absolute
+# values of the pointwise table (s < 1/2) and of the form-based load table
+# (s = 0.7), and the g norm at s = 0.25, recorded before the points were built
+# coordinate-major
+_TABLE_PINS = {
+    (0.25, 0.5): (1690.1455624137607, 3715.0059093423442),
+    (0.25, 0.25): (2016.8187617876322, 4331.293998200275),
+    (0.25, 0.125): (2202.3833552004135, 5400.049245929158),
+    (0.4, 0.5): (3183.571247407678, 5321.487828635408),
+    (0.4, 0.25): (3931.4080124972274, 6378.229480617252),
+    (0.4, 0.125): (4539.402857971415, 7957.407789026368),
+    (0.7, 0.25): (9.0, 59.40094204756382),
+    (0.7, 0.125): (8.999999999999996, 64.13454794949784),
+    (0.7, 0.0625): (9.000000000000005, 65.48158680158505),
+}
+
+
+@pytest.mark.parametrize("s, h", list(_TABLE_PINS))
+def test_load_tables_pinned(square, s, h):
+    problem = make_manufactured("cubic", square, s, 1.0)
+    bm = triangulate(square, h).boundary
+    source = PointwiseBoundarySource(problem) if s < 0.5 else EnergyLoadSource(problem)
+    values = source.build(bm).values
+    assert np.allclose((values.sum(), np.abs(values).sum()), _TABLE_PINS[s, h], rtol=1e-13, atol=0.0)
+
+
+def test_g_norm_pinned(square):
+    assert verify.manufactured_g_l2(make_manufactured("cubic", square, 0.25, 1.0)) == pytest.approx(
+        15.88704457981682, rel=1e-13, abs=0.0
+    )
 
 
 def test_bulk_norms_independent_of_chunks(square, monkeypatch):
