@@ -35,7 +35,7 @@ from .singular import (
     make_singular_term,
     singular_value,
 )
-from .solver import SolveReport, direct_solve, min_eigenvalue, solve, stability_ratio
+from .solver import SolveReport, direct_solve, min_eigenpair, solve, stability_ratio
 from .verify import (
     ConvergenceTable,
     ManufacturedProblem,

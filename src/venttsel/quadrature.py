@@ -3,9 +3,9 @@
 Fixed rules: cached Gauss-Legendre on [0, 1], two symmetric triangle rules, and
 a Duffy (collapsed tensor) triangle rule for high-order smooth integrands.
 Adaptive machinery: a 1D interval integrator with endpoint-singularity support
-and a 2D rectangle integrator with point-singularity support; both estimate
-errors by comparing two Gauss orders and subdivide until a global tolerance is
-met or a budget is exhausted.
+and a 2D rectangle integrator with point-singularity support, for scalar or
+vector integrands; both estimate errors by comparing two Gauss orders and
+subdivide until a global tolerance is met or a budget is exhausted.
 """
 from __future__ import annotations
 
@@ -217,13 +217,16 @@ def adaptive_interval(
 
 # --- adaptive 2D -------------------------------------------------------------
 
+_MAX_CELLS = 60000  # cells made before adaptive_rectangle gives up
+
 
 def _tensor_gauss_rect(f, x0, x1, y0, y1, n):
     xs, wx = gauss_interval(x0, x1, n)
     ys, wy = gauss_interval(y0, y1, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = f(X.ravel(), Y.ravel()).reshape(n, n)
-    return float(wx @ vals @ wy)
+    vals = np.asarray(f(X.ravel(), Y.ravel()))
+    out = wx @ vals.reshape(vals.shape[:-1] + (n, n)) @ wy
+    return float(out) if out.ndim == 0 else out
 
 
 def adaptive_rectangle(
@@ -234,16 +237,18 @@ def adaptive_rectangle(
     singular_points=(),
     singular_power: float | None = None,
     singular_scale: float = 1.0,
-    max_cells: int = 40000,
 ):
     """Adaptive tensor-Gauss quadrature of vectorized f(x, y) over a rectangle.
 
-    Error per cell is the difference of the 8 x 8 and 4 x 4 tensor rules.
-    Cells touching one of the `singular_points` are never Gauss-estimated;
-    their contribution is bounded by singular_scale * diam**(2 + power)
-    (suitable for |f| <= C * dist**power with power > -2) and they subdivide
-    until the bound is negligible. Raises OracleError when the budget is
-    exceeded before the global error estimate drops below tol.
+    f returns P values for P points, or a (k, P) array of k components, which
+    share one subdivision (a scalar f gives a float, a vector f k values).
+    Error per cell is the largest difference of the 8 x 8 and 4 x 4 tensor
+    rules over the components. Cells touching one of the `singular_points`
+    are never Gauss-estimated; their contribution is bounded by
+    singular_scale * diam**(2 + power) (suitable for |f| <= C * dist**power
+    with power > -2) and they subdivide until the bound is negligible. Raises
+    OracleError when more than _MAX_CELLS cells are made before the global
+    error estimate drops below tol.
     """
     x0, x1, y0, y1 = rect
     spts = [np.asarray(p, dtype=float) for p in singular_points]
@@ -264,7 +269,7 @@ def adaptive_rectangle(
             return [bound, cell, 0.0, True]
         lo = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, 4)
         hi = _tensor_gauss_rect(f, cx0, cx1, cy0, cy1, 8)
-        return [abs(hi - lo), cell, hi, False]
+        return [float(np.max(np.abs(hi - lo))), cell, hi, False]
 
     cells = [make((x0, x1, y0, y1))]
     n_made = 1
@@ -272,9 +277,9 @@ def adaptive_rectangle(
         total_err = sum(c[0] for c in cells)
         if total_err <= tol:
             break
-        if n_made > max_cells:
+        if n_made > _MAX_CELLS:
             raise OracleError(
-                f"2D adaptive quadrature exceeded the {max_cells}-cell budget at tol={tol}"
+                f"2D adaptive quadrature exceeded the {_MAX_CELLS}-cell budget at tol={tol}"
             )
         cells.sort(key=lambda c: -c[0])
         _, (cx0, cx1, cy0, cy1), _, _ = cells.pop(0)

@@ -18,7 +18,6 @@ __all__ = [
     "SolveReport",
     "solve",
     "direct_solve",
-    "min_eigenvalue",
     "min_eigenpair",
     "stability_ratio",
 ]
@@ -31,6 +30,7 @@ _HYPOTHESIS = "coercivity needs b >= 0 with b not identically zero on the bounda
 # the L-shape; wider bands cost more in the factorization
 _NEAR_BAND = 4
 _DIRECT_CAP = 2000  # unknowns of the dense direct cross-check
+_EIGEN_CAP = 512  # boundary nodes of the eigensolve
 
 
 @dataclass(eq=False)
@@ -191,12 +191,13 @@ def _global_sparse(system: DiscreteSystem) -> sp.csr_matrix:
     return system.local + system.embed(system.Theta)
 
 
-def min_eigenpair(system: DiscreteSystem, boundary_cap: int = 512):
-    """Smallest eigenvalue and eigenvector of the global operator."""
+def min_eigenpair(system: DiscreteSystem):
+    """Smallest eigenvalue and eigenvector of the global operator (the
+    eigenvalue is the coercivity certificate)."""
     n_boundary = system.mesh.boundary.n_nodes
-    if n_boundary > boundary_cap:
+    if n_boundary > _EIGEN_CAP:
         raise SolverError(
-            f"min_eigenvalue capped at {boundary_cap} boundary nodes (got {n_boundary})"
+            f"min_eigenpair capped at {_EIGEN_CAP} boundary nodes (got {n_boundary})"
         )
     if system.n <= 4000:
         w, v = scipy.linalg.eigh(_global_sparse(system).toarray())
@@ -205,11 +206,6 @@ def min_eigenpair(system: DiscreteSystem, boundary_cap: int = 512):
     shift = -1e-8 * abs(A.diagonal()).max()
     w, v = spla.eigsh(A, k=1, sigma=shift, which="LM")
     return float(w[0]), v[:, 0]
-
-
-def min_eigenvalue(system: DiscreteSystem, boundary_cap: int = 512) -> float:
-    """Smallest eigenvalue of the global operator (coercivity certificate)."""
-    return min_eigenpair(system, boundary_cap)[0]
 
 
 def stability_ratio(u: NodalField, spec, f_norm: float, g_norm: float) -> float:

@@ -4,8 +4,8 @@ convergence studies with rate estimation.
 
 Oracle independence: the entry oracle integrates the raw double integrals with
 generic adaptive quadrature (1D for the reduced identical-segment form, a
-2D quadtree refined toward the diagonal / shared corners otherwise) and shares
-no formula with the assembly path it checks.
+vector 2D quadtree over each pair's hat products, refined toward shared
+corners, otherwise) and shares no formula with the assembly path it checks.
 """
 from __future__ import annotations
 
@@ -351,107 +351,77 @@ def theta_pointwise_oracle(
 # --- entry oracle ---------------------------------------------------------------
 
 
-def _hat_on_segment(local_node, seg, S):
-    """Coefficient functions of the hat of boundary-local node on a segment."""
-    start, end = seg, (seg + 1) % S
+def theta_entry_oracle(bm: BoundaryMesh, s: float, tol: float = 1e-9) -> np.ndarray:
+    """Adaptive reference matrix of the Galerkin entries of the nonlocal form.
 
-    if local_node == start:
-        return lambda t, L: 1.0 - t / L
-    if local_node == end:
-        return lambda t, L: t / L
-    return lambda t, L: np.zeros_like(t)
-
-
-def theta_entry_oracle(
-    bm: BoundaryMesh,
-    i: int,
-    j: int,
-    s: float,
-    tol: float = 1e-9,
-) -> float:
-    """Adaptive reference value of one Galerkin entry of the nonlocal form.
-
-    Sums over all contributing segment pairs: the identical-segment part
-    reduces exactly to a 1D integral (endpoint singularity handled by adaptive
-    dyadic bisection); adjacent pairs use a 2D quadtree refined toward the
-    shared corner; separated pairs plain adaptive tensor Gauss, each pair
-    within a budget of 60,000 cells. Desk-scale only (boundary node count
+    One pass over segment pairs, each integrated once for all of its hat
+    products: the identical-segment part reduces exactly to a 1D integral
+    (endpoint singularity handled by adaptive dyadic bisection) and enters as
+    e * [[1, -1], [-1, 1]]; every other pair a < b is one vector 2D quadtree
+    over the products f_m f_n |x - y|^-(1+2s) of its 3 or 4 nodes, with
+    f_n(t, tau) = hat_n(x_a(t)) - hat_n(x_b(tau)), refined toward the shared
+    corner of adjacent pairs. Each pair is integrated to tol / (2S), since no
+    entry sums more than about 2S pairs. Desk-scale only (boundary node count
     <= 64).
     """
     S = bm.n_nodes
     if S > 64:
         raise OracleError("entry oracle is desk-scale only (<= 64 boundary nodes)")
-    pairs = []
+    tol_pair = tol / (2 * S)
+    power = 1.0 - 2.0 * s
+    theta = np.zeros((S, S))
     for a in range(S):
-        for b in range(a, S):
-            dofs = {a, (a + 1) % S, b, (b + 1) % S}
-            if i in dofs and j in dofs:
-                pairs.append((a, b))
-    if not pairs:
-        return 0.0
-    tol_pair = tol / len(pairs)
-    total = 0.0
-    for a, b in pairs:
-        La, Lb = float(bm.lengths[a]), float(bm.lengths[b])
-        if a == b:
-            gi = -1.0 if i == a else (1.0 if i == (a + 1) % S else 0.0)
-            gj = -1.0 if j == a else (1.0 if j == (a + 1) % S else 0.0)
-            if gi == 0.0 or gj == 0.0:
-                continue
-
-            def f1d(w):
-                return (La - w) * w ** (1.0 - 2.0 * s)
-
-            val, _ = adaptive_interval(
-                f1d, 0.0, La, tol_pair, singular_end=0.0, singular_power=1.0 - 2.0 * s
-            )
-            total += gi * gj * 2.0 * val / La**2
-            continue
-
-        P0a, tana = bm.segment_starts[a], bm.tangents[a]
-        P0b, tanb = bm.segment_starts[b], bm.tangents[b]
-        hat_ia = _hat_on_segment(i, a, S)
-        hat_ib = _hat_on_segment(i, b, S)
-        hat_ja = _hat_on_segment(j, a, S)
-        hat_jb = _hat_on_segment(j, b, S)
-
-        def f2d(t, tau):
-            xpts = P0a[None, :] + t[:, None] * tana[None, :]
-            ypts = P0b[None, :] + tau[:, None] * tanb[None, :]
-            d = np.linalg.norm(xpts - ypts, axis=1)
-            fi = hat_ia(t, La) - hat_ib(tau, Lb)
-            fj = hat_ja(t, La) - hat_jb(tau, Lb)
-            return fi * fj * d ** (-(1.0 + 2.0 * s))
-
-        shared = {a, (a + 1) % S} & {b, (b + 1) % S}
-        singular_pts = []
-        scale = 1.0
-        if shared:
-            node = shared.pop()
-            t_star = 0.0 if node == a else La
-            tau_star = 0.0 if node == b else Lb
-            singular_pts = [(t_star, tau_star)]
-            probe = 1e-3 * min(La, Lb)
-            tp = np.abs(t_star - probe * np.array([1.0, 0.7, 0.3]))
-            taup = np.abs(tau_star - probe * np.array([0.3, 0.7, 1.0]))
-            rho = np.hypot(tp - t_star, taup - tau_star)
-            fv = np.abs(f2d(tp, taup))
-            scale = 4.0 * float(np.max(fv / rho ** (1.0 - 2.0 * s))) + 1e-30
-
-        def f2d_grid(xs, ys):
-            return f2d(xs, ys)
-
-        val, _ = adaptive_rectangle(
-            f2d_grid,
-            (0.0, La, 0.0, Lb),
-            tol_pair,
-            singular_points=singular_pts,
-            singular_power=1.0 - 2.0 * s,
-            singular_scale=scale,
-            max_cells=60000,
+        La, P0a, tana = float(bm.lengths[a]), bm.segment_starts[a], bm.tangents[a]
+        val, _ = adaptive_interval(
+            lambda w: (La - w) * w**power, 0.0, La, tol_pair,
+            singular_end=0.0, singular_power=power,
         )
-        total += 2.0 * val
-    return total
+        ends_a = [a, (a + 1) % S]
+        theta[np.ix_(ends_a, ends_a)] += 2.0 * val / La**2 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for b in range(a + 1, S):
+            Lb, P0b, tanb = float(bm.lengths[b]), bm.segment_starts[b], bm.tangents[b]
+            ends_b = [b, (b + 1) % S]
+            nodes = list(dict.fromkeys(ends_a + ends_b))
+            pos_a = [nodes.index(n) for n in ends_a]
+            pos_b = [nodes.index(n) for n in ends_b]
+            rows, cols = np.triu_indices(len(nodes))
+
+            def f(t, tau):
+                xa = P0a + np.multiply.outer(t, tana)
+                yb = P0b + np.multiply.outer(tau, tanb)
+                d = np.linalg.norm(xa - yb, axis=-1)
+                fn = np.zeros((len(nodes), len(t)))
+                fn[pos_a] += (1.0 - t / La, t / La)
+                fn[pos_b] -= (1.0 - tau / Lb, tau / Lb)
+                return fn[rows] * fn[cols] * d ** (-(1.0 + 2.0 * s))
+
+            shared = set(ends_a) & set(ends_b)
+            singular_pts = []
+            scale = 1.0
+            if shared:
+                node = shared.pop()
+                t_star = 0.0 if node == a else La
+                tau_star = 0.0 if node == b else Lb
+                singular_pts = [(t_star, tau_star)]
+                probe = 1e-3 * min(La, Lb)
+                tp = np.abs(t_star - probe * np.array([1.0, 0.7, 0.3]))
+                taup = np.abs(tau_star - probe * np.array([0.3, 0.7, 1.0]))
+                rho = np.hypot(tp - t_star, taup - tau_star)
+                scale = 4.0 * float(np.max(np.abs(f(tp, taup)) / rho**power)) + 1e-30
+
+            val, _ = adaptive_rectangle(
+                f,
+                (0.0, La, 0.0, Lb),
+                tol_pair,
+                singular_points=singular_pts,
+                singular_power=power,
+                singular_scale=scale,
+            )
+            idx = np.array(nodes)
+            m, n, off = idx[rows], idx[cols], rows != cols
+            theta[m, n] += 2.0 * val
+            theta[n[off], m[off]] += 2.0 * val[off]
+    return theta
 
 
 # --- operator laws ----------------------------------------------------------------
@@ -488,11 +458,8 @@ def operator_laws(bm: BoundaryMesh, s: float, theta: np.ndarray) -> list[dict]:
         "theta_orders": (check_theta_orders(bm, s, theta), 1e-8),
     }
     if bm.n_segments <= 8:
-        worst = 0.0
-        for i in range(bm.n_nodes):
-            for j in range(i, bm.n_nodes):
-                o = theta_entry_oracle(bm, i, j, s, tol=1e-9)
-                worst = max(worst, abs(theta[i, j] - o) / max(abs(o), 1e-10))
+        o = theta_entry_oracle(bm, s, tol=1e-9)
+        worst = np.max(np.abs(theta - o) / np.maximum(np.abs(o), 1e-10))
         values["theta_oracle_equivalence"] = (worst, 1e-6)
     return [
         {"name": name, "value": float(value), "bound": bound, "passed": bool(value <= bound)}

@@ -262,7 +262,7 @@ def test_gagliardo_hat_matches_oracle(square):
     theta = nonlocal_matrix(bm, 0.5)
     hat = np.zeros(bm.n_nodes)
     hat[1] = 1.0
-    oracle = theta_entry_oracle(bm, 1, 1, 0.5, tol=1e-9)
+    oracle = theta_entry_oracle(bm, 0.5, tol=1e-9)[1, 1]
     assert gagliardo_energy(hat, theta) == pytest.approx(oracle, rel=1e-6)
 
 

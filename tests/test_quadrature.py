@@ -81,6 +81,37 @@ def test_adaptive_rectangle_corner_singularity():
     assert val == pytest.approx(ref, rel=1e-6)
 
 
+def test_adaptive_rectangle_vector_components():
+    # a (3, P) integrand shares one subdivision; each component stays within
+    # tol of its own scalar run, smooth or with a corner singularity
+    def smooth(x, y):
+        return np.array([np.exp(x) * np.cos(y), x * y**2, np.sin(3.0 * x + y)])
+
+    def corner(x, y):
+        r2 = x**2 + y**2
+        return np.array([r2**-0.25, x * r2**-0.5, np.ones_like(x) + y])
+
+    cases = (
+        (smooth, {}),
+        (
+            corner,
+            {"singular_points": [(0.0, 0.0)], "singular_power": -0.5, "singular_scale": 4.0},
+        ),
+    )
+    for f, kw in cases:
+        tol = 1e-8
+        vals, err = adaptive_rectangle(f, (0.0, 1.0, 0.0, 1.0), tol, **kw)
+        assert vals.shape == (3,) and err <= tol
+        for k in range(3):
+            ref, _ = adaptive_rectangle(lambda x, y: f(x, y)[k], (0.0, 1.0, 0.0, 1.0), tol, **kw)
+            assert abs(vals[k] - ref) <= tol
+
+
+def test_adaptive_rectangle_scalar_returns_float():
+    val, _ = adaptive_rectangle(lambda x, y: x + y, (0.0, 1.0, 0.0, 2.0), 1e-10)
+    assert type(val) is float and val == pytest.approx(3.0, abs=1e-12)
+
+
 def test_graded_breakpoints():
     brk = graded_breakpoints(0.0, 1.0, 0.0, 4)
     assert brk[0] == 0.0 and brk[-1] == 1.0

@@ -15,7 +15,6 @@ from venttsel.meshing import Mesh, extract_boundary, refine, triangulate
 from venttsel.solver import (
     direct_solve,
     min_eigenpair,
-    min_eigenvalue,
     solve,
     stability_ratio,
 )
@@ -105,21 +104,22 @@ def test_min_eigenvalue_degenerate(square_mesh):
 
 
 def test_min_eigenvalue_coercive_and_monotone(square, square_mesh):
-    lam1 = min_eigenvalue(
+    lam1 = min_eigenpair(
         assemble_system(square_mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
-    )
+    )[0]
     assert lam1 > 0
-    lam2 = min_eigenvalue(
+    lam2 = min_eigenpair(
         assemble_system(square_mesh, ProblemSpec(s=0.5, b=2.0, f=0.0, g=0.0))
-    )
+    )[0]
     assert lam2 >= lam1 - 1e-14
 
 
-def test_min_eigenvalue_cap(square):
+def test_min_eigenvalue_cap(square, monkeypatch):
     mesh = triangulate(square, 0.25)
     system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+    monkeypatch.setattr(solver, "_EIGEN_CAP", 4)
     with pytest.raises(SolverError):
-        min_eigenvalue(system, boundary_cap=4)
+        min_eigenpair(system)
 
 
 def test_coercivity_persistence(square):
@@ -131,7 +131,7 @@ def test_coercivity_persistence(square):
     for _ in range(3):
         bm = extract_boundary(mesh)
         system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
-        lam = min_eigenvalue(system)
+        lam = min_eigenpair(system)[0]
         mass_floor = np.linalg.eigvalsh(boundary_mass(bm, 1.0).toarray())[0]
         vals.append(lam / mass_floor)
         mesh = refine(mesh)

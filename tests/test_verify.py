@@ -330,7 +330,7 @@ def test_pointwise_logs_one_debug_line(square, caplog):
 def test_entry_oracle_separated_vs_tensor_gauss(square_bm8):
     # nodes 0 and 4 sit on opposite sides: all contributing pairs are separated
     s = 0.5
-    val = theta_entry_oracle(square_bm8, 0, 4, s, tol=1e-10)
+    val = theta_entry_oracle(square_bm8, s, tol=1e-10)[0, 4]
 
     x16, w16 = gauss_interval(0.0, 1.0, 16)
 
@@ -366,20 +366,37 @@ def test_entry_oracle_separated_vs_tensor_gauss(square_bm8):
 
 
 def test_entry_oracle_row_sum_and_symmetry(square):
+    # each pair's hat products share one subdivision and the pair's hats sum
+    # to zero, so the rows vanish to roundoff; both halves get the same sums
     bm = extract_boundary(triangulate(square, 1.0))
-    s, tol = 0.5, 1e-8
-    for i in range(bm.n_nodes):
-        row = [theta_entry_oracle(bm, i, j, s, tol) for j in range(bm.n_nodes)]
-        assert abs(sum(row)) <= 10.0 * tol * bm.n_nodes
-    assert theta_entry_oracle(bm, 0, 2, s, tol) == pytest.approx(
-        theta_entry_oracle(bm, 2, 0, s, tol), abs=10.0 * tol
-    )
+    oracle = theta_entry_oracle(bm, 0.5, 1e-8)
+    assert oracle.shape == (bm.n_nodes, bm.n_nodes)
+    assert np.array_equal(oracle, oracle.T)
+    assert np.abs(oracle.sum(axis=1)).max() <= 1e-13 * np.abs(oracle).max()
+
+
+# entries (0, 0), (0, 1) and (0, 4) of the per-entry oracle at tol 1e-9, as
+# recorded before the oracle integrated each segment pair once
+_ORACLE_PINS = {
+    ("square_bm8", 0.25): (3.712469532472372, -0.44731109093657756, -0.3873669916744201),
+    ("square_bm8", 0.5): (5.699958765667386, -1.308388064316155, -0.3572899453254529),
+    ("square_bm8", 0.7): (10.213381015766597, -3.393606885887462, -0.33545910526398776),
+    ("lshape_bm8", 0.25): (5.817025370594973, -0.4619375349783239, -1.1728872901050693),
+    ("lshape_bm8", 0.5): (6.262617155175901, -1.1312471138795304, -0.9938381101606828),
+    ("lshape_bm8", 0.7): (8.276633107425086, -2.396755826413301, -0.8742562457561996),
+}
+
+
+@pytest.mark.parametrize("bm_name, s", list(_ORACLE_PINS))
+def test_entry_oracle_pinned_entries(bm_name, s, request):
+    oracle = theta_entry_oracle(request.getfixturevalue(bm_name), s, tol=1e-9)
+    assert oracle[0, [0, 1, 4]] == pytest.approx(_ORACLE_PINS[bm_name, s], abs=1e-9)
 
 
 def test_entry_oracle_desk_scale_cap(square):
     bm = extract_boundary(triangulate(square, 1.0 / 32.0))
     with pytest.raises(OracleError):
-        theta_entry_oracle(bm, 0, 1, 0.5)
+        theta_entry_oracle(bm, 0.5)
 
 
 # --- manufactured problems ------------------------------------------------------
