@@ -12,8 +12,6 @@ from .analysis import (
     weighted_l2,
 )
 from .assembly import (
-    BoundaryLoadTable,
-    BoundaryQuadratureTable,
     DiscreteSystem,
     NodalField,
     ProblemSpec,

@@ -38,8 +38,6 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "NodalField",
-    "BoundaryQuadratureTable",
-    "BoundaryLoadTable",
     "bulk_stiffness",
     "bulk_mass",
     "boundary_stiffness",
@@ -94,9 +92,9 @@ class ProblemSpec:
         boundary-H2 diagnostics lose their theoretical backing there)
     b : boundary coefficient >= 0, a scalar or one value per polygon side
     f : bulk source, callable on (k, 2) point arrays (scalars accepted)
-    g : boundary source: callable, scalar, per-side array, a
-        BoundaryQuadratureTable / BoundaryLoadTable, or a factory object
-        with .build(boundary_mesh) returning one of those
+    g : boundary source: callable, scalar, per-side array, or a source
+        whose .build(boundary_mesh) returns the (S,) boundary load per
+        boundary-local node
     """
 
     s: float
@@ -123,31 +121,6 @@ class ProblemSpec:
     def coercive(self) -> bool:
         """b not identically zero."""
         return bool(np.any(_b_array(self.b) > 0))
-
-
-@dataclass(eq=False)
-class BoundaryQuadratureTable:
-    """Boundary source tabulated at per-segment quadrature nodes of one mesh.
-
-    `nodes` are normalized positions in [0, 1] per segment and `weights` are
-    absolute (summing to the segment length), so a segment may carry any
-    layout, e.g. composite Gauss graded toward a corner. point_masses
-    optionally carries (boundary-local node index, weight) pairs for
-    point-supported parts of the data (they land on single basis functions
-    since the carriers are mesh nodes).
-    """
-
-    values: np.ndarray  # (S, K)
-    nodes: np.ndarray  # (S, K) normalized
-    weights: np.ndarray  # (S, K) absolute
-    point_masses: list | None = None
-
-
-@dataclass(eq=False)
-class BoundaryLoadTable:
-    """Per-basis-function boundary load entries, boundary-local cyclic order."""
-
-    values: np.ndarray  # (S,)
 
 
 @dataclass(eq=False)
@@ -629,8 +602,10 @@ _BOUNDARY_ORDER = 8
 
 
 def load_vector(mesh: Mesh, f, g) -> np.ndarray:
-    """Load vector: 3-point (degree-2) triangle rule for f; per-segment Gauss
-    of order _BOUNDARY_ORDER or a supplied table for g on mesh.boundary."""
+    """Load vector: 3-point (degree-2) triangle rule for f. On mesh.boundary,
+    a callable, scalar or per-side g is integrated by per-segment Gauss of
+    order _BOUNDARY_ORDER; any other g is a source, whose g.build(boundary)
+    returns the (S,) boundary load per boundary-local node."""
     bm = mesh.boundary
     load = np.zeros(mesh.n_nodes)
 
@@ -648,49 +623,35 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
     np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
 
     if hasattr(g, "build"):
-        g = g.build(bm)
-    if isinstance(g, BoundaryLoadTable):
-        vals = np.asarray(g.values, dtype=float)
-        if len(vals) != bm.n_nodes:
-            raise AssemblyError("boundary load table length mismatch")
+        vals = np.asarray(g.build(bm), dtype=float)
+        if vals.shape != (bm.n_nodes,):
+            raise AssemblyError(f"boundary load has shape {vals.shape}, expected ({bm.n_nodes},)")
+        if not np.all(np.isfinite(vals)):
+            k = int(np.argmax(~np.isfinite(vals)))
+            raise AssemblyError(
+                f"boundary load not finite at boundary node {k} ({mesh.nodes[bm.boundary_nodes[k]]})"
+            )
         np.add.at(load, bm.boundary_nodes, vals)
         return load
 
-    if isinstance(g, BoundaryQuadratureTable):
-        gv = np.asarray(g.values, dtype=float)
-        x = np.asarray(g.nodes, dtype=float)
-        wts = np.asarray(g.weights, dtype=float)
-        if gv.shape[0] != bm.n_segments:
-            raise AssemblyError("boundary quadrature table shape mismatch")
-        if not np.all(np.isfinite(gv)):
-            si, ki = np.argwhere(~np.isfinite(gv))[0]
-            p0, p1 = bm.segment_starts[si], bm.segment_ends[si]
-            raise AssemblyError(f"boundary source not finite at {p0 + x[si, ki] * (p1 - p0)}")
-        if g.point_masses:
-            for local, weight in g.point_masses:
-                load[bm.boundary_nodes[local]] += weight
-        hats = np.stack([1.0 - x, x], axis=2)  # (S, K, 2)
-        seg_contrib = np.einsum("sk,sk,skm->sm", wts, gv, hats)
+    pts_b, wts, hats = bm.gauss_points(_BOUNDARY_ORDER)
+    if callable(g):
+        try:
+            gv = np.asarray(g(pts_b.reshape(-1, 2)), dtype=float).reshape(pts_b.shape[:2])
+        except Exception as exc:  # noqa: BLE001
+            raise AssemblyError(f"boundary source evaluation failed: {exc}") from exc
     else:
-        pts_b, wts, hats = bm.gauss_points(_BOUNDARY_ORDER)
-        if callable(g):
-            try:
-                gv = np.asarray(g(pts_b.reshape(-1, 2)), dtype=float).reshape(pts_b.shape[:2])
-            except Exception as exc:  # noqa: BLE001
-                raise AssemblyError(f"boundary source evaluation failed: {exc}") from exc
+        vals = np.atleast_1d(np.asarray(g, dtype=float))
+        if vals.size == 1:
+            gv = np.full(pts_b.shape[:2], float(vals[0]))
+        elif vals.size == bm.mesh.polygon.n_sides:
+            gv = np.repeat(vals[bm.side_ids][:, None], _BOUNDARY_ORDER, axis=1)
         else:
-            vals = np.atleast_1d(np.asarray(g, dtype=float))
-            if vals.size == 1:
-                gv = np.full(pts_b.shape[:2], float(vals[0]))
-            elif vals.size == bm.mesh.polygon.n_sides:
-                gv = np.repeat(vals[bm.side_ids][:, None], _BOUNDARY_ORDER, axis=1)
-            else:
-                raise AssemblyError("boundary source array must be scalar or per-side")
-        if not np.all(np.isfinite(gv)):
-            si, ki = np.argwhere(~np.isfinite(gv))[0]
-            raise AssemblyError(f"boundary source not finite at {pts_b[si, ki]}")
-        seg_contrib = np.einsum("sk,sk,km->sm", wts, gv, hats)
-
+            raise AssemblyError("boundary source array must be scalar or per-side")
+    if not np.all(np.isfinite(gv)):
+        si, ki = np.argwhere(~np.isfinite(gv))[0]
+        raise AssemblyError(f"boundary source not finite at {pts_b[si, ki]}")
+    seg_contrib = np.einsum("sk,sk,km->sm", wts, gv, hats)
     gpairs = bm.node_pairs
     np.add.at(load, gpairs[:, 0], seg_contrib[:, 0])
     np.add.at(load, gpairs[:, 1], seg_contrib[:, 1])

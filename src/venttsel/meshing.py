@@ -120,7 +120,6 @@ class BoundaryMesh:
     node_pairs: np.ndarray  # (S, 2) global node indices
     lengths: np.ndarray  # (S,)
     side_ids: np.ndarray  # (S,)
-    normals: np.ndarray  # (S, 2) outward unit normals, constant per side
     boundary_nodes: np.ndarray  # (S,) global node indices, cyclic order
     arclength_coords: np.ndarray  # (S,)
     corner_nodes: np.ndarray  # (V,) boundary-local indices, polygon-vertex order
@@ -137,11 +136,6 @@ class BoundaryMesh:
     @property
     def perimeter(self) -> float:
         return float(self.lengths.sum())
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """(S, 2) coordinates of boundary nodes in cyclic order."""
-        return self.mesh.nodes[self.boundary_nodes]
 
     @cached_property
     def segment_starts(self) -> np.ndarray:
@@ -560,7 +554,7 @@ def _process_candidates(polygon, side_offsets, cc, radius, h, q, scale):
 
 def extract_boundary(mesh: Mesh) -> BoundaryMesh:
     """Extract the single closed boundary cycle, starting at polygon vertex 0,
-    with side ids, normals and the nodes of all polygon vertices."""
+    with side ids and the nodes of all polygon vertices."""
     directed, _, inverse, counts = _edges(mesh.triangles, mesh.n_nodes)
     if counts.max() > 2:
         raise MeshError("non-manifold edge: mesh is not conforming")
@@ -601,7 +595,6 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
 
     mids = 0.5 * (p0 + p1)
     side_ids = poly.locate_boundary_point(mids)[0]
-    normals = poly.side_normals[side_ids]
     if abs(lengths.sum() - poly.perimeter) > 1e-10 * poly.perimeter:
         raise MeshError("boundary length does not match the polygon perimeter")
 
@@ -611,7 +604,6 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
         node_pairs=pairs,
         lengths=lengths,
         side_ids=side_ids,
-        normals=normals,
         boundary_nodes=bnodes,
         arclength_coords=arclen,
         corner_nodes=np.argmax(bnodes == corners[:, None], axis=1),

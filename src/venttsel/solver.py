@@ -187,10 +187,6 @@ def direct_solve(system: DiscreteSystem) -> NodalField:
     return NodalField(x, system.mesh)
 
 
-def _global_sparse(system: DiscreteSystem) -> sp.csr_matrix:
-    return system.local + system.embed(system.Theta)
-
-
 def min_eigenpair(system: DiscreteSystem):
     """Smallest eigenvalue and eigenvector of the global operator (the
     eigenvalue is the coercivity certificate)."""
@@ -200,9 +196,9 @@ def min_eigenpair(system: DiscreteSystem):
             f"min_eigenpair capped at {_EIGEN_CAP} boundary nodes (got {n_boundary})"
         )
     if system.n <= 4000:
-        w, v = scipy.linalg.eigh(_global_sparse(system).toarray())
+        w, v = scipy.linalg.eigh(system.dense())
         return float(w[0]), v[:, 0]
-    A = _global_sparse(system)
+    A = system.local + system.embed(system.Theta)
     shift = -1e-8 * abs(A.diagonal()).max()
     w, v = spla.eigsh(A, k=1, sigma=shift, which="LM")
     return float(w[0]), v[:, 0]

@@ -20,8 +20,6 @@ import numpy as np
 
 from .analysis import boundary_h2_diagnostic
 from .assembly import (
-    BoundaryLoadTable,
-    BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
     _far_blocks,
@@ -56,9 +54,8 @@ __all__ = [
     "make_manufactured",
     "BenchmarkProblem",
     "lshape_benchmark",
+    "pointwise_load_table",
     "energy_load_table",
-    "PointwiseBoundarySource",
-    "EnergyLoadSource",
     "ConvergenceTable",
     "convergence_study",
     "rate_estimate",
@@ -480,7 +477,8 @@ class ManufacturedProblem:
     corners, the exact weak-form data additionally carries one point mass per
     corner with weight (incoming minus outgoing tangential derivative). The
     pointwise route tabulates g at quadrature nodes and adds the masses; the
-    form-based (energy) route reproduces both pieces automatically.
+    form-based (energy) route reproduces both pieces automatically. Both
+    routes give the boundary load per boundary-local node through build().
     """
 
     name: str
@@ -532,83 +530,72 @@ class ManufacturedProblem:
         )
         return -lap_ell + dn + bu + theta
 
+    def build(self, bm: BoundaryMesh) -> np.ndarray:
+        """(S,) boundary load per boundary-local node of bm by the g route."""
+        if self.g_route == "pointwise":
+            return pointwise_load_table(self, bm)
+        return energy_load_table(self, bm)
+
     def spec(self) -> ProblemSpec:
         if self.g_route == "exact":
             g = self.b_per_side()
-        elif self.g_route == "pointwise":
-            g = PointwiseBoundarySource(self)
-        elif self.g_route == "load_table":
-            g = EnergyLoadSource(self)
+        elif self.g_route in ("pointwise", "load_table"):
+            g = self
         else:
             raise VenttselError(f"unknown g route {self.g_route!r}")
         return ProblemSpec(s=self.s, b=self.b, f=self.f, g=g)
 
 
 # Pointwise table layout: Gauss order on segments away from the corners, and
-# dyadic layers of 6-point panels toward a corner on the segments touching one
+# dyadic layers of 6-point panels toward a corner on the segments touching one;
+# the oracle tolerance of its g values
 _POINTWISE_ORDER = 8
 _CORNER_LAYERS = 8
+_POINTWISE_TOL = 1e-9
 
 
-class PointwiseBoundarySource:
-    """g tabulated at segment quadrature nodes, plus analytic corner masses.
+def pointwise_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> np.ndarray:
+    """(S,) boundary load per boundary-local node of bm from g tabulated at
+    segment quadrature nodes, plus the analytic corner masses.
 
     Segments touching a corner get composite Gauss nodes graded toward the
     corner: the tabulated g inherits an r^{1-2s}-type kink there from the
     nonlocal term, which plain Gauss cannot integrate to the load-route
-    equivalence tolerance. tol is the pointwise oracle tolerance.
+    equivalence tolerance. One oracle call covers all nodes of positive weight.
     """
-
-    def __init__(self, problem: ManufacturedProblem, tol: float = 1e-9):
-        self.problem = problem
-        self.tol = tol
-
-    def build(self, bm: BoundaryMesh) -> BoundaryQuadratureTable:
-        """The table on bm, one oracle call over all its points."""
-        S = bm.n_segments
-        corner = np.isin(np.arange(S), bm.corner_nodes)
-        # layout per segment: 0 plain Gauss, 1 graded toward its start, 2
-        # toward its end, 3 toward both (the corner ends it touches)
-        layout = corner + 2 * np.roll(corner, -1)
-        rules = [gauss01(_POINTWISE_ORDER)]
-        for toward in ((0.0,), (1.0,), (0.0, 1.0)):
-            brk = graded_breakpoints(0.0, 1.0, toward, _CORNER_LAYERS)
-            x, w = gauss_interval(brk[:-1], brk[1:], 6)
-            rules.append((x.ravel(), w.ravel()))
-        kinds = np.unique(layout)
-        width = max(len(rules[k][0]) for k in kinds)
-        nodes = np.full((S, width), 0.5)
-        weights = np.zeros((S, width))
-        for k in kinds:
-            (x, w), rows = rules[k], layout == k
-            nodes[rows, : len(x)] = x
-            weights[rows, : len(w)] = w * bm.lengths[rows, None]
-        pts = bm.segment_starts[:, None, :] + nodes[:, :, None] * (
-            bm.segment_ends - bm.segment_starts
-        )[:, None, :]
-        side_ids = np.repeat(bm.side_ids[:, None], width, axis=1)
-        # padded entries carry weight 0: store 0 there instead of evaluating g
-        used = weights > 0
-        vals = np.zeros((S, width))
-        vals[used] = self.problem.boundary_g_values(pts[used], side_ids[used], self.tol)
-        return BoundaryQuadratureTable(
-            values=vals,
-            nodes=nodes,
-            weights=weights,
-            point_masses=[
-                (int(k), float(w)) for k, w in zip(bm.corner_nodes, self.problem.corner_jumps())
-            ],
-        )
-
-
-class EnergyLoadSource:
-    """Per-basis boundary load computed from the continuum form (all s)."""
-
-    def __init__(self, problem: ManufacturedProblem):
-        self.problem = problem
-
-    def build(self, bm: BoundaryMesh) -> BoundaryLoadTable:
-        return energy_load_table(self.problem, bm)
+    S = bm.n_segments
+    corner = np.isin(np.arange(S), bm.corner_nodes)
+    # layout per segment: 0 plain Gauss, 1 graded toward its start, 2
+    # toward its end, 3 toward both (the corner ends it touches)
+    layout = corner + 2 * np.roll(corner, -1)
+    rules = [gauss01(_POINTWISE_ORDER)]
+    for toward in ((0.0,), (1.0,), (0.0, 1.0)):
+        brk = graded_breakpoints(0.0, 1.0, toward, _CORNER_LAYERS)
+        x, w = gauss_interval(brk[:-1], brk[1:], 6)
+        rules.append((x.ravel(), w.ravel()))
+    kinds = np.unique(layout)
+    width = max(len(rules[k][0]) for k in kinds)
+    nodes = np.full((S, width), 0.5)
+    weights = np.zeros((S, width))
+    for k in kinds:
+        (x, w), rows = rules[k], layout == k
+        nodes[rows, : len(x)] = x
+        weights[rows, : len(w)] = w * bm.lengths[rows, None]
+    pts = bm.segment_starts[:, None, :] + nodes[:, :, None] * (
+        bm.segment_ends - bm.segment_starts
+    )[:, None, :]
+    side_ids = np.repeat(bm.side_ids[:, None], width, axis=1)
+    # padded entries carry weight 0: g is not evaluated there
+    used = weights > 0
+    vals = np.zeros((S, width))
+    vals[used] = problem.boundary_g_values(pts[used], side_ids[used], _POINTWISE_TOL)
+    seg = np.einsum("sk,sk,skm->sm", weights, vals, np.stack([1.0 - nodes, nodes], axis=2))
+    load = np.zeros(S)
+    load[bm.corner_nodes] = problem.corner_jumps()
+    lp = bm.local_pairs()
+    np.add.at(load, lp[:, 0], seg[:, 0])
+    np.add.at(load, lp[:, 1], seg[:, 1])
+    return load
 
 
 def make_manufactured(preset: str, polygon: Polygon, s: float, b) -> ManufacturedProblem:
@@ -877,8 +864,9 @@ def _bulk_load_terms(problem, mesh: Mesh, triangles: np.ndarray) -> np.ndarray:
     return bulk_term - f_term
 
 
-def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> BoundaryLoadTable:
-    """Boundary load entries E(u, phi_i) - Int f phi_i from the continuum form.
+def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> np.ndarray:
+    """(S,) boundary load entries E(u, phi_i) - Int f phi_i from the continuum
+    form, per boundary-local node of bm.
 
     Valid for every s in (0, 1); sidesteps pointwise corner blow-up because
     only the absolutely convergent double integrals are evaluated.
@@ -909,8 +897,7 @@ def energy_load_table(problem: ManufacturedProblem, bm: BoundaryMesh) -> Boundar
 
     theta_term = _theta_load(bm, problem, problem.s)
 
-    vals = bulk_term[bm.boundary_nodes] + bdry_term + theta_term
-    return BoundaryLoadTable(values=vals)
+    return bulk_term[bm.boundary_nodes] + bdry_term + theta_term
 
 
 # --- data norms -------------------------------------------------------------------
@@ -1144,7 +1131,6 @@ def convergence_study(
                 "stability_ratio": stability_ratio(u, problem, f_norm, g_norm)
                 if (f_norm + g_norm) > 0
                 else math.nan,
-                "_field": u,
             }
         )
     return ConvergenceTable(rows=rows)

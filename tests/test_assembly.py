@@ -1,13 +1,12 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import traced_peak
 
 from venttsel.assembly import (
-    BoundaryLoadTable,
-    BoundaryQuadratureTable,
     NodalField,
     ProblemSpec,
     _separated_pairs,
@@ -157,22 +156,22 @@ def test_load_vector_eval_failure(square_mesh):
         load_vector(square_mesh, lambda p: np.full(len(np.atleast_2d(p)), np.nan), 0.0)
 
 
-def test_load_quadrature_table_not_finite(square_mesh, square_bm):
-    x = np.full((square_bm.n_segments, 2), 0.25)
-    x[:, 1] = 0.75
-    w = np.outer(square_bm.lengths, [0.5, 0.5])
-    vals = np.ones_like(x)
-    vals[3, 1] = np.nan
-    with pytest.raises(AssemblyError, match="boundary source not finite at"):
-        load_vector(square_mesh, 0.0, BoundaryQuadratureTable(values=vals, nodes=x, weights=w))
-    vals[3, 1] = 1.0
-    lv = load_vector(square_mesh, 0.0, BoundaryQuadratureTable(values=vals, nodes=x, weights=w))
-    assert lv.sum() == pytest.approx(square_bm.lengths.sum())
+def _source(values):
+    """A boundary source whose build returns `values` as the per-node load."""
+    return SimpleNamespace(build=lambda bm: values)
+
+
+def test_load_source_rejects_bad_values(square_mesh, square_bm):
+    vals = np.ones(square_bm.n_nodes)
+    vals[3] = np.nan
+    with pytest.raises(AssemblyError, match="boundary load not finite at boundary node 3 "):
+        load_vector(square_mesh, 0.0, _source(vals))
+    with pytest.raises(AssemblyError, match="boundary load has shape"):
+        load_vector(square_mesh, 0.0, _source(np.ones(square_bm.n_nodes - 1)))
 
 
 def test_load_table_route(square_mesh, square_bm):
-    tab = BoundaryLoadTable(values=np.ones(square_bm.n_nodes))
-    lv = load_vector(square_mesh, 0.0, tab)
+    lv = load_vector(square_mesh, 0.0, _source(np.ones(square_bm.n_nodes)))
     assert lv[square_bm.boundary_nodes].sum() == pytest.approx(square_bm.n_nodes)
     interior = np.setdiff1d(np.arange(square_mesh.n_nodes), square_bm.boundary_nodes)
     assert np.abs(lv[interior]).max() == 0.0
@@ -433,7 +432,7 @@ def test_load_traced_peak_within_chunk_budget(lshape):
 
 # Recorded before the separated-pair kernel read the cached Gauss data and
 # contracted with matmul: Theta entries (0, 0), (0, i1), (i1, i2), (i2, i3);
-# Theta @ v and energy_load_table(cubic).values at (0, i1, i2, i3), where
+# Theta @ v and energy_load_table(cubic) at (0, i1, i2, i3), where
 # (i1, i2, i3) = (S // 3, S // 2, S - 1) and v = default_rng(7).normal(size=S).
 _GOLDEN_SEPARATED = {
     ("square", 0.25): (
@@ -495,7 +494,7 @@ def test_separated_outputs_golden(square, lshape, name, s):
     idx = [0, S // 3, S // 2, S - 1]
     theta = nonlocal_matrix(bm, s)
     theta_v = theta @ np.random.default_rng(7).normal(size=S)
-    load = energy_load_table(make_manufactured("cubic", poly, s, 1.0), bm).values
+    load = energy_load_table(make_manufactured("cubic", poly, s, 1.0), bm)
     got = (theta[[0] + idx[:3], idx], theta_v[idx], load[idx])
     for full, values, golden in zip((theta, theta_v, load), got, _GOLDEN_SEPARATED[name, s]):
         assert np.abs(values - golden).max() <= 1e-13 * np.abs(full).max()

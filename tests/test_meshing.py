@@ -56,7 +56,7 @@ def test_boundary_square_corners_only(square):
     assert bm.n_segments == 4
     assert bm.perimeter == pytest.approx(4.0, rel=1e-12)
     # ordered outward normals starting from vertex (0, 0)
-    assert np.allclose(bm.normals, [[0, -1], [1, 0], [0, 1], [-1, 0]])
+    assert np.allclose(square.side_normals[bm.side_ids], [[0, -1], [1, 0], [0, 1], [-1, 0]])
 
 
 def test_boundary_cycle_counts(square_mesh, lshape_mesh):
@@ -216,10 +216,12 @@ def _boundary_meshes(polygon):
 
 @pytest.mark.parametrize("shape", ["square", "lshape"])
 def test_boundary_cycle_and_corner_nodes(shape, request):
-    from venttsel.verify import PointwiseBoundarySource, make_manufactured
+    from venttsel.verify import make_manufactured, pointwise_load_table
 
     polygon = request.getfixturevalue(shape)
     problem = make_manufactured("cubic", polygon, 0.25, 1.0)
+    # with g = 0 off the corners, the pointwise load is the corner masses alone
+    problem.boundary_g_values = lambda pts, sides, tol: np.zeros(len(pts))
     for kind, m in _boundary_meshes(polygon).items():
         bm = extract_boundary(m)
         tris = m.triangles
@@ -229,9 +231,10 @@ def test_boundary_cycle_and_corner_nodes(shape, request):
             assert np.sum((directed[:, 0] == i) & (directed[:, 1] == j)) == 1, kind
         assert np.array_equal(m.nodes[bm.boundary_nodes[0]], polygon.vertices[0]), kind
         assert bm.corner_nodes[0] == 0, kind
-        assert np.array_equal(bm.points[bm.corner_nodes], polygon.vertices), kind
-        masses = PointwiseBoundarySource(problem).build(bm).point_masses
-        assert [k for k, _ in masses] == bm.corner_nodes.tolist(), kind
+        assert np.array_equal(m.nodes[bm.boundary_nodes[bm.corner_nodes]], polygon.vertices), kind
+        expected = np.zeros(bm.n_nodes)
+        expected[bm.corner_nodes] = problem.corner_jumps()
+        assert np.array_equal(pointwise_load_table(problem, bm), expected), kind
 
 
 def test_read_mesh_rejects_bad_dumps(tmp_path, square_mesh):

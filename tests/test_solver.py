@@ -103,6 +103,13 @@ def test_min_eigenvalue_degenerate(square_mesh):
     assert cos >= 1.0 - 1e-8
 
 
+def test_dense_matches_sparse_sum(lshape_mesh):
+    # min_eigenpair reads dense() below its size cap and the sparse sum
+    # local + embed(Theta) above it: one operator, bit for bit
+    system = assemble_system(lshape_mesh, ProblemSpec(s=0.5, b=[1.0, 0.5, 2.0, 0.0, 1.5, 1.0], f=0.0, g=0.0))
+    assert np.array_equal(system.dense(), (system.local + system.embed(system.Theta)).toarray())
+
+
 def test_min_eigenvalue_coercive_and_monotone(square, square_mesh):
     lam1 = min_eigenpair(
         assemble_system(square_mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -7,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venttsel.assembly import (
-    BoundaryQuadratureTable,
-    NodalField,
-    load_vector,
-    nonlocal_matrix,
-)
+from venttsel.assembly import NodalField, load_vector, nonlocal_matrix
 from venttsel.errors import OracleError, VenttselError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import extract_boundary, triangulate
@@ -21,8 +17,6 @@ from venttsel.quadrature import gauss_interval, graded_breakpoints, tri_points_w
 from venttsel import assembly, meshing, transfer, verify
 from venttsel.verify import (
     ConvergenceTable,
-    EnergyLoadSource,
-    PointwiseBoundarySource,
     convergence_study,
     lshape_benchmark,
     make_manufactured,
@@ -426,13 +420,15 @@ def test_boundary_identity_residual(square, rng):
     assert np.abs(g1 - g2).max() <= 2.0 * tol * (1.0 + np.abs(g2).max())
 
 
-def test_load_route_equivalence(square):
+def test_load_route_equivalence(square, monkeypatch):
     """Pointwise-table and form-based load routes agree at s = 0.25."""
+    monkeypatch.setattr(verify, "_POINTWISE_TOL", 1e-10)
     mesh = triangulate(square, 0.25)
     bm = extract_boundary(mesh)
     prob = make_manufactured("cubic", square, 0.25, 1.0)
-    lv_pw = load_vector(mesh, prob.f, PointwiseBoundarySource(prob, tol=1e-10))
-    lv_lt = load_vector(mesh, prob.f, EnergyLoadSource(prob))
+    assert prob.g_route == "pointwise"
+    lv_pw = load_vector(mesh, prob.f, prob)
+    lv_lt = load_vector(mesh, prob.f, dataclasses.replace(prob, g_route="load_table"))
     scale = np.abs(lv_pw[bm.boundary_nodes]).max()
     assert np.abs(lv_pw - lv_lt).max() <= 1e-6 * scale
 
@@ -449,10 +445,10 @@ def test_load_bulk_terms_boundary_triangles_bitwise(polygon, h, q, request, monk
     monkeypatch.setattr(
         verify, "_bulk_load_terms", lambda p, m, tris: used.append(tris.sum()) or bulk_terms(p, m, tris)
     )
-    restricted = verify.energy_load_table(prob, bm).values
+    restricted = verify.energy_load_table(prob, bm)
     assert 0 < used[0] < bm.mesh.n_triangles
     monkeypatch.setattr(verify, "_bulk_load_terms", lambda p, m, tris: bulk_terms(p, m, np.ones_like(tris)))
-    assert np.array_equal(verify.energy_load_table(prob, bm).values, restricted)
+    assert np.array_equal(verify.energy_load_table(prob, bm), restricted)
 
 
 def _stable_diff_rows(problem, x1, x2):
@@ -484,7 +480,9 @@ def test_stable_diff_coordinate_major(square, preset):
 
 
 def test_pointwise_table_skips_padding(square, monkeypatch):
-    mesh = triangulate(square, 0.25)
+    # the table pads its segments to the widest rule with zero weights; its one
+    # oracle call sees only the nodes of positive weight
+    bm = triangulate(square, 0.25).boundary
     prob = make_manufactured("cubic", square, 0.25, 1.0)
     evaluated = []
     original = verify.theta_pointwise_oracle
@@ -494,23 +492,25 @@ def test_pointwise_table_skips_padding(square, monkeypatch):
         return original(polygon, trace, x, *args, **kwargs)
 
     monkeypatch.setattr(verify, "theta_pointwise_oracle", counting)
-    table = PointwiseBoundarySource(prob).build(mesh.boundary)
-    pad = table.weights == 0
-    assert pad.any() and evaluated == [np.count_nonzero(~pad)]
-    assert np.all(table.values[pad] == 0.0)
-    filled = BoundaryQuadratureTable(
-        values=np.where(pad, 1e3, table.values),
-        nodes=table.nodes,
-        weights=table.weights,
-        point_masses=table.point_masses,
-    )
-    assert np.array_equal(load_vector(mesh, prob.f, table), load_vector(mesh, prob.f, filled))
+    verify.pointwise_load_table(prob, bm)
+    # at h = 1/4 each corner touches two segments, graded toward it alone
+    brk = graded_breakpoints(0.0, 1.0, (0.0,), verify._CORNER_LAYERS)
+    graded = gauss_interval(brk[:-1], brk[1:], 6)[0].size
+    touching = 2 * len(bm.corner_nodes)
+    assert graded > verify._POINTWISE_ORDER
+    assert evaluated == [touching * graded + (bm.n_segments - touching) * verify._POINTWISE_ORDER]
 
 
 def test_default_g_routes(square):
     assert make_manufactured("cubic", square, 0.25, 1.0).g_route == "pointwise"
     assert make_manufactured("cubic", square, 0.7, 1.0).g_route == "load_table"
     assert make_manufactured("constant", square, 0.7, 1.0).g_route == "exact"
+
+
+def test_unknown_g_route_raises(square):
+    prob = dataclasses.replace(make_manufactured("cubic", square, 0.25, 1.0), g_route="table")
+    with pytest.raises(VenttselError, match="unknown g route 'table'"):
+        prob.spec()
 
 
 def test_corner_jumps_cubic(square):
@@ -554,17 +554,18 @@ def test_g_norm_one_oracle_call(polygon, s, request, monkeypatch):
     assert len(calls) == 1
 
 
-# Load values on the square, cubic preset: (s, h) -> sum and sum of absolute
-# values of the pointwise table (s < 1/2) and of the form-based load table
-# (s = 0.7), and the g norm at s = 0.25, recorded before the points were built
-# coordinate-major
+# Boundary loads per node on the square, cubic preset: (s, h) -> sum and sum of
+# absolute values of the pointwise route's load (s < 1/2), recorded from the
+# boundary entries of load_vector(mesh, 0.0, g) when g was a quadrature table,
+# and of the form-based load (s = 0.7), recorded before the points were built
+# coordinate-major; and the g norm at s = 0.25
 _TABLE_PINS = {
-    (0.25, 0.5): (1690.1455624137607, 3715.0059093423442),
-    (0.25, 0.25): (2016.8187617876322, 4331.293998200275),
-    (0.25, 0.125): (2202.3833552004135, 5400.049245929158),
-    (0.4, 0.5): (3183.571247407678, 5321.487828635408),
-    (0.4, 0.25): (3931.4080124972274, 6378.229480617252),
-    (0.4, 0.125): (4539.402857971415, 7957.407789026368),
+    (0.25, 0.5): (8.999994789706205, 34.822197366518786),
+    (0.25, 0.25): (8.999998157926118, 39.037521713535455),
+    (0.25, 0.125): (8.999999348736154, 40.495901796564254),
+    (0.4, 0.5): (8.999847638868852, 37.295312686490924),
+    (0.4, 0.25): (8.999933681880123, 42.17913411914863),
+    (0.4, 0.125): (8.999971133560791, 43.869093636175684),
     (0.7, 0.25): (9.0, 59.40094204756382),
     (0.7, 0.125): (8.999999999999996, 64.13454794949784),
     (0.7, 0.0625): (9.000000000000005, 65.48158680158505),
@@ -575,8 +576,7 @@ _TABLE_PINS = {
 def test_load_tables_pinned(square, s, h):
     problem = make_manufactured("cubic", square, s, 1.0)
     bm = triangulate(square, h).boundary
-    source = PointwiseBoundarySource(problem) if s < 0.5 else EnergyLoadSource(problem)
-    values = source.build(bm).values
+    values = problem.build(bm)
     assert np.allclose((values.sum(), np.abs(values).sum()), _TABLE_PINS[s, h], rtol=1e-13, atol=0.0)
 
 
