@@ -8,14 +8,13 @@ diagnostic. It has three element groups: degree-6 Gauss away from the corners,
 degree 13 within three diameters of a corner, and on elements touching a
 corner three dyadic radial layers plus one corner point that carries the
 analytic geometric-series tail (the layers are self-similar, so the remaining
-core integrates in closed form with the value frozen at the corner). On the
-boundary, callables are integrated side by side on corner-graded panels.
+core integrates in closed form with the value frozen at the corner).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,9 +26,9 @@ from .assembly import (
     _p1_gradients,
 )
 from .errors import VenttselError
-from .geometry import Polygon, dist_to_vertices
+from .geometry import dist_to_vertices
 from .meshing import BoundaryMesh, Mesh, _edge_lengths
-from .quadrature import gauss_interval, graded_breakpoints, tri_points_weights, tri_rule
+from .quadrature import tri_points_weights, tri_rule
 
 __all__ = [
     "NormReport",
@@ -115,9 +114,7 @@ def friedrichs_ratio(u: NodalField) -> float:
 
 _DEGREE = 6  # Gauss degree away from the corners
 _NEAR_DEGREE = 13  # r^{2 sigma} has unbounded derivatives near a corner
-_LAYERS = 3
-_BOUNDARY_ORDER = 8
-_BOUNDARY_LAYERS = 40  # dyadic panels toward each corner of a side
+_LAYERS = 3  # dyadic layers toward the corner of a corner element
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,19 +127,19 @@ class _RuleGroup:
     w: np.ndarray  # (E, K) quadrature weights times r^{2 sigma}
 
 
-def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
+def _weighted_rule(mesh: Mesh, sigma: float) -> list[_RuleGroup]:
     """Cached rule for integrals of r^{2 sigma} times an elementwise value.
 
     sigma = 0 gives the plain degree-6 rule. Otherwise far elements use degree
     6 and elements within three diameters of a corner degree 13. An element
-    touching a corner, listed corner first, gets `layers` dyadic layers toward
+    touching a corner, listed corner first, gets _LAYERS dyadic layers toward
     the corner plus one point at the corner for the analytic tail: the layers
     are self-similar, so the remaining core is layer 0 times the geometric
     series rho^L / (1 - rho), with the value frozen at the corner. Each of the
     mesh's triangle chunks adds its own groups, so every group, and every
     temporary a norm builds from one, is chunk-sized.
     """
-    key = ("weighted_rule", sigma, layers)
+    key = ("weighted_rule", sigma)
     if key in mesh._cache:
         return mesh._cache[key]
     polygon = mesh.polygon
@@ -160,7 +157,7 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
     # a corner element is (c, c + a1, c + a2); layer k is cut into two triangles,
     # given by their (a1, a2) coefficients, between 2^-(k+1) and 2^-k
     ab = []
-    for k in range(layers):
+    for k in range(_LAYERS):
         hi, lo = 0.5**k, 0.5 ** (k + 1)
         ab += [[[lo, 0.0], [hi, 0.0], [0.0, hi]], [[lo, 0.0], [0.0, hi], [0.0, lo]]]
     ab = np.array(ab)
@@ -174,7 +171,7 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
         sub = c[:, None, None, :] + np.einsum("jvc,ecd->ejvd", ab, mesh.nodes[tris[:, 1:]] - c[:, None, :])
         pts, w = tri_points_weights(sub.reshape(-1, 3, 2), _DEGREE)
         w = weighted(pts, w).reshape(len(ce), len(ab) * pts.shape[1])
-        tail = w[:, : 2 * pts.shape[1]].sum(axis=1) * rho**layers / (1.0 - rho)
+        tail = w[:, : 2 * pts.shape[1]].sum(axis=1) * rho**_LAYERS / (1.0 - rho)
         return _RuleGroup(ce, tris, lam, np.column_stack([w, tail]))
 
     rule = []
@@ -197,60 +194,19 @@ def _weighted_rule(mesh: Mesh, sigma: float, layers: int) -> list[_RuleGroup]:
     return rule
 
 
-def weighted_l2(
-    target,
-    sigma: float,
-    region: str = "bulk",
-    *,
-    polygon: Polygon | None = None,
-    layers: int = _LAYERS,
-) -> float:
-    """Weighted L2 norm ( integral of r^{2 sigma} value^2 )^(1/2).
-
-    region is "bulk", where target is a NodalField integrated with the mesh's
-    cached weighted rule, or "boundary", where target is a callable integrated
-    side by side on corner-graded panels of `polygon`. Integrability demands
-    sigma > -1 in the bulk and sigma > -1/2 on the boundary.
-    """
-    if region == "bulk":
-        if sigma <= -1.0:
-            raise VenttselError(f"sigma={sigma} <= -1: r^(2 sigma) not integrable in 2D")
-        if not isinstance(target, NodalField):
-            raise VenttselError("bulk weighted norm needs a NodalField")
-        total = sum(
-            float(np.sum(g.w * np.einsum("kl,tl->tk", g.lam, target.values[g.tris]) ** 2))
-            for g in _weighted_rule(target.mesh, sigma, layers)
-        )
-        return math.sqrt(max(0.0, total))
-
-    if region == "boundary":
-        if sigma <= -0.5:
-            raise VenttselError(f"sigma={sigma} <= -1/2: r^(2 sigma) not integrable on a curve")
-        if isinstance(target, NodalField):
-            raise VenttselError("boundary weighted norm needs a callable target, not a NodalField")
-        if polygon is None:
-            raise VenttselError("boundary weighted norm needs a polygon")
-        return math.sqrt(max(0.0, _boundary_weighted_callable(target, polygon, sigma)))
-
-    raise VenttselError(f"unknown region {region!r}")
-
-
-def _boundary_weighted_callable(func, polygon, sigma):
-    total = 0.0
-    for side in range(polygon.n_sides):
-        L = polygon.side_lengths[side]
-        brk = graded_breakpoints(0.0, L, (0.0, L), _BOUNDARY_LAYERS)
-        for a, b in zip(brk[:-1], brk[1:]):
-            ts, ws = gauss_interval(a, b, _BOUNDARY_ORDER)
-            pts = polygon.boundary_point(side, ts)
-            rw = dist_to_vertices(polygon, pts) ** (2.0 * sigma) if sigma != 0.0 else 1.0
-            total += float(np.sum(ws * rw * np.asarray(func(pts)) ** 2))
-        # analytic tails over the innermost uncovered pieces at both corners
-        eps = L * 0.5**_BOUNDARY_LAYERS
-        for t_end in (0.0, L):
-            vc = float(np.asarray(func(polygon.boundary_point(side, np.array([t_end]))))[0])
-            total += vc**2 * eps ** (1.0 + 2.0 * sigma) / (1.0 + 2.0 * sigma)
-    return total
+def weighted_l2(u: NodalField, sigma: float) -> float:
+    """Bulk weighted L2 norm ( integral of r^{2 sigma} u^2 )^(1/2) of a P1
+    field, integrated with the mesh's cached weighted rule; integrability
+    demands sigma > -1."""
+    if sigma <= -1.0:
+        raise VenttselError(f"sigma={sigma} <= -1: r^(2 sigma) not integrable in 2D")
+    if not isinstance(u, NodalField):
+        raise VenttselError("bulk weighted norm needs a NodalField")
+    total = sum(
+        float(np.sum(g.w * np.einsum("kl,tl->tk", g.lam, u.values[g.tris]) ** 2))
+        for g in _weighted_rule(u.mesh, sigma)
+    )
+    return math.sqrt(max(0.0, total))
 
 
 # --- discrete regularity diagnostics ------------------------------------------
@@ -331,61 +287,47 @@ def weighted_hessian_diagnostic(u: NodalField, sigma: float) -> float:
     for t, H in _recovered_hessian_chunks(u):
         frob2[t] = np.einsum("tdc,tdc->t", H, H)
     total = sum(
-        float(np.sum(g.w * frob2[g.elems, None])) for g in _weighted_rule(u.mesh, sigma, _LAYERS)
+        float(np.sum(g.w * frob2[g.elems, None])) for g in _weighted_rule(u.mesh, sigma)
     )
     return math.sqrt(max(0.0, total))
 
 
 # --- report --------------------------------------------------------------------
 
-NORM_CSV_HEADER = (
-    "l2_bulk,h1_bulk_semi,l2_bdry,h1_bdry_semi,v1,gagliardo_s,"
-    "bdry_h2_diag,weighted_l2_sigma,weighted_hess_diag"
-)
-
 
 @dataclass(eq=False)
 class NormReport:
-    """All norm observables of one field; unavailable entries are NaN."""
+    """All norm observables of one field, in the norms.csv column order."""
 
     l2_bulk: float
     h1_bulk_semi: float
     l2_bdry: float
     h1_bdry_semi: float
     v1: float
-    gagliardo_s: float = math.nan
-    bdry_h2_diag: float = math.nan
-    weighted_l2_sigma: float = math.nan
-    weighted_hess_diag: float = math.nan
+    gagliardo_s: float
+    bdry_h2_diag: float
+    weighted_l2_sigma: float
+    weighted_hess_diag: float
 
     def csv_row(self) -> str:
-        vals = [
-            self.l2_bulk,
-            self.h1_bulk_semi,
-            self.l2_bdry,
-            self.h1_bdry_semi,
-            self.v1,
-            self.gagliardo_s,
-            self.bdry_h2_diag,
-            self.weighted_l2_sigma,
-            self.weighted_hess_diag,
-        ]
-        return ",".join("" if math.isnan(v) else repr(float(v)) for v in vals)
+        return ",".join(repr(float(v)) for v in astuple(self))
 
 
-def norm_report(u: NodalField, *, theta: np.ndarray | None = None, sigma: float | None = None) -> NormReport:
-    """Assemble every norm observable for one field."""
-    rep = NormReport(
+NORM_CSV_HEADER = ",".join(f.name for f in fields(NormReport))
+
+
+def norm_report(u: NodalField, theta: np.ndarray, sigma: float) -> NormReport:
+    """Every norm observable of one field; v1 is composed from the three
+    parts computed here, the same floats v1_norm(u) combines."""
+    h1_bulk, h1_bdry, l2_b = h1_bulk_semi(u), h1_bdry_semi(u), l2_bdry(u)
+    return NormReport(
         l2_bulk=l2_bulk(u),
-        h1_bulk_semi=h1_bulk_semi(u),
-        l2_bdry=l2_bdry(u),
-        h1_bdry_semi=h1_bdry_semi(u),
-        v1=v1_norm(u),
+        h1_bulk_semi=h1_bulk,
+        l2_bdry=l2_b,
+        h1_bdry_semi=h1_bdry,
+        v1=math.sqrt(h1_bulk**2 + h1_bdry**2 + l2_b**2),
+        gagliardo_s=gagliardo_energy(u.boundary_values(), theta),
         bdry_h2_diag=boundary_h2_diagnostic(u.boundary_values(), u.mesh.boundary),
+        weighted_l2_sigma=weighted_l2(u, sigma),
+        weighted_hess_diag=weighted_hessian_diagnostic(u, sigma),
     )
-    if theta is not None:
-        rep.gagliardo_s = gagliardo_energy(u.boundary_values(), theta)
-    if sigma is not None:
-        rep.weighted_l2_sigma = weighted_l2(u, sigma, "bulk")
-        rep.weighted_hess_diag = weighted_hessian_diagnostic(u, sigma)
-    return rep

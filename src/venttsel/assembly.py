@@ -39,7 +39,6 @@ __all__ = [
     "DiscreteSystem",
     "NodalField",
     "bulk_stiffness",
-    "bulk_mass",
     "boundary_stiffness",
     "boundary_mass",
     "nonlocal_matrix",
@@ -213,13 +212,6 @@ def bulk_stiffness(mesh: Mesh) -> sp.csr_matrix:
         local = mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
         mesh._cache["stiffness"] = _assemble_coo(mesh.triangles, local, mesh.n_nodes)
     return mesh._cache["stiffness"]
-
-
-def bulk_mass(mesh: Mesh) -> sp.csr_matrix:
-    """P1 mass matrix; exact."""
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = mesh.areas[:, None, None] * base[None, :, :]
-    return _assemble_coo(mesh.triangles, local, mesh.n_nodes)
 
 
 # --- boundary local operators ---------------------------------------------------
@@ -593,7 +585,10 @@ def check_theta_orders(bm: BoundaryMesh, s: float, theta) -> float:
 def _as_bulk_source(f):
     if callable(f):
         return f
-    c = float(f)
+    try:
+        c = float(f)
+    except (TypeError, ValueError):
+        raise AssemblyError(f"bulk source f must be a callable or a number, got {f!r}") from None
     return lambda pts: np.full(len(np.atleast_2d(pts)), c)
 
 
@@ -641,7 +636,15 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
         except Exception as exc:  # noqa: BLE001
             raise AssemblyError(f"boundary source evaluation failed: {exc}") from exc
     else:
-        vals = np.atleast_1d(np.asarray(g, dtype=float))
+        try:
+            vals = None if g is None else np.atleast_1d(np.asarray(g, dtype=float))
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None:
+            raise AssemblyError(
+                "boundary source g must be a callable, a number, one number per side "
+                f"or a source with .build, got {g!r}"
+            )
         if vals.size == 1:
             gv = np.full(pts_b.shape[:2], float(vals[0]))
         elif vals.size == bm.mesh.polygon.n_sides:

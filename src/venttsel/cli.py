@@ -220,7 +220,7 @@ def _cmd_solve(config: RunConfig) -> dict:
     problem, system = _discretise(config)
     mesh = system.mesh
     u, report = solver.solve(system, tol=config.tol, maxit=config.maxit)
-    rep = analysis.norm_report(u, theta=system.Theta, sigma=config.sigma_value)
+    rep = analysis.norm_report(u, system.Theta, config.sigma_value)
     out = config.out_dir
     _atomic_write(
         os.path.join(out, "norms.csv"), analysis.NORM_CSV_HEADER + "\n" + rep.csv_row() + "\n"
@@ -284,7 +284,7 @@ def _cmd_check(config: RunConfig) -> dict:
     _, system = _discretise(config)
     mesh, bm = system.mesh, system.mesh.boundary
     checks = verify.operator_laws(bm, config.s, system.Theta)
-    if bm.n_nodes <= 512 and mesh.n_nodes <= 4000:
+    if bm.n_nodes <= solver._EIGEN_CAP and mesh.n_nodes <= solver._EIGEN_DENSE_CAP:
         lam, _ = solver.min_eigenpair(system)
         checks.append({"name": "coercive_lambda_min", "value": lam, "bound": 0.0, "passed": bool(lam > 0)})
 

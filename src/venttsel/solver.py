@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .analysis import v1_norm
 from .assembly import DiscreteSystem, NodalField
 from .errors import SolverError
 
@@ -31,6 +32,7 @@ _HYPOTHESIS = "coercivity needs b >= 0 with b not identically zero on the bounda
 _NEAR_BAND = 4
 _DIRECT_CAP = 2000  # unknowns of the dense direct cross-check
 _EIGEN_CAP = 512  # boundary nodes of the eigensolve
+_EIGEN_DENSE_CAP = 4000  # unknowns of the dense eigensolve
 
 
 @dataclass(eq=False)
@@ -189,29 +191,24 @@ def direct_solve(system: DiscreteSystem) -> NodalField:
 
 def min_eigenpair(system: DiscreteSystem):
     """Smallest eigenvalue and eigenvector of the global operator (the
-    eigenvalue is the coercivity certificate)."""
+    eigenvalue is the coercivity certificate), from a dense eigensolve."""
     n_boundary = system.mesh.boundary.n_nodes
     if n_boundary > _EIGEN_CAP:
         raise SolverError(
             f"min_eigenpair capped at {_EIGEN_CAP} boundary nodes (got {n_boundary})"
         )
-    if system.n <= 4000:
-        w, v = scipy.linalg.eigh(system.dense())
-        return float(w[0]), v[:, 0]
-    A = system.local + system.embed(system.Theta)
-    shift = -1e-8 * abs(A.diagonal()).max()
-    w, v = spla.eigsh(A, k=1, sigma=shift, which="LM")
+    if system.n > _EIGEN_DENSE_CAP:
+        raise SolverError(f"min_eigenpair capped at {_EIGEN_DENSE_CAP} unknowns (got {system.n})")
+    w, v = scipy.linalg.eigh(system.dense())
     return float(w[0]), v[:, 0]
 
 
-def stability_ratio(u: NodalField, spec, f_norm: float, g_norm: float) -> float:
+def stability_ratio(u: NodalField, f_norm: float, g_norm: float) -> float:
     """Discrete witness of the data-to-solution stability constant.
 
     Returns the composite norm of u divided by ||f||_L2(bulk) + ||g||_L2(bdry);
     zero data is rejected (the ratio is undefined).
     """
-    from .analysis import v1_norm  # local import to avoid a cycle
-
     denom = float(f_norm) + float(g_norm)
     if denom <= 0.0:
         raise SolverError("stability ratio undefined for zero data")

@@ -1128,7 +1128,7 @@ def convergence_study(
                 "err_l2_bdry": e2b,
                 "err_h1_bdry": eh1b,
                 "bdry_h2_diag": boundary_h2_diagnostic(u.boundary_values(), bm),
-                "stability_ratio": stability_ratio(u, problem, f_norm, g_norm)
+                "stability_ratio": stability_ratio(u, f_norm, g_norm)
                 if (f_norm + g_norm) > 0
                 else math.nan,
             }

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from venttsel import analysis, meshing
 from venttsel.analysis import (
+    NORM_CSV_HEADER,
     boundary_h2_diagnostic,
     friedrichs_ratio,
     gagliardo_energy,
@@ -57,9 +58,14 @@ def test_v1_of_x_against_quadrature_oracle(square_mesh):
 
 def test_norm_report_decomposition(square_mesh, rng):
     u = NodalField(rng.normal(size=square_mesh.n_nodes), square_mesh)
-    rep = norm_report(u)
+    rep = norm_report(u, nonlocal_matrix(square_mesh.boundary, 0.5), 0.4)
+    assert rep.v1 == v1_norm(u)
     assert rep.v1**2 == pytest.approx(
         rep.h1_bulk_semi**2 + rep.h1_bdry_semi**2 + rep.l2_bdry**2, rel=1e-12
+    )
+    assert NORM_CSV_HEADER == (
+        "l2_bulk,h1_bulk_semi,l2_bdry,h1_bdry_semi,v1,gagliardo_s,"
+        "bdry_h2_diag,weighted_l2_sigma,weighted_hess_diag"
     )
     row = rep.csv_row()
     assert row.count(",") == 8
@@ -68,12 +74,12 @@ def test_norm_report_decomposition(square_mesh, rng):
 def test_weighted_l2_sigma_zero_matches_l2(square_mesh, rng):
     for _ in range(20):
         u = NodalField(rng.normal(size=square_mesh.n_nodes), square_mesh)
-        assert weighted_l2(u, 0.0, "bulk") == pytest.approx(l2_bulk(u), abs=1e-10)
+        assert weighted_l2(u, 0.0) == pytest.approx(l2_bulk(u), abs=1e-10)
 
 
 def test_weighted_l2_constant(square_mesh):
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
-    assert weighted_l2(one, 0.0, "bulk") == pytest.approx(1.0, rel=1e-12)
+    assert weighted_l2(one, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weighted_l2_sigma04_against_adaptive_reference(square_mesh):
@@ -95,35 +101,37 @@ def test_weighted_l2_sigma04_against_adaptive_reference(square_mesh):
         singular_scale=2.0,
     )
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
-    val = weighted_l2(one, 0.4, "bulk")
+    val = weighted_l2(one, 0.4)
     assert val**2 == pytest.approx(ref, rel=1e-4)
 
 
-def test_weighted_l2_layer_self_check(square_mesh):
-    one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
-    v3 = weighted_l2(one, 0.42, "bulk", layers=3)
-    v5 = weighted_l2(one, 0.42, "bulk", layers=5)
+def test_weighted_l2_layer_self_check(square, monkeypatch):
+    # the rule is cached per (mesh, sigma), so each layer count gets its own
+    # mesh; the corner tail is exact for a constant, so the field varies there
+    def value(layers):
+        monkeypatch.setattr(analysis, "_LAYERS", layers)
+        mesh = triangulate(square, 0.25)
+        x, y = mesh.nodes.T
+        return weighted_l2(NodalField(np.sin(3.0 * x) * y**2 + x, mesh), 0.42)
+
+    v3, v5 = value(3), value(5)
+    assert v3 != v5
     assert abs(v3 - v5) <= 1e-4 * abs(v3)
 
 
 def test_weighted_l2_integrability_guards(square_mesh, monkeypatch):
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
     with pytest.raises(VenttselError):
-        weighted_l2(one, -1.0, "bulk")
-    with pytest.raises(VenttselError):
-        weighted_l2(one, -0.5, "boundary")
+        weighted_l2(one, -1.0)
     # rejected before the recovered Hessian is computed
     monkeypatch.setattr(analysis, "_recovered_hessian_chunks", None)
     with pytest.raises(VenttselError):
         weighted_hessian_diagnostic(one, -1.0)
 
 
-def test_weighted_l2_boundary_rejects_nodal_field(square_mesh):
-    one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
-    with pytest.raises(VenttselError, match="callable target"):
-        weighted_l2(one, 0.25, "boundary")
+def test_weighted_l2_rejects_callable():
     with pytest.raises(VenttselError, match="bulk weighted norm needs a NodalField"):
-        weighted_l2(lambda p: np.ones(len(p)), 0.25, "bulk")
+        weighted_l2(lambda p: np.ones(len(p)), 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -153,18 +161,19 @@ _GOLDEN_WEIGHTED = [
 @pytest.mark.parametrize("level,sigma,l2,hess,hess_rtol", _GOLDEN_WEIGHTED)
 def test_weighted_norms_golden_values(lshape_chain_solutions, level, sigma, l2, hess, hess_rtol):
     u = lshape_chain_solutions[level]
-    assert weighted_l2(u, sigma, "bulk") == pytest.approx(l2, rel=1e-13)
+    assert weighted_l2(u, sigma) == pytest.approx(l2, rel=1e-13)
     assert weighted_hessian_diagnostic(u, sigma) == pytest.approx(hess, rel=hess_rtol)
 
 
 def test_weighted_l2_constant_golden_value(square_mesh):
     one = NodalField(np.ones(square_mesh.n_nodes), square_mesh)
-    assert weighted_l2(one, 0.4, "bulk") == pytest.approx(0.6764712440400256, rel=1e-13)
+    assert weighted_l2(one, 0.4) == pytest.approx(0.6764712440400256, rel=1e-13)
 
 
 def test_norm_report_builds_weighted_rule_once(lshape, monkeypatch):
     mesh = triangulate(lshape, 0.25)
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
+    theta = nonlocal_matrix(mesh.boundary, 0.5)
     calls = []
     real = analysis.tri_points_weights
     monkeypatch.setattr(
@@ -174,12 +183,12 @@ def test_norm_report_builds_weighted_rule_once(lshape, monkeypatch):
     def rules():
         return sorted(k for k in mesh._cache if isinstance(k, tuple))
 
-    norm_report(u, sigma=0.42)
+    norm_report(u, theta, 0.42)
     per_build = len(calls)
-    assert per_build > 0 and rules() == [("weighted_rule", 0.42, 3)]
-    norm_report(u, sigma=0.42)
+    assert per_build > 0 and rules() == [("weighted_rule", 0.42)]
+    norm_report(u, theta, 0.42)
     assert len(calls) == per_build and len(rules()) == 1
-    norm_report(u, sigma=5.0 / 12.0)
+    norm_report(u, theta, 5.0 / 12.0)
     assert len(calls) == 2 * per_build and len(rules()) == 2
 
 
@@ -195,7 +204,7 @@ def test_stiffness_built_once_per_mesh(lshape, monkeypatch):
     system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=1.0, g=0.0))
     assert len(built) == 1  # the bulk stiffness; assembly builds no bulk mass
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
-    norm_report(u, theta=system.Theta)
+    norm_report(u, system.Theta, 0.42)
     assert len(built) == 1  # the norms build no bulk mass and no second stiffness
     assert analysis._ops(mesh)["A"] is system.A_bulk
     assert analysis._ops(mesh)["A_b"] is system.A_bdry
@@ -208,7 +217,7 @@ def test_norm_report_traced_peak(lshape):
     system = assemble_system(mesh, lshape_benchmark().spec())  # caches the stiffness matrices
     assert mesh.n_nodes == 14318
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
-    assert traced_peak(lambda: norm_report(u, theta=system.Theta, sigma=5.0 / 12.0)) <= 8e6
+    assert traced_peak(lambda: norm_report(u, system.Theta, 5.0 / 12.0)) <= 8e6
 
 
 def test_hessian_diagnostic_traced_peak(lshape):
@@ -218,7 +227,7 @@ def test_hessian_diagnostic_traced_peak(lshape):
     mesh = triangulate(lshape, 1.0 / 64.0)
     assert mesh.n_nodes == 14318
     u = NodalField(np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1] ** 2, mesh)
-    weighted_l2(u, 5.0 / 12.0, "bulk")  # builds and caches the weighted rule
+    weighted_l2(u, 5.0 / 12.0)  # builds and caches the weighted rule
     _p1_gradients(mesh)
     assert traced_peak(lambda: weighted_hessian_diagnostic(u, 5.0 / 12.0)) <= 1.2e6
 
@@ -229,23 +238,15 @@ def test_bulk_norms_independent_of_triangle_chunks(lshape, monkeypatch):
     def norms():
         mesh = triangulate(lshape, 1.0 / 16.0)
         u = NodalField(np.sin(3.0 * mesh.nodes[:, 0]) * mesh.nodes[:, 1] ** 2, mesh)
-        return mesh, (weighted_l2(u, 0.42, "bulk"), weighted_hessian_diagnostic(u, 0.42), l2_bulk(u))
+        return mesh, (weighted_l2(u, 0.42), weighted_hessian_diagnostic(u, 0.42), l2_bulk(u))
 
     monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 10**9)
     _, whole = norms()
     monkeypatch.setattr(meshing, "_TRIANGLE_CHUNK", 7)
     mesh, chunked = norms()
     assert mesh.n_triangles > 10 * 7
-    assert len(mesh._cache[("weighted_rule", 0.42, 3)]) == 3 * len(mesh.triangle_chunks())
+    assert len(mesh._cache[("weighted_rule", 0.42)]) == 3 * len(mesh.triangle_chunks())
     assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
-
-
-def test_weighted_l2_boundary_callable(square):
-    # Int over boundary of r^{2 sigma}: per-side graded panels + tails
-    val = weighted_l2(lambda p: np.ones(len(p)), 0.25, "boundary", polygon=square)
-    ts, ws = gauss_interval(0.0, 0.5, 60)
-    ref_side = 2.0 * float(np.sum(ws * ts**0.5))  # distance to nearest corner
-    assert val**2 == pytest.approx(4.0 * ref_side, rel=1e-6)
 
 
 def test_gagliardo_energy(square_bm, rng):

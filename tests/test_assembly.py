@@ -13,7 +13,6 @@ from venttsel.assembly import (
     assemble_system,
     boundary_mass,
     boundary_stiffness,
-    bulk_mass,
     bulk_stiffness,
     check_theta_orders,
     load_vector,
@@ -154,6 +153,15 @@ def test_load_vector_eval_failure(square_mesh):
         load_vector(square_mesh, 0.0, bad)
     with pytest.raises(AssemblyError):
         load_vector(square_mesh, lambda p: np.full(len(np.atleast_2d(p)), np.nan), 0.0)
+
+
+@pytest.mark.parametrize("bad", ["abc", object(), None], ids=["str", "object", "None"])
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_load_vector_rejects_bad_source_kind(square_mesh, which, bad):
+    kinds = "a callable or a number" if which == "f" else "a callable, a number, one number per side"
+    f, g = (bad, 0.0) if which == "f" else (0.0, bad)
+    with pytest.raises(AssemblyError, match=f"{which} must be {kinds}"):
+        load_vector(square_mesh, f, g)
 
 
 def _source(values):

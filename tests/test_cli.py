@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -39,6 +40,15 @@ def test_solve_constant_preset(tmp_path, capsys):
     assert (tmp_path / "out" / "norms.csv").exists()
     assert (tmp_path / "out" / "mesh.txt").exists()
     assert (tmp_path / "out" / "solution.txt").exists()
+
+
+def test_solve_norms_all_finite(tmp_path):
+    path = _write_config(tmp_path)
+    assert main(["solve", "--config", str(path)]) == 0
+    header, row = (tmp_path / "out" / "norms.csv").read_text().splitlines()
+    values = row.split(",")
+    assert len(values) == len(header.split(",")) == 9
+    assert all(math.isfinite(float(v)) for v in values)
 
 
 def test_solve_deterministic_output(tmp_path):

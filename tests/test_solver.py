@@ -104,8 +104,8 @@ def test_min_eigenvalue_degenerate(square_mesh):
 
 
 def test_dense_matches_sparse_sum(lshape_mesh):
-    # min_eigenpair reads dense() below its size cap and the sparse sum
-    # local + embed(Theta) above it: one operator, bit for bit
+    # dense(), which min_eigenpair decomposes, is the sparse operator
+    # local + embed(Theta) bit for bit
     system = assemble_system(lshape_mesh, ProblemSpec(s=0.5, b=[1.0, 0.5, 2.0, 0.0, 1.5, 1.0], f=0.0, g=0.0))
     assert np.array_equal(system.dense(), (system.local + system.embed(system.Theta)).toarray())
 
@@ -129,6 +129,14 @@ def test_min_eigenvalue_cap(square, monkeypatch):
         min_eigenpair(system)
 
 
+def test_min_eigenvalue_dense_cap(square, monkeypatch):
+    mesh = triangulate(square, 0.25)
+    system = assemble_system(mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=0.0))
+    monkeypatch.setattr(solver, "_EIGEN_DENSE_CAP", system.n - 1)
+    with pytest.raises(SolverError, match="unknowns"):
+        min_eigenpair(system)
+
+
 def test_coercivity_persistence(square):
     # smallest eigenvalue normalized by the boundary-mass floor stays bounded
     from venttsel.assembly import boundary_mass
@@ -148,17 +156,16 @@ def test_coercivity_persistence(square):
 
 def test_stability_ratio_examples(patch_system):
     u, _ = solve(patch_system, tol=1e-12)
-    spec = patch_system.spec
     # f = 0, g = 1 on perimeter 4: ||g|| = 2, ||u||_V1 = 2
-    assert stability_ratio(u, spec, 0.0, 2.0) == pytest.approx(1.0, abs=1e-9)
+    assert stability_ratio(u, 0.0, 2.0) == pytest.approx(1.0, abs=1e-9)
     # scaling the data leaves the ratio unchanged
     doubled = assemble_system(patch_system.mesh, ProblemSpec(s=0.5, b=1.0, f=0.0, g=2.0))
     u2, _ = solve(doubled, tol=1e-12)
-    assert stability_ratio(u2, spec, 0.0, 4.0) == pytest.approx(
-        stability_ratio(u, spec, 0.0, 2.0), rel=1e-9
+    assert stability_ratio(u2, 0.0, 4.0) == pytest.approx(
+        stability_ratio(u, 0.0, 2.0), rel=1e-9
     )
     with pytest.raises(SolverError):
-        stability_ratio(u, spec, 0.0, 0.0)
+        stability_ratio(u, 0.0, 0.0)
 
 
 def _block_matvec(system, v):
