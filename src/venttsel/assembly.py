@@ -70,10 +70,19 @@ class NodalField:
         return self.values[self.mesh.boundary.boundary_nodes]
 
 
+def _float_array(value) -> np.ndarray:
+    """value as a float array. A str, bytes, bool or None, also as an element,
+    raises TypeError: float conversion would read "2" as 2.0, True as 1.0 and
+    None as NaN."""
+    if any(isinstance(v, (str, bytes, bool, np.bool_, type(None))) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError(f"not a number: {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _b_array(b) -> np.ndarray:
     """Boundary coefficient data as a flat float array, checked b >= 0."""
     try:
-        vals = np.atleast_1d(np.asarray(b, dtype=float))
+        vals = np.atleast_1d(_float_array(b))
     except (TypeError, ValueError):
         raise AssemblyError(
             f"boundary coefficient b must be a number or one number per side, got {b!r}"
@@ -586,9 +595,12 @@ def _as_bulk_source(f):
     if callable(f):
         return f
     try:
-        c = float(f)
+        c = _float_array(f)
+        if c.ndim:
+            raise ValueError
     except (TypeError, ValueError):
         raise AssemblyError(f"bulk source f must be a callable or a number, got {f!r}") from None
+    c = float(c)
     return lambda pts: np.full(len(np.atleast_2d(pts)), c)
 
 
@@ -637,7 +649,7 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
             raise AssemblyError(f"boundary source evaluation failed: {exc}") from exc
     else:
         try:
-            vals = None if g is None else np.atleast_1d(np.asarray(g, dtype=float))
+            vals = np.atleast_1d(_float_array(g))
         except (TypeError, ValueError):
             vals = None
         if vals is None:

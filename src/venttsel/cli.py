@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, singular, solver, verify
-from .assembly import NodalField, assemble_system
+from .assembly import NodalField, _float_array, assemble_system
 from .errors import ConfigError, VenttselError
 from .geometry import Polygon, build_polygon, sigma_window
 from .meshing import triangulate, write_field, write_mesh
@@ -69,7 +69,7 @@ def _number(value, rule: str, name: str, kind=float):
     """kind(value) for a finite number (a whole one for kind=int, an array of
     them for kind=np.atleast_1d), else a ConfigError under `rule` naming `name`."""
     try:
-        number = np.asarray(value, dtype=float)
+        number = _float_array(value)
         ok = (number.ndim == 0 or kind is np.atleast_1d) and bool(np.all(np.isfinite(number)))
     except (TypeError, ValueError, OverflowError):
         ok = False

@@ -117,7 +117,7 @@ def _row_sums(panels: np.ndarray, kk: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_corner, retry):
+def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_corner):
     """One quadrature pass of the pointwise oracle over an array of points.
 
     Returns 2 Int (u(x) - u(y)) |x-y|^{-(1+2s)} dl(y) at Gauss order `order`
@@ -128,12 +128,12 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
     own point only, with the same arithmetic and order of additions in any
     grouping, so it is bitwise independent of the other points.
 
-    In the retry a corner x takes the sides that meet at it alike: an adjacent
-    side is integrated like x's own side, in arc offsets from the corner with
-    the dyadic core closed by the tail fit. With the retry's 52 layers, the
-    graded layout would put nodes nearer the corner than the coordinates
-    resolve (0 * inf); the first pass keeps it, so the values it accepts are
-    unchanged.
+    A corner x takes the sides that meet at it alike: each is integrated in
+    arc offsets from the corner, with slope 0 and the dyadic core closed by
+    the tail fit. A graded layout of an adjacent side would miss its r^{-2s}
+    singularity by more than the order difference shows, and at the retry's
+    52 layers it would put nodes nearer the corner than the coordinates
+    resolve (0 * inf).
     """
     orders = (order, order // 2)
     totals = np.zeros((2, len(t)))
@@ -149,12 +149,10 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
     for j in range(polygon.n_sides):
         L = polygon.side_lengths[j]
 
-        # x's arc offset along side j: its own side, or (retry) a corner of j
+        # x's arc offset along side j: its own side, or a corner of j
         d_start = np.linalg.norm(x - polygon.side_starts[j], axis=1)
         d_end = np.linalg.norm(x - polygon.side_ends[j], axis=1)
-        on_j = side == j
-        if retry:
-            on_j |= at_corner & (np.minimum(d_start, d_end) <= eps_corner)
+        on_j = (side == j) | (at_corner & (np.minimum(d_start, d_end) <= eps_corner))
         t_j = np.where(side == j, t, np.where(d_start <= d_end, 0.0, L))
 
         # other sides: panels graded toward both corners, deeper the nearer x
@@ -189,10 +187,10 @@ def _oracle_pass(polygon, trace, s, order, layers, x, side, t, ux, slope, at_cor
             if half.size == 0:
                 continue
             # stop the layers around 1e-5 of the side length: deeper panels
-            # drown in roundoff of the regularized difference. A corner in the
-            # retry subtracts nothing and goes on to 1e-7: deeper, the
-            # roundoff of u(x) - u(y) outgrows the tail bound for s near 1/2
-            depth = np.where(retry & at_corner[own[half]], 1e-7, 1e-5)
+            # drown in roundoff of the regularized difference. A corner
+            # subtracts nothing and goes on to 1e-7: deeper, the roundoff of
+            # u(x) - u(y) outgrows the tail bound for s near 1/2
+            depth = np.where(at_corner[own[half]], 1e-7, 1e-5)
             k_own = np.clip(np.ceil(np.log2(length[half] / (depth * L))), 5, layers).astype(int)
             # rows in order of k, so one k's panel sums form one block; panel
             # i of a row spans offsets scale[i] to scale[i + 1] of its length
@@ -274,9 +272,10 @@ def theta_pointwise_oracle(
     tangential linearization of the trace is subtracted and reintegrated as an
     analytic principal-value correction, which makes the scheme uniformly
     accurate in s; the leftover dyadic cores are summed by geometric
-    extrapolation. Tolerance is absolute plus relative; points whose estimate
-    misses it are recomputed once at higher order and depth, where a corner's
-    adjacent sides are integrated like its own side.
+    extrapolation. At a corner both sides that meet there are integrated like
+    x's own side, in arc offsets from the corner. Tolerance is absolute plus
+    relative; points whose estimate misses it are recomputed once, by the
+    same rule at higher order and depth.
 
     x is one boundary point or an array of points (P, 2); the trace must
     accept (M, 2) arrays, and every array it gets is coordinate-major (each
@@ -320,10 +319,10 @@ def theta_pointwise_oracle(
     err = np.empty(len(pts))
     todo = np.arange(len(pts))
     retried = 0
-    for stage, (order, layers) in enumerate(_ORACLE_STAGES):
+    for order, layers in _ORACLE_STAGES:
         value[todo], err[todo] = _oracle_pass(
             polygon, trace, s, order, layers, pts[todo], side[todo], t[todo],
-            ux[todo], slope[todo], at_corner[todo], retry=stage > 0,
+            ux[todo], slope[todo], at_corner[todo],
         )
         # a NaN estimate misses too
         todo = np.flatnonzero(~(err <= tol * (1.0 + np.abs(value))))
@@ -929,11 +928,7 @@ def manufactured_g_l2(problem: ManufacturedProblem) -> float:
         bvals = problem.b_per_side()
         return math.sqrt(float(np.sum(bvals**2 * problem.polygon.side_lengths)))
     poly = problem.polygon
-    rules = []
-    for side in range(poly.n_sides):
-        L = poly.side_lengths[side]
-        brk = graded_breakpoints(0.0, L, (0.0, L), 12)
-        rules.append(gauss_interval(brk[:-1], brk[1:], 6))
+    rules = [_graded_rule(L, 12, 6) for L in poly.side_lengths]
     # one oracle call over the points of all sides
     sizes = [ts.size for ts, _ in rules]
     sides = np.repeat(np.arange(poly.n_sides), sizes)

@@ -89,6 +89,15 @@ def test_boundary_mass_negative_rejected(square_bm):
         ProblemSpec(s=0.5, b=-2.0, f=0.0, g=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad", ["1.5", b"1", True, None, [1.0, "2", 1.0, 1.0], [1.0, True, 1.0, 1.0]],
+    ids=["numeric_str", "bytes", "bool", "None", "str_element", "bool_element"],
+)
+def test_problem_spec_rejects_non_numeric_b(bad):
+    with pytest.raises(AssemblyError, match="b must be a number or one number per side"):
+        ProblemSpec(s=0.5, b=bad, f=0.0, g=0.0)
+
+
 def test_problem_spec_validation():
     with pytest.raises(AssemblyError):
         ProblemSpec(s=0.0, b=1.0, f=0.0, g=0.0)
@@ -155,7 +164,11 @@ def test_load_vector_eval_failure(square_mesh):
         load_vector(square_mesh, lambda p: np.full(len(np.atleast_2d(p)), np.nan), 0.0)
 
 
-@pytest.mark.parametrize("bad", ["abc", object(), None], ids=["str", "object", "None"])
+@pytest.mark.parametrize(
+    "bad",
+    ["abc", object(), None, "1.0", b"2", True, [1.0, True, 1.0, 1.0]],
+    ids=["str", "object", "None", "numeric_str", "bytes", "bool", "bool_element"],
+)
 @pytest.mark.parametrize("which", ["f", "g"])
 def test_load_vector_rejects_bad_source_kind(square_mesh, which, bad):
     kinds = "a callable or a number" if which == "f" else "a callable, a number, one number per side"

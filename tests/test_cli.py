@@ -195,6 +195,16 @@ def test_threads_flag_accepts_only_one(tmp_path, capsys):
         ({"seed": 10**400}, "seed"),
         ({"mesh": {"levels": float("inf")}}, "mesh_levels"),
         ({"s": [0.5]}, "s_range"),
+        # numbers must be numbers: no numeric strings, no booleans
+        ({"s": "0.5"}, "s_range"),
+        ({"mesh": {"h": "0.25"}}, "mesh_h"),
+        ({"mesh": {"levels": "3"}}, "mesh_levels"),
+        ({"solver": {"tol": "1e-10"}}, "solver_tol"),
+        ({"seed": "2"}, "seed"),
+        ({"mesh": {"levels": True}}, "mesh_levels"),
+        ({"seed": True}, "seed"),
+        ({"b": [1.0, "2", True, 1]}, "b_type"),
+        ({"b": [1.0, True, 1.0, 1.0]}, "b_type"),
     ],
 )
 def test_bad_config_values_rejected_by_name(tmp_path, capsys, override, rule):

@@ -96,7 +96,9 @@ _TRACES = {
 # (polygon, trace, s, x, tol, value): values of the one-point-at-a-time
 # oracle this batched one replaced (panel layout, orders, tail fit and retry
 # unchanged), recorded as literals. Points within 1e-6 of a corner use a
-# tolerance their error estimate meets at that s.
+# tolerance their error estimate meets at that s. The value at the L-shape's
+# corner (1, 1) is the one corner rule's, which test_pointwise_lshape_corner_series
+# checks against a series.
 _GOLDEN = [
     ("square", "cubic", 0.25, (0.3, 0.0), 1e-08, -7.152336569356318),
     ("square", "cubic", 0.25, (1.0, 0.37), 1e-08, 2.3268006210709204),
@@ -120,7 +122,7 @@ _GOLDEN = [
     ("lshape", "harmonic", 0.7, (0.0, 1.3), 1e-08, -2.438822448987395),
     ("lshape", "harmonic", 0.7, (1.0, 1.0000004), 0.0001, -5443.00072430304),
     ("square", "cubic", 0.25, (0.0, 0.0), 1e-06, -5.615390712708651),
-    ("lshape", "harmonic", 0.25, (1.0, 1.0), 1e-06, -3.6884337288916944),
+    ("lshape", "harmonic", 0.25, (1.0, 1.0), 1e-06, -3.688433695527803),
 ]
 
 
@@ -192,27 +194,51 @@ def test_pointwise_nan_estimate_raises(square):
 
 
 @pytest.mark.parametrize("x, s, tol", [((0.0, 0.0), 0.4, 1e-7), ((1.0, 1.0), 0.25, 1e-10)])
-def test_pointwise_corner_retry_meets_tol(lshape, x, s, tol):
-    # the first pass misses tol; at the retry's 52 layers a graded adjacent
-    # side would round nodes onto the corner (0 * inf)
+def test_pointwise_corner_first_pass_meets_tol(lshape, x, s, tol):
+    # the first pass takes both sides that meet at the corner in arc offsets
+    # from it and meets tol, so the call never retries
     trace = _TRACES["harmonic"]
     first, first_err = theta_pointwise_oracle(lshape, trace, x, s, 1.0, return_error=True)
-    assert first_err > tol * (1.0 + abs(first))
-    value, err = theta_pointwise_oracle(lshape, trace, x, s, tol, return_error=True)
-    assert np.isfinite(value) and err <= tol * (1.0 + abs(value))
+    assert np.isfinite(first) and first_err <= tol * (1.0 + abs(first))
+    assert theta_pointwise_oracle(lshape, trace, x, s, tol) == first
 
 
-@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.45])
+def test_pointwise_lshape_corner_series(lshape):
+    # u = e^x sin y at the reentrant corner (1, 1), s = 1/4: the two sides
+    # meeting there integrate term by term, the four far ones are smooth
+    # (200-point Gauss each)
+    trace, s = _TRACES["harmonic"], 0.25
+    e, sin1, cos1 = math.e, math.sin(1.0), math.cos(1.0)
+    side_y = -e * sin1 * sum(1.0 / (math.factorial(k) * (k - 2 * s)) for k in range(1, 30))
+    side_x = e * (
+        sin1 * sum((-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k - 2 * s)) for k in range(1, 15))
+        - cos1 * sum((-1) ** k / (math.factorial(2 * k + 1) * (2 * k + 1 - 2 * s)) for k in range(15))
+    )
+    x = np.array([1.0, 1.0])
+    r, w = gauss_interval(0.0, 1.0, 200)
+    far = 0.0
+    for j in (0, 1, 4, 5):
+        y = lshape.side_starts[j] + np.outer(r * lshape.side_lengths[j], lshape.side_tangents[j])
+        d = np.linalg.norm(y - x, axis=1)
+        far += lshape.side_lengths[j] * np.sum(w * (trace(x) - trace(y)) * d ** (-(1.0 + 2.0 * s)))
+    exact = 2.0 * (side_y + side_x + far)
+    first, first_err = theta_pointwise_oracle(lshape, trace, x, s, 1.0, return_error=True)
+    assert abs(first - exact) <= first_err <= 1e-10
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.45, 0.49])
 def test_pointwise_corner_closed_form(square, s):
     # u = x + y^2 at the corner (1, 1): the two sides meeting there integrate
-    # in closed form, the two far ones are smooth (80-point Gauss); from
-    # s = 1/4 on, the first pass misses tol and the retry meets it
+    # in closed form, the two far ones are smooth (80-point Gauss); the first
+    # pass's estimate bounds its error, and the call meets tol
     trace = lambda p: np.atleast_2d(p)[:, 0] + np.atleast_2d(p)[:, 1] ** 2
     near = (2.0 / (1.0 - 2.0 * s) - 1.0 / (2.0 - 2.0 * s)) + 1.0 / (1.0 - 2.0 * s)
     r, w = gauss_interval(0.0, 1.0, 80)
     kernel = (1.0 + (1.0 - r) ** 2) ** (-(1.0 + 2.0 * s) / 2.0)
     far = np.sum(w * (2.0 - r) * kernel) + np.sum(w * (2.0 - r**2) * kernel)
     exact = 2.0 * (near + far)
+    first, first_err = theta_pointwise_oracle(square, trace, (1.0, 1.0), s, 1.0, return_error=True)
+    assert abs(first - exact) <= first_err
     value, err = theta_pointwise_oracle(square, trace, (1.0, 1.0), s, 1e-8, return_error=True)
     assert err <= 1e-8 * (1.0 + abs(value))
     assert abs(value - exact) <= err
@@ -283,25 +309,26 @@ def _recording(trace, seen):
     [
         # the second point misses tol in the first pass and meets it in the retry
         ("square", "wave", [(0.0, 0.4), (0.0, 0.81)], 0.5, 1e-13, None),
-        # a corner's retry integrates the sides that meet there like its own
+        # a corner's first pass integrates the sides that meet there like its
+        # own, and both points meet tol there
         ("lshape", "harmonic", [(0.0, 0.0), (0.5, 0.0)], 0.4, 1e-7, [0.0, 0.0]),
     ],
 )
 def test_pointwise_trace_reads_contiguous_columns(polygons, polygon, trace, pts, s, tol, derivative, monkeypatch):
     # every array the trace gets is coordinate-major, whatever the layout of
     # x: the points themselves, the numeric tangential derivative's stencil
-    # and both passes' quadrature points
-    stages = []
+    # and each pass's quadrature points
+    passes = []
     original = verify._oracle_pass
     monkeypatch.setattr(
-        verify, "_oracle_pass", lambda *args, **kwargs: stages.append(kwargs["retry"]) or original(*args, **kwargs)
+        verify, "_oracle_pass", lambda *args, **kwargs: passes.append(len(args[5])) or original(*args, **kwargs)
     )
     seen = []
     value, err = theta_pointwise_oracle(
         polygons[polygon], _recording(_TRACES[trace], seen), np.array(pts), s, tol,
         tangential_derivative=derivative, return_error=True,
     )
-    assert stages == [False, True] and np.all(err <= tol * (1.0 + np.abs(value)))
+    assert passes == ([2, 1] if trace == "wave" else [2]) and np.all(err <= tol * (1.0 + np.abs(value)))
     assert len(seen) > 10 and all(seen)
 
 
