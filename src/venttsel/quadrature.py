@@ -1,7 +1,7 @@
 """Quadrature rules and adaptive integrators.
 
-Fixed rules: cached Gauss-Legendre on [0, 1], two symmetric triangle rules, and
-a Duffy (collapsed tensor) triangle rule for high-order smooth integrands.
+Fixed rules: cached Gauss-Legendre and Gauss-Jacobi on [0, 1], two symmetric
+triangle rules, and a Duffy (collapsed tensor) rule for smooth integrands.
 Adaptive machinery: a 1D interval integrator with endpoint-singularity support
 and a 2D rectangle integrator with point-singularity support, for scalar or
 vector integrands; both estimate errors by comparing two Gauss orders and
@@ -13,11 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
 from .errors import OracleError
 
 __all__ = [
     "gauss01",
+    "gauss_jacobi01",
     "gauss_interval",
     "tri_rule",
     "tri_points_weights",
@@ -33,6 +35,13 @@ def gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+@lru_cache(maxsize=None)
+def gauss_jacobi01(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes/weights on [0, 1] for the weight x**alpha."""
+    x, w = roots_jacobi(n, 0.0, alpha)
+    return 0.5 * (x + 1.0), w * 0.5 ** (alpha + 1.0)
 
 
 def gauss_interval(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:

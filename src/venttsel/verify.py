@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import boundary_h2_diagnostic
 from .assembly import (
+    _ANGULAR_ORDER,
     NodalField,
     ProblemSpec,
     _far_blocks,
@@ -39,6 +40,7 @@ from .quadrature import (
     adaptive_rectangle,
     gauss01,
     gauss_interval,
+    gauss_jacobi01,
     graded_breakpoints,
     tri_points_weights,
     tri_rule,
@@ -698,37 +700,31 @@ def lshape_benchmark() -> BenchmarkProblem:
 # segment for the local boundary terms
 _LOAD_BULK_DEGREE = 9
 _LOAD_BDRY_ORDER = 16
+# Gauss-Jacobi order per variable of the identical-segment rule and of the
+# adjacent-pair radial rule, the variables that Theta integrates in closed form
+_LOAD_JACOBI_ORDER = 16
 
 
-def _power_gauss(n: int, p: int):
-    x, w = gauss01(n)
-    return x**p, w * p * x ** (p - 1)
-
-
-def _substitution_power(s: float) -> int:
-    return max(2, math.ceil(4.5 / (2.0 - 2.0 * s)))
-
-
-def _stable_diff(problem, x1, x2):
-    """u(x1) - u(x2) of coordinate-major points x1, x2 of shape (2, ...),
-    switching to the analytic midpoint-gradient form when the separation nears
-    roundoff (avoids catastrophic cancellation against the singular kernel).
-    The trace reads them as (points, 2) arrays with contiguous columns."""
+def _stable_diff(problem, x1, delta):
+    """u(x1) - u(x1 - delta) of coordinate-major points x1 and exact offsets
+    delta, both (2, ...); grad u(x1 - delta / 2) . delta where |delta| nears
+    the coordinates' roundoff. The trace reads the points as (points, 2)
+    arrays with contiguous columns."""
     shape = x1.shape[1:]
     f1 = x1.reshape(2, -1).T
-    f2 = x2.reshape(2, -1).T
+    f2 = (x1 - delta).reshape(2, -1).T
     du = np.asarray(problem.u(f1), dtype=float) - np.asarray(problem.u(f2), dtype=float)
-    delta = (x1 - x2).reshape(2, -1)
+    delta = delta.reshape(2, -1)
     # norms written out: the same bits as np.linalg.norm(axis=1) of the
     # (points, 2) rows, which takes five times as long
     sep = np.sqrt(delta[0] ** 2 + delta[1] ** 2)
     scale = 1.0 + np.sqrt(f1[:, 0] ** 2 + f1[:, 1] ** 2)
     close = sep < 1e-5 * scale
     if np.any(close):
-        mid = 0.5 * (f1[close] + f2[close])
-        g = np.asarray(problem.grad_u(mid), dtype=float)
         # contiguous (points, 2) rows: einsum may pick its inner loop by layout
-        du[close] = np.einsum("pd,pd->p", g, np.ascontiguousarray(delta[:, close].T))
+        d = np.ascontiguousarray(delta[:, close].T)
+        g = np.asarray(problem.grad_u(f1[close] - 0.5 * d), dtype=float)
+        du[close] = np.einsum("pd,pd->p", g, d)
     return du.reshape(shape)
 
 
@@ -749,32 +745,27 @@ def _far_load(bm: BoundaryMesh, s: float, order: int, u: np.ndarray) -> np.ndarr
 
 
 def _theta_load(bm: BoundaryMesh, problem, s: float):
-    """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes."""
+    """Per-basis nonlocal load <theta_s u, phi_i> over boundary-local nodes by
+    Theta's rules (so a trace piecewise linear on bm gives Theta @ u), with
+    Gauss-Jacobi weights where Theta integrates in closed form."""
     S = bm.n_nodes
     out = np.zeros(S)
-    p = _substitution_power(s)
-    n = 16
-    x, w = _power_gauss(n, p)  # one rule in each of the two variables
 
     lp = bm.local_pairs()
     # the identical and adjacent parts run in chunks of segments, so that
-    # their (segments, n, n) temporaries hold at most 4096 entries; each
-    # segment's arithmetic and the order of the adds into out are those of one
-    # pass over all segments (every identical part goes in before any adjacent)
-    step = 4096 // n**2
+    # their (segments, n, n) temporaries hold at most 4096 entries; every
+    # identical part goes in before any adjacent one
+    step = max(1, 4096 // (_LOAD_JACOBI_ORDER * max(_LOAD_JACOBI_ORDER, _ANGULAR_ORDER)))
     chunks = [np.arange(k0, min(k0 + step, S)) for k0 in range(0, S, step)]
     for k in chunks:
-        J = _identical_load(bm, problem, s, x, w, k)
-        np.add.at(out, lp[k, 0], -J / bm.lengths[k])
-        np.add.at(out, lp[k, 1], J / bm.lengths[k])
+        np.add.at(out, lp[k], _identical_load(bm, problem, s, k)[:, None] * [-1.0, 1.0])
     for k in chunks:
-        np.add.at(out, np.column_stack([(k + 1) % S, k, (k + 2) % S]), _adjacent_load(bm, problem, s, x, w, k))
+        np.add.at(out, np.column_stack([(k + 1) % S, k, (k + 2) % S]), _adjacent_load(bm, problem, s, k))
 
-    # separated pairs by the shared ratio ladder (orders bumped for the smooth
-    # factor), the trace evaluated once per segment and order. The far class
-    # runs as kernel rows (_far_load); mid and near chunks contract
-    # WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and its transpose.
-    groups = [(a, b, order + 4) for a, b, order in _separated_pairs(bm)]
+    # separated pairs by the shared ratio ladder, the trace evaluated once per
+    # segment and order. The far class runs as kernel rows (_far_load); mid and
+    # near chunks contract WK (u(x) - u(y)) as u_x rowsum(WK) - WK u_y and back.
+    groups = _separated_pairs(bm)
     traces = {}
     for _, _, n in groups:
         pts = bm.gauss_points(n)[0]
@@ -793,52 +784,45 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     return out
 
 
-def _identical_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> np.ndarray:
-    """J = 2 II (u(t) - u(t(1-v))) (t v)^{-2s} t dv dt of the segments k on
-    themselves, with the (x, w) rule in each variable."""
-    t_grid = bm.lengths[k][:, None, None] * x[None, :, None]  # (K, n, 1)
-    v_grid = x[None, None, :]
-    tv = t_grid * v_grid  # (K, n, n) arc separation
-    # coordinate-major points (2, K, n, n)
+def _identical_load(bm: BoundaryMesh, problem, s: float, k: np.ndarray) -> np.ndarray:
+    """J / L of the segments k on themselves, J = 2 II (u(t) - u(t - tv)) (t v)^{-2s}
+    t dv dt = 2 II D t^(2-2s) v^(1-2s) dv dt with D = (u(t) - u(t - tv)) / (tv)
+    and both powers in Gauss-Jacobi weights (t in [0, L], v in [0, 1])."""
+    xt, wt = gauss_jacobi01(_LOAD_JACOBI_ORDER, 2.0 - 2.0 * s)
+    xv, wv = gauss_jacobi01(_LOAD_JACOBI_ORDER, 1.0 - 2.0 * s)
+    t = bm.lengths[k][:, None, None] * xt[None, :, None]  # (K, n, 1)
+    tv = t * xv[None, None, :]  # (K, n, n) arc separation
+    # coordinate-major points and offsets (2, K, n, n)
     tan = bm.tangents[k].T[:, :, None, None]
-    x1 = bm.segment_starts[k].T[:, :, None, None] + (t_grid * np.ones_like(v_grid)) * tan
-    x2 = x1 - tv * tan
-    du = _stable_diff(problem, x1, x2)
-    integ = du * tv ** (-2.0 * s) * t_grid
-    return 2.0 * bm.lengths[k] * np.einsum("i,j,sij->s", w, w, integ)
+    x1 = bm.segment_starts[k].T[:, :, None, None] + (t * np.ones_like(xv)) * tan
+    du = _stable_diff(problem, x1, tv * tan)
+    return 2.0 * bm.lengths[k] ** (2.0 - 2.0 * s) * np.einsum("i,j,sij->s", wt, wv, du / tv)
 
 
-def _adjacent_load(bm: BoundaryMesh, problem, s: float, x, w, k: np.ndarray) -> np.ndarray:
-    """(K, 3) load of the adjacent segment pairs (k, k+1) on their nodes
-    k+1, k, k+2: Duffy split, radial factor left explicit."""
+def _adjacent_load(bm: BoundaryMesh, problem, s: float, k: np.ndarray) -> np.ndarray:
+    """(K, 3) load of the adjacent segment pairs (k, k+1) on their nodes k+1,
+    k, k+2. Duffy split: x - y = U (a ea - b eb), so each triangle integrates
+    La Lb U^(2-2s) D g^{-(1+2s)} dh with D = (u(x) - u(y)) / U, g = |a ea - b eb|
+    and dh the hats' angular factors; U^(2-2s) goes into Gauss-Jacobi weights."""
     kn = (k + 1) % bm.n_nodes
     La = bm.lengths[k][:, None, None]
     Lb = bm.lengths[kn][:, None, None]
     cos = np.einsum("kd,kd->k", bm.tangents[k], bm.tangents[kn])[:, None, None]
-    # coordinate-major (2, K, 1, 1): the Duffy points are (2, K, n, n)
+    # coordinate-major (2, K, 1, 1): the Duffy points are (2, K, n, m)
     P = bm.mesh.nodes[bm.boundary_nodes[kn]].T[:, :, None, None]
     ea = -bm.tangents[k].T[:, :, None, None]
     eb = bm.tangents[kn].T[:, :, None, None]
-    U = x[None, :, None]  # (1, n, 1)
-    V = x[None, None, :]  # (1, 1, n)
+    xu, wu = gauss_jacobi01(_LOAD_JACOBI_ORDER, 2.0 - 2.0 * s)
+    xv, wv = gauss01(_ANGULAR_ORDER)
+    U, V = xu[None, :, None], xv[None, None, :]  # (1, n, 1) and (1, 1, m)
 
     def duffy_part(xi_over_u, eta_over_u, d_hats):
-        a, b = La * xi_over_u, Lb * eta_over_u  # (K, 1, n) with U = 1
+        a, b = La * xi_over_u, Lb * eta_over_u  # (K, 1, m) with U = 1
         # the radial scale |x-y| / U = |a ea - b eb| depends on V alone
         g = np.sqrt(a * a + b * b + 2.0 * a * b * cos)
-        xpts = P + (a * U) * ea
-        ypts = P + (b * U) * eb
-        du_ = _stable_diff(problem, xpts, ypts)
-        base = (
-            (La[:, 0, 0] * Lb[:, 0, 0])[:, None, None]
-            * du_
-            * U ** (1.0 - 2.0 * s)
-            * g ** (-(1.0 + 2.0 * s))
-        )
-        res = np.empty((len(k), 3))
-        for m, dh in enumerate(d_hats):
-            res[:, m] = np.einsum("i,j,sij->s", w, w, base * dh)
-        return res
+        du_ = _stable_diff(problem, P + (a * U) * ea, U * (a * ea - b * eb))
+        base = (La * Lb) * (du_ / U) * g ** (-(1.0 + 2.0 * s))
+        return np.column_stack([np.einsum("i,j,sij->s", wu, wv, base * dh) for dh in d_hats])
 
     ones = np.ones_like(V)
     part1 = duffy_part(ones, V, (V - 1.0, ones, -V))  # xi = La U, eta = Lb U V

@@ -313,25 +313,27 @@ def test_far_blocks_match_per_pair_reference(lshape, h, q, chunk, s, monkeypatch
     ref = _far_theta_reference(bm, s)
     assert np.abs(theta - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    n = order + 4
-    pts = bm.gauss_points(n)[0]
+    pts = bm.gauss_points(order)[0]
     u = make_manufactured("cubic", lshape, s, 1.0).trace(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    load = _far_load(bm, s, n, u)
-    ref = _far_load_reference(bm, s, u, n)
+    load = _far_load(bm, s, order, u)
+    ref = _far_load_reference(bm, s, u, order)
     assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    for k in (order, n):
-        spans = [(r0, r1) for o, r0, r1, _ in blocks if o == k]
-        assert spans[0][0] == 0 and spans[-1][1] == S
-        assert all(r1 == r0 for (_, r1), (r0, _) in zip(spans, spans[1:]))
-        if chunk is not None and q != 1.0:
-            # S = 69 is no multiple of either order's block row count
-            assert len(spans) > 1 and spans[-1][1] - spans[-1][0] < spans[0][1] - spans[0][0]
+    # Theta's pass over the far blocks, then the load's over the same rows
+    assert {o for o, *_ in blocks} == {order}
+    spans = [(r0, r1) for _, r0, r1, _ in blocks]
+    run = spans[: len(spans) // 2]
+    assert spans == run + run
+    assert run[0][0] == 0 and run[-1][1] == S
+    assert all(r1 == r0 for (_, r1), (r0, _) in zip(run, run[1:]))
+    if chunk is not None and q != 1.0:
+        # S = 69 is no multiple of the block row count
+        assert len(run) > 1 and run[-1][1] - run[-1][0] < run[0][1] - run[0][0]
 
 
 def test_far_blocks_within_entry_budget(lshape, monkeypatch):
-    # the far kernel rows at S = 512 for Theta (order 4) and the form-based
-    # load (order 8) stay within _CHUNK_SIZE * 64 entries per block
+    # the far kernel rows at S = 512 for Theta and for the form-based load are
+    # order-4 blocks of 32 rows, within _CHUNK_SIZE * 64 entries per block
     from venttsel.verify import _theta_load, make_manufactured
 
     bm = triangulate(lshape, 1.0 / 64.0).boundary
@@ -341,12 +343,12 @@ def test_far_blocks_within_entry_budget(lshape, monkeypatch):
     nonlocal_matrix(bm, 0.5)
     _theta_load(bm, make_manufactured("cubic", lshape, 0.7, 1.0), 0.7)
     budget = assembly._CHUNK_SIZE * 64
-    for n, rows in ((4, 32), (8, 8)):
-        shapes = [(r0, r1, shape) for o, r0, r1, shape in blocks if o == n]
-        assert len(shapes) == S // rows
-        for r0, r1, shape in shapes:
-            assert r1 - r0 == rows and shape == (rows * n, (S - r0) * n)
-            assert shape[0] * shape[1] <= budget
+    n, rows = 4, 32
+    assert {o for o, *_ in blocks} == {n}
+    assert len(blocks) == 2 * S // rows  # Theta's pass, then the load's
+    for _, r0, r1, shape in blocks:
+        assert r1 - r0 == rows and shape == (rows * n, (S - r0) * n)
+        assert shape[0] * shape[1] <= budget
 
 
 def test_far_blocks_held_one_at_a_time(lshape, monkeypatch):
@@ -391,21 +393,20 @@ def test_load_evaluates_trace_once_per_ladder_order(lshape, monkeypatch):
 
 def test_separated_chunks_within_entry_budget(lshape, monkeypatch):
     # chunks are cut by kernel entries (pairs x n^2) within the far blocks'
-    # _CHUNK_SIZE * 64 budget, for Theta's ladder orders, the load's orders
-    # bumped by 4 and the order check's doubled orders
+    # _CHUNK_SIZE * 64 budget, for the ladder orders that Theta and the load
+    # share and the order check's doubled orders
     from venttsel.verify import _theta_load, make_manufactured
 
     monkeypatch.setattr(assembly, "_CHUNK_SIZE", 128)
     budget = assembly._CHUNK_SIZE * 64
     bm = extract_boundary(triangulate(lshape, 1.0 / 8.0))
-    for bump in (0, 4):
-        classes = [(a, b, order + bump) for a, b, order in _separated_pairs(bm)[1:]]
-        chunks = list(assembly._separated_chunks(classes))
-        for a, b, n in classes:  # every pair once, in class order
-            got = [(ca, cb) for ca, cb, cn in chunks if cn == n]
-            assert len(got) > 1
-            assert np.array_equal(np.concatenate([ca for ca, _ in got]), a)
-            assert np.array_equal(np.concatenate([cb for _, cb in got]), b)
+    classes = _separated_pairs(bm)[1:]
+    chunks = list(assembly._separated_chunks(classes))
+    for a, b, n in classes:  # every pair once, in class order
+        got = [(ca, cb) for ca, cb, cn in chunks if cn == n]
+        assert len(got) > 1
+        assert np.array_equal(np.concatenate([ca for ca, _ in got]), a)
+        assert np.array_equal(np.concatenate([cb for _, cb in got]), b)
 
     sizes = []
     kernel = assembly._separated_kernel
@@ -441,7 +442,7 @@ def test_small_chunks_match_default(lshape, monkeypatch):
 def test_load_traced_peak_within_chunk_budget(lshape):
     # at S = 512 the nonlocal part of the form-based load holds at most two
     # kernel arrays of the _CHUNK_SIZE * 64 entry budget at a time (4.2 MB;
-    # 5.2 MB traced in all)
+    # 4.5 MB traced in all)
     from venttsel.verify import _theta_load, make_manufactured
 
     bm = triangulate(lshape, 1.0 / 64.0).boundary
@@ -452,54 +453,55 @@ def test_load_traced_peak_within_chunk_budget(lshape):
 
 
 # Recorded before the separated-pair kernel read the cached Gauss data and
-# contracted with matmul: Theta entries (0, 0), (0, i1), (i1, i2), (i2, i3);
-# Theta @ v and energy_load_table(cubic) at (0, i1, i2, i3), where
+# contracted with matmul: Theta entries (0, 0), (0, i1), (i1, i2), (i2, i3) and
+# Theta @ v at (0, i1, i2, i3); energy_load_table(cubic) there, recorded once
+# the load took Theta's rules (an affine trace gives Theta @ u to roundoff).
 # (i1, i2, i3) = (S // 3, S // 2, S - 1) and v = default_rng(7).normal(size=S).
 _GOLDEN_SEPARATED = {
     ("square", 0.25): (
         (2.929134493013179, -0.1281754845398538, -0.22082878241598403, -0.09614993501958603),
         (0.3464382415337167, -2.939891066196725, -1.5161329815888616, 2.694495765210948),
-        (-1.6450870239380293, 1.4700242944927653, 8.997532272285145, -2.088111595885544),
+        (-1.645087024251225, 1.470024294614496, 8.99753227232358, -2.0881115957354575),
     ),
     ("square", 0.5): (
         (5.783221441859637, -0.12950620199803822, -0.27175221251777776, -0.08826439148347835),
         (-0.5071767282860294, -5.399804608802191, -3.81732538750248, 5.024405901291231),
-        (-1.7531037945429457, 1.7443276065940303, 10.82962659739891, -2.367960653892103),
+        (-1.7531037950152215, 1.7443276067829925, 10.829626597354217, -2.3679606536849382),
     ),
     ("square", 0.7): (
         (13.317201258823502, -0.13067908399071376, -0.3230998792936869, -0.08248110802657782),
         (-3.4871563075476146, -11.624346650996035, -10.080751921291391, 10.791640829975641),
-        (-1.9670631377588026, 2.0396945479378337, 15.461615575235134, -2.9032504286951673),
+        (-1.9670631389549693, 2.039694577782237, 15.461615518952712, -2.9032504282097964),
     ),
     ("lshape", 0.25): (
         (1.740901829652226, -0.002599776237814739, -0.0071397272924185835, -0.004791414821483294),
         (0.8914311199709551, -2.270985084377676, -1.208190805170826, 1.9390320860225072),
-        (-1.7432508910050954, 3.757161916096748, -9.084939148799016, -1.7981876693127243),
+        (-1.7432508910052997, 3.7571619160996104, -9.084939148823674, -1.7981876693134635),
     ),
     ("lshape", 0.5): (
         (5.91820126896578, -0.0018016152042503535, -0.006929785819217345, -0.004071320668429745),
         (1.1482201585119967, -7.86119919643083, -2.5494587948675873, 8.125613038619175),
-        (-1.3479772363212195, 3.6123148927368183, -10.744144861816014, -1.4096863413280503),
+        (-1.3479772363237132, 3.6123148927579916, -10.744144861894565, -1.4096863413302367),
     ),
     ("lshape", 0.7): (
         (23.12823914522425, -0.001343528192602573, -0.0067667063816451035, -0.0035741224782889058),
         (-2.613294929044998, -30.391681149483116, -4.77471193278172, 36.44018945838715),
-        (-1.133487961127748, 3.432080717448442, -15.643870281320849, -1.2089995051322642),
+        (-1.1334879611532045, 3.4320807175158845, -15.643870258298623, -1.208999505130614),
     ),
     ("graded", 0.25): (
         (2.080407553665099, -0.005227725271650633, -0.017022980943309975, -0.010442204681923837),
         (0.10080181431321854, 1.9536478595721287, 3.184542615964094, -2.9461185702472),
-        (-2.5740227699688703, 6.943422954857713, -10.418015853315445, -2.692756853845959),
+        (-2.5740227699690004, 6.943422954853474, -10.418015853350955, -2.692756853846128),
     ),
     ("graded", 0.5): (
         (5.9231822409044215, -0.0035436783035668303, -0.017107505399688097, -0.00891599476793107),
         (0.9200206622439926, 5.61714391881866, 9.81453961306557, -10.268053276252044),
-        (-1.996860341732029, 8.502953295830041, -12.537843477586385, -2.131183238069385),
+        (-1.9968603417328779, 8.502953295827435, -12.537843477718338, -2.131183238069881),
     ),
     ("graded", 0.7): (
         (19.864889591925998, -0.002596428113004919, -0.01717726317689022, -0.007857927941897505),
         (5.698068120648813, 17.72494761674784, 34.77169697923718, -37.17675480280613),
-        (-1.6870466802620374, 11.72111984785974, -18.3045109838825, -1.8527214106380008),
+        (-1.6870466803075752, 11.721119911454153, -18.304510954124282, -1.8527214106191032),
     ),
 }
 _GOLDEN_MESHES = {"square": (1.0 / 4.0, 1.0), "lshape": (1.0 / 16.0, 1.0), "graded": (0.25, 1.0 / (1.0 - 0.42))}

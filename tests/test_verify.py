@@ -478,32 +478,36 @@ def test_load_bulk_terms_boundary_triangles_bitwise(polygon, h, q, request, monk
     assert np.array_equal(verify.energy_load_table(prob, bm), restricted)
 
 
-def _stable_diff_rows(problem, x1, x2):
-    """u(x1) - u(x2) of (..., 2) points as rows, the midpoint-gradient form
-    where the separation nears roundoff."""
-    f1, f2 = x1.reshape(-1, 2), x2.reshape(-1, 2)
-    du = problem.u(f1) - problem.u(f2)
-    delta = f1 - f2
-    close = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2) < 1e-5 * (1.0 + np.sqrt(f1[:, 0] ** 2 + f1[:, 1] ** 2))
+def _stable_diff_rows(problem, x1, delta):
+    """u(x1) - u(x1 - delta) of (..., 2) points and offsets as rows, the
+    midpoint-gradient form where the offset nears roundoff."""
+    f1, d = x1.reshape(-1, 2), delta.reshape(-1, 2)
+    du = problem.u(f1) - problem.u(f1 - d)
+    close = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) < 1e-5 * (1.0 + np.sqrt(f1[:, 0] ** 2 + f1[:, 1] ** 2))
     if np.any(close):
-        g = problem.grad_u(0.5 * (f1[close] + f2[close]))
-        du[close] = np.einsum("pd,pd->p", g, delta[close])
+        g = problem.grad_u(f1[close] - 0.5 * d[close])
+        du[close] = np.einsum("pd,pd->p", g, d[close])
     return du.reshape(x1.shape[:-1]), close.any()
 
 
 @pytest.mark.parametrize("preset", ["cubic", "harmonic"])
 def test_stable_diff_coordinate_major(square, preset):
     # the coordinate-major form gives the bits of the row form, on and off
-    # its close branch
+    # its close branch; below the coordinates' roundoff, where x1 - delta
+    # rounds to x1, it still returns grad u . delta
     problem = make_manufactured(preset, square, 0.7, 1.0)
     rng = np.random.default_rng(4)
     x1 = rng.uniform(-1.0, 2.0, (3, 5, 5, 2))
-    for step, branch in ((0.3, False), (1e-7, True)):
-        x2 = x1 + step * rng.uniform(-1.0, 1.0, x1.shape)
-        expected, close = _stable_diff_rows(problem, x1, x2)
+    for step, branch in ((0.3, False), (1e-7, True), (1e-18, True)):
+        delta = step * rng.uniform(-1.0, 1.0, x1.shape)
+        expected, close = _stable_diff_rows(problem, x1, delta)
         assert close == branch
-        got = verify._stable_diff(problem, np.moveaxis(x1, -1, 0).copy(), np.moveaxis(x2, -1, 0).copy())
+        got = verify._stable_diff(problem, np.moveaxis(x1, -1, 0).copy(), np.moveaxis(delta, -1, 0).copy())
         assert np.array_equal(got, expected)
+    assert np.array_equal(x1 - delta, x1)
+    exact = np.einsum("pd,pd->p", problem.grad_u(x1.reshape(-1, 2)), delta.reshape(-1, 2))
+    assert np.all(got != 0.0)
+    assert np.allclose(got.ravel(), exact, rtol=1e-12, atol=0.0)
 
 
 def test_pointwise_table_skips_padding(square, monkeypatch):
@@ -584,8 +588,9 @@ def test_g_norm_one_oracle_call(polygon, s, request, monkeypatch):
 # Boundary loads per node on the square, cubic preset: (s, h) -> sum and sum of
 # absolute values of the pointwise route's load (s < 1/2), recorded from the
 # boundary entries of load_vector(mesh, 0.0, g) when g was a quadrature table,
-# and of the form-based load (s = 0.7), recorded before the points were built
-# coordinate-major; and the g norm at s = 0.25
+# and of the form-based load (s = 0.7), recorded once it took Theta's rules
+# (test_theta_load_affine_trace_is_theta_action checks those rules); and the g
+# norm at s = 0.25
 _TABLE_PINS = {
     (0.25, 0.5): (8.999994789706205, 34.822197366518786),
     (0.25, 0.25): (8.999998157926118, 39.037521713535455),
@@ -593,9 +598,9 @@ _TABLE_PINS = {
     (0.4, 0.5): (8.999847638868852, 37.295312686490924),
     (0.4, 0.25): (8.999933681880123, 42.17913411914863),
     (0.4, 0.125): (8.999971133560791, 43.869093636175684),
-    (0.7, 0.25): (9.0, 59.40094204756382),
-    (0.7, 0.125): (8.999999999999996, 64.13454794949784),
-    (0.7, 0.0625): (9.000000000000005, 65.48158680158505),
+    (0.7, 0.25): (9.0, 59.400942052944586),
+    (0.7, 0.125): (8.999999999999991, 64.13454795274637),
+    (0.7, 0.0625): (8.999999999999996, 65.48158680412297),
 }
 
 
@@ -605,6 +610,58 @@ def test_load_tables_pinned(square, s, h):
     bm = triangulate(square, h).boundary
     values = problem.build(bm)
     assert np.allclose((values.sum(), np.abs(values).sum()), _TABLE_PINS[s, h], rtol=1e-13, atol=0.0)
+
+
+class _AffineTrace:
+    """u = 0.7 x - 1.3 y + 0.4, which is exactly piecewise linear on any
+    boundary mesh."""
+
+    def u(self, pts):
+        return 0.7 * pts[:, 0] - 1.3 * pts[:, 1] + 0.4
+
+    trace = u
+
+    def grad_u(self, pts):
+        return np.tile([0.7, -1.3], (len(pts), 1))
+
+
+@pytest.mark.parametrize(
+    "polygon, h, q",
+    [
+        ("square", 1.0 / 8.0, 1.0),
+        ("lshape", 0.25, 1.0 / (1.0 - 0.42)),
+        ([(0, 0), (3, 0.4), (2.5, 2.2), (0.3, 1.7)], 1.0 / 8.0, 1.0),
+    ],
+    ids=["square", "graded", "quadrilateral"],
+)
+def test_theta_load_affine_trace_is_theta_action(polygon, h, q, request):
+    # the form-based nonlocal load takes Theta's rules, so on a trace that
+    # Theta's hats represent exactly it is Theta @ u to roundoff, for every s
+    poly = request.getfixturevalue(polygon) if isinstance(polygon, str) else build_polygon(polygon)
+    bm = triangulate(poly, h, q).boundary
+    trace = _AffineTrace()
+    u_b = trace.u(bm.mesh.nodes[bm.boundary_nodes])
+    for s in (0.1, 0.5, 0.7, 0.9, 0.95, 0.99):
+        ref = nonlocal_matrix(bm, s) @ u_b
+        load = verify._theta_load(bm, trace, s)
+        assert np.abs(load - ref).max() <= 1e-11 * np.abs(ref).max(), s
+
+
+@pytest.mark.parametrize("preset", ["cubic", "harmonic"])
+@pytest.mark.parametrize("s", [0.25, 0.7, 0.9, 0.99])
+def test_load_table_converged_in_local_orders(square, lshape, preset, s, monkeypatch):
+    # doubling the load's Gauss-Jacobi order and Theta's angular order moves
+    # the form-based load by at most 1e-10 of its largest entry
+    for poly, h, q in ((square, 0.25, 1.0), (lshape, 0.25, 1.0 / (1.0 - 0.42))):
+        bm = triangulate(poly, h, q).boundary
+        problem = make_manufactured(preset, poly, s, 1.0)
+        load = verify.energy_load_table(problem, bm)
+        with monkeypatch.context() as m:
+            # verify reads its own binding of _ANGULAR_ORDER at call time
+            m.setattr(verify, "_LOAD_JACOBI_ORDER", 2 * verify._LOAD_JACOBI_ORDER)
+            m.setattr(verify, "_ANGULAR_ORDER", 2 * verify._ANGULAR_ORDER)
+            doubled = verify.energy_load_table(problem, bm)
+        assert np.abs(doubled - load).max() <= 1e-10 * np.abs(doubled).max()
 
 
 def test_g_norm_pinned(square):
