@@ -205,9 +205,12 @@ def _p1_gradients(mesh: Mesh) -> np.ndarray:
     return mesh._cache["grads"]
 
 
-def _assemble_coo(tri: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+def _assemble_coo(idx: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    """Accumulate (E, k, k) element blocks on the (E, k) node lists idx into an
+    (n, n) csr: k = 3 for triangles, 2 for boundary segments."""
+    k = idx.shape[1]
+    rows = np.repeat(idx, k, axis=1).ravel()
+    cols = np.tile(idx, (1, k)).ravel()
     return sp.coo_matrix(
         (local.transpose(0, 2, 1).ravel(), (rows, cols)), shape=(n, n)
     ).tocsr()
@@ -226,18 +229,6 @@ def bulk_stiffness(mesh: Mesh) -> sp.csr_matrix:
 # --- boundary local operators ---------------------------------------------------
 
 
-def _scatter_boundary(bm: BoundaryMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Accumulate (S, 2, 2) per-segment blocks into an (S_nodes, S_nodes) csr
-    over boundary-local numbering."""
-    S = bm.n_nodes
-    lp = bm.local_pairs()
-    rows = np.repeat(lp, 2, axis=1).ravel()
-    cols = np.tile(lp, (1, 2)).ravel()
-    return sp.coo_matrix(
-        (local.transpose(0, 2, 1).ravel(), (rows, cols)), shape=(S, S)
-    ).tocsr()
-
-
 def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
     """1D arc-length stiffness along the closed boundary polyline; exact.
     Built once per boundary mesh and cached, like bulk_stiffness."""
@@ -246,7 +237,7 @@ def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
             raise AssemblyError("zero-length boundary segment")
         pat = np.array([[1.0, -1.0], [-1.0, 1.0]])
         local = pat[None, :, :] / bm.lengths[:, None, None]
-        bm._cache["stiffness"] = _scatter_boundary(bm, local)
+        bm._cache["stiffness"] = _assemble_coo(bm.local_pairs(), local, bm.n_nodes)
     return bm._cache["stiffness"]
 
 
@@ -265,7 +256,7 @@ def boundary_mass(bm: BoundaryMesh, b) -> sp.csr_matrix:
     """b-weighted boundary mass matrix; exact (b is constant per side)."""
     base = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     local = (_b_segment_values(bm, b) * bm.lengths)[:, None, None] * base[None, :, :]
-    return _scatter_boundary(bm, local)
+    return _assemble_coo(bm.local_pairs(), local, bm.n_nodes)
 
 
 # --- nonlocal operator ----------------------------------------------------------

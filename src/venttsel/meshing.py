@@ -19,10 +19,13 @@ qhull runs only on the band of boundary nodes and shallower seeds. The result
 is the same triangle set as one Delaunay call over all points. The Ruppert
 loop builds the mesh instead when a boundary sub-segment is missing, when the
 culled triangles do not tile the polygon, when a triangle fails the quality or
-size marks, when four band points inside the polygon are cocircular (qhull's
-choice of diagonal then depends on all of its input), or when the boundary
-points of a convex-hull side are not exactly collinear (qhull then returns
-zero-area triangles along it); it builds every graded mesh.
+size marks, or when four band points inside the polygon are cocircular
+(qhull's choice of diagonal then depends on all of its input); it builds every
+graded mesh.
+
+Both paths drop every zero-angle triangle with the outside ones: along a
+convex-hull side whose boundary points are not exactly collinear qhull returns
+such triangles, and no Delaunay refinement needs one.
 """
 from __future__ import annotations
 
@@ -309,7 +312,7 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
 
     side_offsets = [_side_offsets(L, h, q) for L in polygon.side_lengths]
     interior, grid, depth = _hex_seeds(polygon, h, q)
-    if q == 1.0 and _hull_sides_straight(polygon, side_offsets):
+    if q == 1.0:
         mesh = _lattice_mesh(polygon, h, _boundary_points(polygon, side_offsets), interior, grid, depth)
         if mesh is not None:
             return mesh
@@ -347,10 +350,7 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
             break
 
         cc, radius = _circumcenters(verts[bad])
-        finite = np.isfinite(cc).all(axis=1)
-        new_pts, split_any = _process_candidates(
-            polygon, side_offsets, cc[finite], radius[finite], h, q, scale
-        )
+        new_pts, split_any = _process_candidates(polygon, side_offsets, cc, radius, h, q, scale)
         if not len(new_pts) and not split_any:
             break  # nothing insertable: accept the mesh as is
         if len(new_pts):
@@ -421,22 +421,6 @@ def _lattice_mesh(polygon, h, bpts, seeds, grid, depth):
     return mesh
 
 
-def _hull_sides_straight(polygon: Polygon, side_offsets) -> bool:
-    """Whether the boundary points of every polygon side on the convex hull lie
-    exactly on one line. Along a hull side whose points are not exactly
-    collinear, qhull returns zero-area triangles that depend on all its input,
-    and the centroid test can keep one of them."""
-    for s in range(polygon.n_sides):
-        a, (tx, ty) = polygon.side_starts[s], polygon.side_vectors[s]
-        rel = polygon.vertices - a
-        if (tx * rel[:, 1] - ty * rel[:, 0]).min() < 0:
-            continue  # a vertex lies to the right: not a hull side
-        rel = polygon.boundary_point(s, side_offsets[s]) - a
-        if np.any(tx * rel[:, 1] - ty * rel[:, 0] != 0):
-            return False
-    return True
-
-
 def _boundary_points(polygon: Polygon, side_offsets) -> np.ndarray:
     """Boundary points in cyclic order; a corner shared by two sides appears once."""
     return np.vstack([polygon.boundary_point(s, side_offsets[s][:-1]) for s in range(polygon.n_sides)])
@@ -453,10 +437,15 @@ def _cycle_edges_present(simp: np.ndarray, B: int) -> np.ndarray:
 
 
 def _cull_and_orient(polygon: Polygon, simp: np.ndarray, verts: np.ndarray):
-    """The triangles whose centroid is inside the polygon, made counterclockwise.
+    """The triangles whose centroid is inside the polygon and whose angles are
+    not zero, made counterclockwise.
 
-    Takes the (T, 3) triangles and their (T, 3, 2) vertex coordinates. Returns
-    the kept triangles, their vertex coordinates and centroids (both in the
+    A triangle with |cross| <= 1e-10 (|e1|^2 + |e2|^2), for its edge vectors e1
+    and e2 from vertex 0, has an angle below 4e-10 radians: qhull returns such
+    triangles along a convex-hull side whose points are not exactly collinear.
+    The rule is scale-free, so small graded corner triangles are kept. Takes
+    the (T, 3) triangles and their (T, 3, 2) vertex coordinates. Returns the
+    kept triangles, their vertex coordinates and centroids (both in the
     counterclockwise order) and their areas.
     """
     cent = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3.0
@@ -465,6 +454,9 @@ def _cull_and_orient(polygon: Polygon, simp: np.ndarray, verts: np.ndarray):
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    flat = np.abs(cross) <= 1e-10 * ((e1**2).sum(axis=1) + (e2**2).sum(axis=1))
+    if flat.any():
+        simp, verts, cent, cross = simp[~flat], verts[~flat], cent[~flat], cross[~flat]
     flip = cross < 0
     simp[flip] = simp[flip][:, [0, 2, 1]]
     verts[flip] = verts[flip][:, [0, 2, 1]]

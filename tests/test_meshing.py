@@ -311,18 +311,38 @@ def test_uniform_mesh_is_culled_delaunay_of_its_nodes(vertices, h):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeshQualityWarning)
         m = triangulate(polygon, h)
+    check_mesh(m)
     full = Delaunay(m.nodes).simplices
     full = full[polygon.contains_points(m.nodes[full].mean(axis=1))]
+    # qhull returns zero-angle triangles along a slanted hull side; they are
+    # no elements of a valid mesh
+    e1, e2 = (m.nodes[full[:, k]] - m.nodes[full[:, 0]] for k in (1, 2))
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    full = full[np.abs(cross) > 1e-10 * ((e1**2).sum(axis=1) + (e2**2).sum(axis=1))]
     assert np.array_equal(_canonical(m.triangles), _canonical(full))
-    # every interior edge lies in exactly two triangles, every boundary edge in
-    # one; not checked along a slanted hull side, where the Ruppert loop can
-    # keep a zero-area triangle of qhull's
-    sides = [meshing._side_offsets(L, h, 1.0) for L in polygon.side_lengths]
-    assume(meshing._hull_sides_straight(polygon, sides))
+    # every interior edge lies in exactly two triangles, every boundary edge in one
     _, codes, _, counts = meshing._edges(m.triangles, m.n_nodes)
     boundary = meshing._edge_codes(m.boundary.node_pairs, m.n_nodes)
     assert np.array_equal(codes[counts == 1], np.sort(boundary))
     assert np.all(counts[counts != 1] == 2)
+
+
+@pytest.mark.parametrize(
+    "vertices, h",
+    [
+        ([(0, 5), (1, 0), (5, 2), (4, 3)], 1 / 4),
+        ([(0, 5), (1, 0), (5, 2), (4, 3)], 1 / 8),
+        ([(0, 5), (1, 0), (5, 2), (4, 3)], 1 / 16),
+        ([(0, 2), (5, 0), (2, 4), (1, 5)], 1 / 2),
+    ],
+)
+def test_slanted_hull_side_mesh_has_no_zero_angle(vertices, h):
+    # along these slanted hull sides qhull returns zero-angle triangles; one
+    # left in the mesh breaks the boundary cycle (the first polygon at h = 1/4
+    # and 1/16) or reaches assembly with an area of 1.5e-16 (the second)
+    m = triangulate(build_polygon(vertices), h)
+    check_mesh(m)
+    assert m.min_angle_deg() >= 20.0
 
 
 def _lattice_results(monkeypatch):
@@ -338,10 +358,20 @@ def _lattice_results(monkeypatch):
     return results
 
 
-@pytest.mark.parametrize("shape", ["square", "lshape"])
-def test_uniform_lattice_mesh_matches_ruppert_loop(shape, request, monkeypatch):
-    polygon = request.getfixturevalue(shape)
-    for h in (1 / 4, 1 / 8, 1 / 32):
+@pytest.mark.parametrize(
+    "shape, hs",
+    [
+        ("square", (1 / 4, 1 / 8, 1 / 32)),
+        ("lshape", (1 / 4, 1 / 8, 1 / 32)),
+        ([(0, 0), (3, 0.4), (2.5, 2.2), (0.3, 1.7)], (1 / 4, 1 / 8)),
+    ],
+    ids=["square", "lshape", "slanted"],
+)
+def test_uniform_lattice_mesh_matches_ruppert_loop(shape, hs, request, monkeypatch):
+    # the boundary points of the slanted quadrilateral's hull sides are not
+    # exactly collinear; the lattice path builds its meshes too
+    polygon = build_polygon(shape) if isinstance(shape, list) else request.getfixturevalue(shape)
+    for h in hs:
         results = _lattice_results(monkeypatch)
         m = triangulate(polygon, h)
         assert results == [m]
