@@ -286,58 +286,6 @@ def _segment_pair_dist(P0a, P1a, P0b, P1b):
     )
 
 
-def _identical_blocks(Theta, bm, s):
-    L = bm.lengths
-    entry = 2.0 * L ** (1.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
-    lp = bm.local_pairs()
-    i, j = lp[:, 0], lp[:, 1]
-    np.add.at(Theta, (i, i), entry)
-    np.add.at(Theta, (j, j), entry)
-    np.add.at(Theta, (i, j), -entry)
-    np.add.at(Theta, (j, i), -entry)
-
-
-def _adjacent_blocks(Theta, bm, s, order):
-    """All pairs of consecutive segments (k, k+1 mod S), radial-exact Duffy."""
-    S = bm.n_nodes
-    k = np.arange(S)
-    kn = (k + 1) % S
-    La = bm.lengths[k]
-    Lb = bm.lengths[kn]
-    # arc parameterized from the shared node boundary_nodes[kn]
-    ea = -bm.tangents[k]
-    eb = bm.tangents[kn]
-    cosb = np.einsum("ij,ij->i", ea, eb)
-
-    v, w = gauss01(order)
-    dP1 = v - 1.0  # T1 angular factors over dofs [shared, far_a, far_b]
-    dQa1 = np.ones_like(v)
-    dQb1 = -v
-    dP2 = 1.0 - v
-    dQa2 = v
-    dQb2 = -np.ones_like(v)
-
-    def tri_integral(d_list, gsq):
-        # gsq: (S, n) squared radial scale; returns (S, 3, 3)
-        kern = gsq ** (-(1.0 + 2.0 * s) / 2.0)
-        out = np.empty((S, 3, 3))
-        for m in range(3):
-            for n_ in range(m, 3):
-                val = np.einsum("k,k,k,sk->s", w, d_list[m], d_list[n_], kern)
-                out[:, m, n_] = val
-                out[:, n_, m] = val
-        return out
-
-    g1 = (La**2)[:, None] - 2.0 * (La * Lb * cosb)[:, None] * v[None, :] + (Lb**2)[:, None] * v[None, :] ** 2
-    g2 = (La**2)[:, None] * v[None, :] ** 2 - 2.0 * (La * Lb * cosb)[:, None] * v[None, :] + (Lb**2)[:, None]
-    C = tri_integral([dP1, dQa1, dQb1], g1) + tri_integral([dP2, dQa2, dQb2], g2)
-    C *= (La * Lb / (3.0 - 2.0 * s))[:, None, None]
-    C *= 2.0  # unordered pair stands for both (a,b) and (b,a)
-
-    dofs = np.column_stack([kn, k, (k + 2) % S])  # [shared, far_a, far_b]
-    np.add.at(Theta, (dofs[:, :, None], dofs[:, None, :]), C)
-
-
 # Separated-pair order ladder: the distance-to-diameter ratio picks the far
 # (ratio > _FAR_RATIO), mid or near (ratio <= _MID_RATIO) tensor Gauss order.
 _FAR_RATIO = 4.0
@@ -482,84 +430,115 @@ def _far_blocks(bm, s, order, V, G):
         del R
 
 
-def _far_theta(bm, s):
-    """Far-class part of Theta, upper triangle of segment pairs only.
+def _theta_fold(bm, s):
+    """The identical-segment and separated-pair parts of Theta, in one fold.
 
-    With Gauss weights w_i = L_a v_i on segment a (v the rule on [0, 1]), the
-    cross term X = hats^T diag(w) R diag(w) hats of a pair (a, b) is
-    L_a L_b (v hats)^T R (v hats), folded onto node rows a, a+1 and node
-    columns b, b+1; it enters as -2 (X + X^T). The self term is the per-point
-    sums w (F w) of _far_blocks contracted with the hat products onto the
-    cyclic tridiagonal.
+    Cross terms of the separated pairs a < b go into X over node rows and
+    columns, (S + 1, S + 1) with node S standing for node 0: a pair's 2 x 2
+    block lands on rows a, a+1 and columns b, b+1. Self terms go into D, (S, 4)
+    per segment over the hat products of its nodes k, k+1. Then
+    Theta = -2 (X + X^T) plus the cyclic tridiagonal of 2 D.
+
+    The mid and near classes add _separated_chunk's blocks pair by pair. The
+    far class runs as blocks of kernel rows (_far_blocks). With Gauss weights
+    w_i = L_a v_i on segment a (v the rule on [0, 1]), its cross term
+    hats^T diag(w) R diag(w) hats is L_a L_b (v hats)^T R (v hats), and its
+    self terms are the per-point sums w (F w) contracted with the hat products.
+    Each segment on itself has the closed form e [[1, -1], [-1, 1]] with
+    e = L^{1-2s} / ((2-2s)(3-2s)), a self term too.
     """
     S = bm.n_segments
-    order = _separated_pairs(bm)[0][2]
+    far, *close = _separated_pairs(bm)
+    order = far[2]
     _, wts, hats = bm.gauss_points(order)
     vhats = gauss01(order)[1][:, None] * hats
     L = bm.lengths
-    X = np.zeros((S, S))
+    X = np.zeros((S + 1, S + 1))
     w = wts.reshape(-1, 1)
     G = np.zeros_like(w)
-    last_rows = []
+    D = np.zeros((S, 4))
+    m = np.arange(2)
+    # the mid and near chunks go first: after the far blocks, their
+    # temporaries raised the converge command's peak RSS by about 1 MB at S = 512
+    for a, b, n in _separated_chunks(close):
+        Caa, Cbb, Cab = _separated_chunk(bm, s, a, b, n)
+        np.add.at(X, (a[:, None, None] + m[:, None], b[:, None, None] + m), Cab)
+        np.add.at(D, a, Caa.reshape(-1, 4))
+        np.add.at(D, b, Cbb.reshape(-1, 4))
     for r0, r1, R in _far_blocks(bm, s, order, w, G):
         nr, C = r1 - r0, S - r0
         Z = (vhats.T @ (R.reshape(-1, order) @ vhats).reshape(nr, order, 2 * C)).reshape(nr, 2, C, 2)
         del R  # before _far_blocks builds the next block
         Z *= np.multiply.outer(L[r0:r1], L[r0:])[:, None, :, None]
-        # node rows r0 .. r1 by node columns r0 .. S: a pair (a, b) lands on
-        # rows a, a+1 and columns b, b+1, where node S is node 0
-        nodes = np.zeros((nr + 1, C + 1))
-        nodes[:nr, :C] = Z[:, 0, :, 0]
-        nodes[:nr, 1:] += Z[:, 0, :, 1]
-        nodes[1:, :C] += Z[:, 1, :, 0]
-        nodes[1:, 1:] += Z[:, 1, :, 1]
+        for i, j in np.ndindex(2, 2):
+            X[r0 + i : r1 + i, r0 + j : S + j] += Z[:, i, :, j]
         del Z
-        # rows r0 .. r1-1 belong to this block alone; row r1 is added in block
-        # order once every block has run
-        X[r0:r1, r0:] = nodes[:nr, :C]
-        X[r0:r1, 0] += nodes[:nr, C]
-        last_rows.append((r0, r1, nodes[nr]))
-    for r0, r1, last in last_rows:
-        X[r1 % S, r0:] += last[:-1]
-        X[r1 % S, 0] += last[-1]
-    Theta = X + X.T
+    D += (w * G).reshape(S, order) @ _hat_products(hats)
+    D += np.outer(L ** (1.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s)), [1.0, -1.0, -1.0, 1.0])
+    X[:, 0] += X[:, S]  # row S stays zero: a pair's rows a, a+1 are below S
+    Theta = X[:S, :S] + X[:S, :S].T
     Theta *= -2.0
-    g1 = (w * G).reshape(S, order)
-    C = 2.0 * (g1 @ _hat_products(hats))  # (S, 4): 2 Caa per segment
     k = np.arange(S)
     kn = (k + 1) % S
-    Theta[k, k] += C[:, 0] + np.roll(C[:, 3], 1)
-    Theta[k, kn] += C[:, 1]
-    Theta[kn, k] += C[:, 2]
+    Theta[k, k] += 2.0 * (D[:, 0] + np.roll(D[:, 3], 1))
+    # the (k, k+1) term serves both sides, so the band is symmetric to the bit
+    Theta[k, kn] += 2.0 * D[:, 1]
+    Theta[kn, k] += 2.0 * D[:, 1]
     return Theta
+
+
+def _adjacent_rule(bm, s, k):
+    """Radial-exact Duffy rule of the adjacent segment pairs (k, k+1 mod S),
+    shared by Theta and the form-based load in verify.
+
+    The arcs run from the shared node P = node k+1 along ea = -t_k and
+    eb = t_{k+1}, so x - y = U (a ea - b eb) with U in [0, 1] the radial
+    variable, split into two triangles at the shared node. Returns P, ea, eb
+    (K, 2) and, per triangle, (a, b, wg, dh): the arc offsets a, b (K, m) of
+    the angular Gauss points at U = 1, the angular weights
+    wg = La Lb wv |a ea - b eb|^{-(1+2s)} (K, m), and the hats' angular
+    factors dh (3, m) on the nodes [shared, far_a, far_b], m = _ANGULAR_ORDER.
+    The radial factor left is U^(2-2s) times (u(x) - u(y)) / U.
+    """
+    kn = (k + 1) % bm.n_nodes
+    La, Lb = bm.lengths[k][:, None], bm.lengths[kn][:, None]
+    ea, eb = -bm.tangents[k], bm.tangents[kn]
+    cos = np.einsum("kd,kd->k", ea, eb)[:, None]
+    v, wv = gauss01(_ANGULAR_ORDER)
+    ones = np.ones_like(v)
+    parts = []
+    # xi = La U, eta = Lb U v; then xi = La U v, eta = Lb U
+    for a, b, dh in ((La * ones, Lb * v, (v - 1.0, ones, -v)), (La * v, Lb * ones, (1.0 - v, v, -ones))):
+        g2 = a * a + b * b - 2.0 * a * b * cos
+        parts.append((a, b, (La * Lb) * wv * g2 ** (-(1.0 + 2.0 * s) / 2.0), np.array(dh)))
+    return bm.mesh.nodes[bm.boundary_nodes[kn]], ea, eb, parts
 
 
 def nonlocal_matrix(bm: BoundaryMesh, s: float) -> np.ndarray:
     """Dense Galerkin matrix of the nonlocal boundary form over boundary nodes.
 
-    Entries use the Euclidean chord distance |x - y|; the matrix is symmetric,
-    positive semidefinite, annihilates constants, and scales like t**(1-2s)
-    under coordinate scaling by t. The far class of separated pairs is built
-    from blocks of kernel rows over the Gauss points (_far_theta), the mid and
-    near classes pair by pair in chunks.
+    Entries use the Euclidean chord distance |x - y|; the matrix is symmetric
+    to the bit, positive semidefinite, annihilates constants, and scales like
+    t**(1-2s) under coordinate scaling by t. The identical segments and the
+    separated pairs go through one fold (_theta_fold); the adjacent pairs take
+    the Duffy rule (_adjacent_rule) with the exact radial moment 1 / (3 - 2s).
     """
     if not 0.0 < s < 1.0:
         raise AssemblyError(f"fractional order s={s} outside (0, 1)")
     S = bm.n_nodes
     if S < 3:
         raise AssemblyError("boundary mesh must have at least 3 segments")
-    Theta = _far_theta(bm, s)
-    _identical_blocks(Theta, bm, s)
-    _adjacent_blocks(Theta, bm, s, _ANGULAR_ORDER)
-
-    lp = bm.local_pairs()
-    for a, b, order in _separated_chunks(_separated_pairs(bm)[1:]):
-        Caa, Cbb, Cab = _separated_chunk(bm, s, a, b, order)
-        ia, ib = lp[a], lp[b]  # (P, 2) local node indices
-        np.add.at(Theta, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
-        np.add.at(Theta, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
-        np.add.at(Theta, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
-        np.add.at(Theta, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
+    Theta = _theta_fold(bm, s)
+    k = np.arange(S)
+    *_, parts = _adjacent_rule(bm, s, k)
+    # each (m, n) entry once, so every 3 x 3 block is symmetric; the factor 2
+    # because an unordered pair stands for both (a, b) and (b, a)
+    m, n = np.triu_indices(3)
+    upper = sum(wg @ (dh[m] * dh[n]).T for _, _, wg, dh in parts) * (2.0 / (3.0 - 2.0 * s))
+    C = np.empty((S, 3, 3))
+    C[:, m, n] = C[:, n, m] = upper
+    dofs = np.column_stack([(k + 1) % S, k, (k + 2) % S])  # [shared, far_a, far_b]
+    np.add.at(Theta, (dofs[:, :, None], dofs[:, None, :]), C)
     return Theta
 
 

@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .analysis import boundary_h2_diagnostic
+from . import assembly
 from .assembly import (
-    _ANGULAR_ORDER,
     NodalField,
     ProblemSpec,
+    _adjacent_rule,
     _far_blocks,
     _p1_gradients,
     _separated_chunks,
@@ -755,7 +756,7 @@ def _theta_load(bm: BoundaryMesh, problem, s: float):
     # the identical and adjacent parts run in chunks of segments, so that
     # their (segments, n, n) temporaries hold at most 4096 entries; every
     # identical part goes in before any adjacent one
-    step = max(1, 4096 // (_LOAD_JACOBI_ORDER * max(_LOAD_JACOBI_ORDER, _ANGULAR_ORDER)))
+    step = max(1, 4096 // (_LOAD_JACOBI_ORDER * max(_LOAD_JACOBI_ORDER, assembly._ANGULAR_ORDER)))
     chunks = [np.arange(k0, min(k0 + step, S)) for k0 in range(0, S, step)]
     for k in chunks:
         np.add.at(out, lp[k], _identical_load(bm, problem, s, k)[:, None] * [-1.0, 1.0])
@@ -801,33 +802,21 @@ def _identical_load(bm: BoundaryMesh, problem, s: float, k: np.ndarray) -> np.nd
 
 def _adjacent_load(bm: BoundaryMesh, problem, s: float, k: np.ndarray) -> np.ndarray:
     """(K, 3) load of the adjacent segment pairs (k, k+1) on their nodes k+1,
-    k, k+2. Duffy split: x - y = U (a ea - b eb), so each triangle integrates
-    La Lb U^(2-2s) D g^{-(1+2s)} dh with D = (u(x) - u(y)) / U, g = |a ea - b eb|
-    and dh the hats' angular factors; U^(2-2s) goes into Gauss-Jacobi weights."""
-    kn = (k + 1) % bm.n_nodes
-    La = bm.lengths[k][:, None, None]
-    Lb = bm.lengths[kn][:, None, None]
-    cos = np.einsum("kd,kd->k", bm.tangents[k], bm.tangents[kn])[:, None, None]
+    k, k+2, by Theta's Duffy rule (assembly._adjacent_rule): x - y =
+    U (a ea - b eb), so each triangle integrates U^(2-2s) D against the rule's
+    angular weights and hat factors, with D = (u(x) - u(y)) / U and U^(2-2s)
+    in Gauss-Jacobi weights."""
+    P, ea, eb, parts = _adjacent_rule(bm, s, k)
     # coordinate-major (2, K, 1, 1): the Duffy points are (2, K, n, m)
-    P = bm.mesh.nodes[bm.boundary_nodes[kn]].T[:, :, None, None]
-    ea = -bm.tangents[k].T[:, :, None, None]
-    eb = bm.tangents[kn].T[:, :, None, None]
+    P, ea, eb = (v.T[:, :, None, None] for v in (P, ea, eb))
     xu, wu = gauss_jacobi01(_LOAD_JACOBI_ORDER, 2.0 - 2.0 * s)
-    xv, wv = gauss01(_ANGULAR_ORDER)
-    U, V = xu[None, :, None], xv[None, None, :]  # (1, n, 1) and (1, 1, m)
-
-    def duffy_part(xi_over_u, eta_over_u, d_hats):
-        a, b = La * xi_over_u, Lb * eta_over_u  # (K, 1, m) with U = 1
-        # the radial scale |x-y| / U = |a ea - b eb| depends on V alone
-        g = np.sqrt(a * a + b * b + 2.0 * a * b * cos)
-        du_ = _stable_diff(problem, P + (a * U) * ea, U * (a * ea - b * eb))
-        base = (La * Lb) * (du_ / U) * g ** (-(1.0 + 2.0 * s))
-        return np.column_stack([np.einsum("i,j,sij->s", wu, wv, base * dh) for dh in d_hats])
-
-    ones = np.ones_like(V)
-    part1 = duffy_part(ones, V, (V - 1.0, ones, -V))  # xi = La U, eta = Lb U V
-    part2 = duffy_part(V, ones, (1.0 - V, V, -ones))  # xi = La U V, eta = Lb U
-    return 2.0 * (part1 + part2)
+    U = xu[:, None]  # (n, 1)
+    out = 0.0
+    for a, b, wg, dh in parts:
+        a, b = a[:, None, :], b[:, None, :]  # (K, 1, m)
+        du = _stable_diff(problem, P + (a * U) * ea, U * (a * ea - b * eb))
+        out = out + ((wu @ (du / U)) * wg) @ dh.T
+    return 2.0 * out
 
 
 def _bulk_load_terms(problem, mesh: Mesh, triangles: np.ndarray) -> np.ndarray:

@@ -68,5 +68,13 @@ def lshape_mesh(lshape):
 
 
 @pytest.fixture(scope="session")
+def entry_oracles():
+    """theta_entry_oracle(bm, s, tol) matrices by (bm, s, tol): the operator-law
+    records of criteria 2 and 3 fill it, and the pinned-entry test reads it, so
+    each of those oracles is built once per session."""
+    return {}
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)

@@ -265,18 +265,25 @@ def _record_far_blocks(monkeypatch):
     return blocks
 
 
-def _far_theta_reference(bm, s):
-    """Far-class part of Theta pair by pair: _separated_chunk blocks scattered
-    onto each pair's nodes."""
-    a, b, order = _separated_pairs(bm)[0]
-    Caa, Cbb, Cab = assembly._separated_chunk(bm, s, a, b, order)
+def _theta_fold_reference(bm, s):
+    """Identical and separated parts of Theta pair by pair: each segment's
+    closed form on itself, and the _separated_chunk blocks of every ladder
+    class scattered onto each pair's nodes."""
     lp = bm.local_pairs()
-    ia, ib = lp[a], lp[b]
     ref = np.zeros((bm.n_nodes, bm.n_nodes))
-    np.add.at(ref, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
-    np.add.at(ref, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
-    np.add.at(ref, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
-    np.add.at(ref, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
+    i, j = lp[:, 0], lp[:, 1]
+    entry = 2.0 * bm.lengths ** (1.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+    np.add.at(ref, (i, i), entry)
+    np.add.at(ref, (j, j), entry)
+    np.add.at(ref, (i, j), -entry)
+    np.add.at(ref, (j, i), -entry)
+    for a, b, order in _separated_pairs(bm):
+        Caa, Cbb, Cab = assembly._separated_chunk(bm, s, a, b, order)
+        ia, ib = lp[a], lp[b]
+        np.add.at(ref, (ia[:, :, None], ia[:, None, :]), 2.0 * Caa)
+        np.add.at(ref, (ib[:, :, None], ib[:, None, :]), 2.0 * Cbb)
+        np.add.at(ref, (ia[:, :, None], ib[:, None, :]), -2.0 * Cab)
+        np.add.at(ref, (ib[:, :, None], ia[:, None, :]), -2.0 * Cab.transpose(0, 2, 1))
     return ref
 
 
@@ -309,8 +316,8 @@ def test_far_blocks_match_per_pair_reference(lshape, h, q, chunk, s, monkeypatch
     assert np.any(far_b == S - 1)  # wrap pairs: segment S-1 ends at node 0
     blocks = _record_far_blocks(monkeypatch)
 
-    theta = assembly._far_theta(bm, s)
-    ref = _far_theta_reference(bm, s)
+    theta = assembly._theta_fold(bm, s)
+    ref = _theta_fold_reference(bm, s)
     assert np.abs(theta - ref).max() <= 1e-14 * np.abs(ref).max()
 
     pts = bm.gauss_points(order)[0]
@@ -521,6 +528,17 @@ def test_separated_outputs_golden(square, lshape, name, s):
     got = (theta[[0] + idx[:3], idx], theta_v[idx], load[idx])
     for full, values, golden in zip((theta, theta_v, load), got, _GOLDEN_SEPARATED[name, s]):
         assert np.abs(values - golden).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("name", [*_GOLDEN_MESHES, "lshape64"])
+def test_theta_bitwise_symmetric(square, lshape, name):
+    # the fold adds X + X^T and one band value to both sides, and every
+    # adjacent 3 x 3 block is symmetric, so Theta equals its transpose
+    poly = square if name == "square" else lshape
+    bm = triangulate(poly, *_GOLDEN_MESHES.get(name, (1.0 / 64.0, 1.0))).boundary
+    for s in (0.25, 0.5, 0.7, 0.95):
+        theta = nonlocal_matrix(bm, s)
+        assert np.array_equal(theta, theta.T), s
 
 
 @pytest.mark.parametrize("h, q", [(1.0 / 8.0, 1.0), (0.25, 1.0 / (1.0 - 0.42))])
