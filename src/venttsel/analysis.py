@@ -48,16 +48,12 @@ __all__ = [
 ]
 
 
-def _ops(mesh: Mesh):
-    """Cached stiffness/mass operators shared by the norm routines."""
-    if "norm_ops" not in mesh._cache:
-        bm = mesh.boundary
-        mesh._cache["norm_ops"] = {
-            "A": bulk_stiffness(mesh),
-            "A_b": boundary_stiffness(bm),
-            "M_1": boundary_mass(bm, 1.0),
-        }
-    return mesh._cache["norm_ops"]
+def _unit_boundary_mass(bm: BoundaryMesh):
+    """boundary_mass(bm, 1.0), the boundary L2 Gram matrix; built once per
+    boundary mesh and cached, like the two stiffness matrices."""
+    if "unit_mass" not in bm._cache:
+        bm._cache["unit_mass"] = boundary_mass(bm, 1.0)
+    return bm._cache["unit_mass"]
 
 
 def _quad_form(mat, v):
@@ -76,15 +72,15 @@ def l2_bulk(u: NodalField) -> float:
 
 
 def h1_bulk_semi(u: NodalField) -> float:
-    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["A"], u.values)))
+    return math.sqrt(max(0.0, _quad_form(bulk_stiffness(u.mesh), u.values)))
 
 
 def l2_bdry(u: NodalField) -> float:
-    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["M_1"], u.boundary_values())))
+    return math.sqrt(max(0.0, _quad_form(_unit_boundary_mass(u.mesh.boundary), u.boundary_values())))
 
 
 def h1_bdry_semi(u: NodalField) -> float:
-    return math.sqrt(max(0.0, _quad_form(_ops(u.mesh)["A_b"], u.boundary_values())))
+    return math.sqrt(max(0.0, _quad_form(boundary_stiffness(u.mesh.boundary), u.boundary_values())))
 
 
 def v1_norm(u: NodalField) -> float:

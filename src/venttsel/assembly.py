@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +37,7 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "NodalField",
+    "embed",
     "bulk_stiffness",
     "boundary_stiffness",
     "boundary_mass",
@@ -122,10 +122,6 @@ class ProblemSpec:
         _b_array(self.b)
 
     @property
-    def regularity_regime(self) -> bool:
-        return self.s < 0.75
-
-    @property
     def coercive(self) -> bool:
         """b not identically zero."""
         return bool(np.any(_b_array(self.b) > 0))
@@ -133,15 +129,14 @@ class ProblemSpec:
 
 @dataclass(eq=False)
 class DiscreteSystem:
-    """Assembled operator blocks and load of the discrete weak formulation.
+    """Assembled operator and load of the discrete weak formulation.
 
-    The global operator is `local` (A_bulk plus A_bdry + M_b embedded through
-    mesh.boundary.boundary_nodes) plus Theta on the boundary nodes.
+    The global operator is `local`, the sparse part (the bulk stiffness plus
+    the boundary stiffness and b-mass embedded through
+    mesh.boundary.boundary_nodes), plus Theta on the boundary nodes.
     """
 
-    A_bulk: sp.csr_matrix
-    A_bdry: sp.csr_matrix
-    M_b: sp.csr_matrix
+    local: sp.csr_matrix
     Theta: np.ndarray
     load: np.ndarray
     mesh: Mesh
@@ -150,18 +145,6 @@ class DiscreteSystem:
     @property
     def n(self) -> int:
         return len(self.load)
-
-    def embed(self, block) -> sp.csr_matrix:
-        """(N, N) csr of a boundary-local (S, S) block, dense or sparse."""
-        bidx = self.mesh.boundary.boundary_nodes
-        block = sp.coo_matrix(block)
-        return sp.csr_matrix((block.data, (bidx[block.row], bidx[block.col])), shape=(self.n, self.n))
-
-    @cached_property
-    def local(self) -> sp.csr_matrix:
-        """The sparse part of the operator, everything but Theta; built on
-        first use and cached, while Theta is read on every call."""
-        return (self.A_bulk + self.embed(self.A_bdry + self.M_b)).tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         bidx = self.mesh.boundary.boundary_nodes
@@ -181,9 +164,12 @@ class DiscreteSystem:
         A[np.ix_(bidx, bidx)] += self.Theta
         return A
 
-    def energy(self, values: np.ndarray) -> float:
-        """Quadratic form of the global operator."""
-        return float(values @ self.matvec(values))
+
+def embed(mesh: Mesh, block) -> sp.csr_matrix:
+    """(N, N) csr of a block (S, S) over mesh.boundary's nodes, dense or sparse."""
+    bidx = mesh.boundary.boundary_nodes
+    block = sp.coo_matrix(block)
+    return sp.csr_matrix((block.data, (bidx[block.row], bidx[block.col])), shape=(mesh.n_nodes, mesh.n_nodes))
 
 
 # --- bulk operators -----------------------------------------------------------
@@ -644,15 +630,18 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
 
 
 def assemble_system(mesh: Mesh, spec: ProblemSpec) -> DiscreteSystem:
-    """Assemble all operator blocks and the load for a problem instance; the
-    boundary blocks live on mesh.boundary."""
+    """Assemble the operator and the load for a problem instance; the boundary
+    blocks live on mesh.boundary. `local` is composed after Theta and the load,
+    so it can take memory their temporaries have freed: the order of these
+    allocations moves a run's peak RSS."""
     bm = mesh.boundary
+    A_bulk, A_bdry, M_b = bulk_stiffness(mesh), boundary_stiffness(bm), boundary_mass(bm, spec.b)
+    Theta = nonlocal_matrix(bm, spec.s)
+    load = load_vector(mesh, spec.f, spec.g)
     return DiscreteSystem(
-        A_bulk=bulk_stiffness(mesh),
-        A_bdry=boundary_stiffness(bm),
-        M_b=boundary_mass(bm, spec.b),
-        Theta=nonlocal_matrix(bm, spec.s),
-        load=load_vector(mesh, spec.f, spec.g),
+        local=(A_bulk + embed(mesh, A_bdry + M_b)).tocsr(),
+        Theta=Theta,
+        load=load,
         mesh=mesh,
         spec=spec,
     )

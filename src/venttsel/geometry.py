@@ -7,7 +7,8 @@ on the interior of a side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,8 @@ class WeightWindow:
     """
 
     lower: float
-    upper: float = 0.5
     lower_closed: bool = False
+    upper = 0.5  # a class constant: every window ends below sigma = 1/2
 
     @property
     def is_empty(self) -> bool:
@@ -55,32 +56,30 @@ class WeightWindow:
 
 @dataclass(frozen=True, eq=False)
 class Polygon:
-    """Simple counterclockwise polygon with derived corner data.
+    """Simple counterclockwise polygon; it stores its corners and derives the rest.
 
     vertices : (n, 2) corner coordinates, counterclockwise
-    angles   : (n,) interior openings alpha_j in radians, each in (0, 2*pi)
-    alpha_max: largest opening
-    is_convex: True iff every alpha_j < pi (strictly)
     reoriented: the input ran clockwise and was reversed
+
+    Derived once per polygon and cached: the interior openings `angles`, each
+    in (0, 2*pi), their largest `alpha_max`, `is_convex` (every opening below
+    pi) and the side data, which the mesher reads in tight loops.
     """
 
     vertices: np.ndarray
-    angles: np.ndarray
-    alpha_max: float
-    is_convex: bool
     reoriented: bool = False
-    _derived: dict = field(default_factory=dict, repr=False)
 
-    # --- derived side data (cached: the mesher hits these in tight loops) ---
+    @cached_property
+    def angles(self) -> np.ndarray:
+        return _interior_angles(self.vertices)
 
-    def _cache(self, key, make):
-        if key not in self._derived:
-            self._derived[key] = make()
-        return self._derived[key]
+    @cached_property
+    def alpha_max(self) -> float:
+        return float(self.angles.max())
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    @cached_property
+    def is_convex(self) -> bool:
+        return bool(self.alpha_max < math.pi - _ANGLE_TOL)
 
     @property
     def n_sides(self) -> int:
@@ -90,36 +89,28 @@ class Polygon:
     def side_starts(self) -> np.ndarray:
         return self.vertices
 
-    @property
+    @cached_property
     def side_ends(self) -> np.ndarray:
-        return self._cache("side_ends", lambda: np.roll(self.vertices, -1, axis=0))
+        return np.roll(self.vertices, -1, axis=0)
 
-    @property
+    @cached_property
     def side_vectors(self) -> np.ndarray:
-        return self._cache("side_vectors", lambda: self.side_ends - self.side_starts)
+        return self.side_ends - self.side_starts
 
-    @property
+    @cached_property
     def side_lengths(self) -> np.ndarray:
-        return self._cache(
-            "side_lengths", lambda: np.linalg.norm(self.side_vectors, axis=1)
-        )
+        return np.linalg.norm(self.side_vectors, axis=1)
 
-    @property
+    @cached_property
     def side_tangents(self) -> np.ndarray:
         """Unit tangent of each side, in traversal (counterclockwise) direction."""
-        return self._cache(
-            "side_tangents", lambda: self.side_vectors / self.side_lengths[:, None]
-        )
+        return self.side_vectors / self.side_lengths[:, None]
 
-    @property
+    @cached_property
     def side_normals(self) -> np.ndarray:
         """Outward unit normal of each side (tangent rotated by -90 degrees)."""
-
-        def make():
-            t = self.side_tangents
-            return np.column_stack([t[:, 1], -t[:, 0]])
-
-        return self._cache("side_normals", make)
+        t = self.side_tangents
+        return np.column_stack([t[:, 1], -t[:, 0]])
 
     @property
     def perimeter(self) -> float:
@@ -296,19 +287,11 @@ def build_polygon(points) -> Polygon:
         verts = verts[~flat]
         if len(verts) < 3:
             raise GeometryError("polygon degenerates after merging collinear edges")
-    angles = _interior_angles(verts)
-
+    polygon = Polygon(vertices=verts, reoriented=reoriented)
+    angles = polygon.angles
     if np.any(angles <= _ANGLE_TOL) or np.any(angles >= 2 * math.pi - _ANGLE_TOL):
         raise GeometryError("cusped corner: interior angles must lie strictly in (0, 2*pi)")
-
-    alpha_max = float(angles.max())
-    return Polygon(
-        vertices=verts,
-        angles=angles,
-        alpha_max=alpha_max,
-        is_convex=bool(alpha_max < math.pi - _ANGLE_TOL),
-        reoriented=reoriented,
-    )
+    return polygon
 
 
 def sigma_window(p: Polygon) -> WeightWindow:

