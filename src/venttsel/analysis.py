@@ -219,9 +219,7 @@ def boundary_h2_diagnostic(u_bdry: np.ndarray, bm: BoundaryMesh) -> float:
     S = bm.n_segments
     total = 0.0
     # side j runs from corner node j to corner node j + 1 in cyclic order
-    starts = bm.corner_nodes
-    for j, k0 in enumerate(starts):
-        n_seg = (starts[(j + 1) % len(starts)] - k0) % S
+    for j, (k0, n_seg) in enumerate(zip(bm.corner_nodes, np.diff(bm.corner_nodes, append=S))):
         if n_seg < 2:
             warnings.warn(
                 f"boundary side {j} has fewer than 3 nodes; it contributes 0 to the H2 diagnostic",

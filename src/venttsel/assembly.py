@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, RegularityRegimeWarning
+from .geometry import Polygon
 from .meshing import BoundaryMesh, Mesh
 from .quadrature import gauss01, tri_points_weights, tri_rule
 
@@ -227,15 +228,19 @@ def boundary_stiffness(bm: BoundaryMesh) -> sp.csr_matrix:
     return bm._cache["stiffness"]
 
 
+def _per_side(polygon: Polygon, vals, name: str) -> np.ndarray:
+    """(n_sides,) values of `name` from one number or one number per side."""
+    vals = np.atleast_1d(np.asarray(vals, dtype=float))
+    if vals.size == 1:
+        return np.full(polygon.n_sides, float(vals[0]))
+    if vals.size != polygon.n_sides:
+        raise AssemblyError(f"per-side {name} needs {polygon.n_sides} values, got {vals.size}")
+    return vals
+
+
 def _b_segment_values(bm: BoundaryMesh, b) -> np.ndarray:
     """Boundary coefficient per segment from scalar or per-side data."""
-    vals = _b_array(b)
-    if vals.size == 1:
-        return np.full(bm.n_segments, float(vals[0]))
-    nsides = bm.mesh.polygon.n_sides
-    if vals.size != nsides:
-        raise AssemblyError(f"per-side b needs {nsides} values, got {vals.size}")
-    return vals[bm.side_ids]
+    return _per_side(bm.mesh.polygon, _b_array(b), "b")[bm.side_ids]
 
 
 def boundary_mass(bm: BoundaryMesh, b) -> sp.csr_matrix:
@@ -605,20 +610,13 @@ def load_vector(mesh: Mesh, f, g) -> np.ndarray:
             raise AssemblyError(f"boundary source evaluation failed: {exc}") from exc
     else:
         try:
-            vals = np.atleast_1d(_float_array(g))
+            vals = _per_side(bm.mesh.polygon, _float_array(g), "g")
         except (TypeError, ValueError):
-            vals = None
-        if vals is None:
             raise AssemblyError(
                 "boundary source g must be a callable, a number, one number per side "
                 f"or a source with .build, got {g!r}"
-            )
-        if vals.size == 1:
-            gv = np.full(pts_b.shape[:2], float(vals[0]))
-        elif vals.size == bm.mesh.polygon.n_sides:
-            gv = np.repeat(vals[bm.side_ids][:, None], _BOUNDARY_ORDER, axis=1)
-        else:
-            raise AssemblyError("boundary source array must be scalar or per-side")
+            ) from None
+        gv = np.repeat(vals[bm.side_ids][:, None], _BOUNDARY_ORDER, axis=1)
     if not np.all(np.isfinite(gv)):
         si, ki = np.argwhere(~np.isfinite(gv))[0]
         raise AssemblyError(f"boundary source not finite at {pts_b[si, ki]}")

@@ -140,28 +140,41 @@ class Polygon:
             out[d, ...] += p0[..., d]
         return out.transpose(*range(1, out.ndim), 0)
 
+    def nearest_side(self, pts: np.ndarray):
+        """(side, t, dist) of each of the (P, 2) points: its nearest side, the
+        arc offset of its foot on that side from the side's start, and the
+        distance to that foot. One pass per side over the coordinate columns
+        keeps memory O(P), and sqrt(fx*fx + fy*fy) has the bits of
+        np.linalg.norm. A tie goes to the first side; a NaN point stays at
+        side 0, t = 0, distance inf."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        x, y = pts[:, 0], pts[:, 1]
+        side, t, dist = np.zeros(len(pts), dtype=np.intp), np.zeros(len(pts)), np.full(len(pts), np.inf)
+        for s, ((x0, y0), (tx, ty), L) in enumerate(zip(self.side_starts, self.side_tangents, self.side_lengths)):
+            ts = np.clip((x - x0) * tx + (y - y0) * ty, 0.0, L)
+            fx, fy = x0 + ts * tx - x, y0 + ts * ty - y
+            ds = np.sqrt(fx * fx + fy * fy)
+            closer = ds < dist
+            np.copyto(side, s, where=closer)
+            np.copyto(t, ts, where=closer)
+            np.copyto(dist, ds, where=closer)
+        return side, t, dist
+
     def locate_boundary_point(self, x):
         """Return (side index, arc offset from side start) of a boundary point x;
         for points x of shape (P, 2), an index array and an offset array. A
         point farther than 1e-9 * max(1, perimeter) from every side raises."""
         x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        d = pts[:, None, :] - self.side_starts[None, :, :]
-        t = d[:, :, 0] * self.side_tangents[:, 0] + d[:, :, 1] * self.side_tangents[:, 1]
-        t = np.clip(t, 0.0, self.side_lengths)
-        feet = self.side_starts + t[:, :, None] * self.side_tangents
-        dist = np.linalg.norm(feet - pts[:, None, :], axis=2)
-        rows = np.arange(len(pts))
-        k = np.argmin(dist, axis=1)
-        off = dist[rows, k] > 1e-9 * max(1.0, self.perimeter)
+        side, t, dist = self.nearest_side(x)
+        off = dist > 1e-9 * max(1.0, self.perimeter)
         if np.any(off):
             i = int(np.argmax(off))
             raise GeometryError(
-                f"point {pts[i]} is not on the boundary (distance {dist[i, k[i]]:.3e})"
+                f"point {np.atleast_2d(x)[i]} is not on the boundary (distance {dist[i]:.3e})"
             )
         if x.ndim == 1:
-            return int(k[0]), float(t[0, k[0]])
-        return k, t[rows, k]
+            return int(side[0]), float(t[0])
+        return side, t
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
         """Crossing-number inside test; points on the boundary are unreliable."""
@@ -175,18 +188,6 @@ class Polygon:
                 xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= straddles & (x < xint)
         return inside
-
-    def distance_to_boundary(self, pts: np.ndarray) -> np.ndarray:
-        """Unsigned distance from each point to the nearest side."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        best = np.full(len(pts), np.inf)
-        for s in range(self.n_sides):
-            d = pts - self.side_starts[s]
-            t = d @ self.side_tangents[s]
-            t = np.clip(t, 0.0, self.side_lengths[s])
-            feet = self.side_starts[s] + t[:, None] * self.side_tangents[s]
-            best = np.minimum(best, np.linalg.norm(pts - feet, axis=1))
-        return best
 
     @property
     def reentrant_corners(self) -> np.ndarray:

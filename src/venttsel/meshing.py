@@ -114,16 +114,17 @@ class BoundaryMesh:
     """Ordered cyclic boundary partition induced by a Mesh.
 
     boundary_nodes[k] is the start node (global index) of segment k; segment k
-    runs to boundary_nodes[(k+1) % S]. side_ids[k] is the polygon side that
-    holds segment k. corner_nodes[j] is the boundary-local index of polygon
-    vertex j. Derived from these and cached: node_pairs, the (S, 2) global
-    ends of each segment; lengths; and arclength_coords, the cumulative arc
-    length at boundary_nodes[k], zero at the polygon's first vertex.
+    runs to boundary_nodes[(k+1) % S]. corner_nodes[j] is the boundary-local
+    index of polygon vertex j, strictly increasing from corner_nodes[0] = 0.
+    Derived from these and cached: side_ids, the polygon side that holds each
+    segment (side j runs from corner node j to corner node j + 1); node_pairs,
+    the (S, 2) global ends of each segment; lengths; and arclength_coords, the
+    cumulative arc length at boundary_nodes[k], zero at the polygon's first
+    vertex.
     """
 
     mesh: Mesh
     boundary_nodes: np.ndarray  # (S,) global node indices, cyclic order
-    side_ids: np.ndarray  # (S,)
     corner_nodes: np.ndarray  # (V,) boundary-local indices, polygon-vertex order
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -138,6 +139,10 @@ class BoundaryMesh:
     @property
     def perimeter(self) -> float:
         return float(self.lengths.sum())
+
+    @cached_property
+    def side_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.corner_nodes)), np.diff(self.corner_nodes, append=self.n_segments))
 
     @cached_property
     def node_pairs(self) -> np.ndarray:
@@ -287,7 +292,7 @@ def _hex_seeds(polygon: Polygon, h: float, q: float):
         return np.zeros((0, 2)), grid, np.zeros(0)
     pts = np.vstack(pts)
     keep = np.flatnonzero(polygon.contains_points(pts))
-    depth = polygon.distance_to_boundary(pts[keep])
+    depth = polygon.nearest_side(pts[keep])[2]
     margin = 0.55 * _local_size(polygon, h, q, pts[keep])
     keep, depth = keep[depth >= margin], depth[depth >= margin]
     row = np.repeat(np.arange(len(lens)), lens)[keep]
@@ -508,15 +513,7 @@ def _process_candidates(polygon, side_offsets, cc, radius, h, q, scale):
     """
     if not len(cc):
         return np.zeros((0, 2)), False
-    # nearest side and arc offset, vectorized over sides
-    d = cc[:, None, :] - polygon.side_starts[None, :, :]
-    t = np.einsum("csd,sd->cs", d, polygon.side_tangents)
-    t = np.clip(t, 0.0, polygon.side_lengths[None, :])
-    feet = polygon.side_starts[None, :, :] + t[..., None] * polygon.side_tangents[None, :, :]
-    dist2 = np.einsum("csd,csd->cs", cc[:, None, :] - feet, cc[:, None, :] - feet)
-    side = np.argmin(dist2, axis=1)
-    t_at = t[np.arange(len(cc)), side]
-
+    side, t_at, _ = polygon.nearest_side(cc)
     inside = polygon.contains_points(cc)
     encroach = np.zeros(len(cc), dtype=bool)
     interval = np.zeros(len(cc), dtype=int)
@@ -561,7 +558,9 @@ def _process_candidates(polygon, side_offsets, cc, radius, h, q, scale):
 
 def extract_boundary(mesh: Mesh) -> BoundaryMesh:
     """Extract the single closed boundary cycle, starting at polygon vertex 0,
-    with side ids and the nodes of all polygon vertices."""
+    with the nodes of all polygon vertices. The cycle must meet them in
+    counterclockwise order, and every segment midpoint must lie within
+    1e-9 * max(1, perimeter) of a side."""
     directed, _, inverse, counts = _edges(mesh.triangles, mesh.n_nodes)
     if counts.max() > 2:
         raise MeshError("non-manifold edge: mesh is not conforming")
@@ -593,13 +592,13 @@ def extract_boundary(mesh: Mesh) -> BoundaryMesh:
         raise MeshError("boundary is not a single closed cycle")
 
     bnodes = np.array(cycle, dtype=int)
+    bm = BoundaryMesh(mesh=mesh, boundary_nodes=bnodes, corner_nodes=np.argmax(bnodes == corners[:, None], axis=1))
+    if np.any(np.diff(bm.corner_nodes) <= 0):
+        raise MeshError(f"polygon vertices out of counterclockwise order on the boundary: {bm.corner_nodes}")
     p = mesh.nodes[bnodes]
-    bm = BoundaryMesh(
-        mesh=mesh,
-        boundary_nodes=bnodes,
-        side_ids=poly.locate_boundary_point(0.5 * (p + np.roll(p, -1, axis=0)))[0],
-        corner_nodes=np.argmax(bnodes == corners[:, None], axis=1),
-    )
+    off = poly.nearest_side(0.5 * (p + np.roll(p, -1, axis=0)))[2] > 1e-9 * max(1.0, poly.perimeter)
+    if off.any():
+        raise MeshError(f"boundary segment {int(np.argmax(off))} is off the polygon boundary")
     if np.any(bm.lengths <= 0):
         raise MeshError("zero-length boundary segment")
     if abs(bm.perimeter - poly.perimeter) > 1e-10 * poly.perimeter:
@@ -651,7 +650,7 @@ def check_mesh(mesh: Mesh):
     if abs(mesh.areas.sum() - mesh.polygon.area) > 1e-10 * mesh.polygon.area:
         raise MeshError("triangle areas do not sum to the polygon area")
     bidx = np.nonzero(mesh.boundary_node_flags)[0]
-    d = mesh.polygon.distance_to_boundary(mesh.nodes[bidx])
+    d = mesh.polygon.nearest_side(mesh.nodes[bidx])[2]
     if len(d) and d.max() > 1e-12 * max(1.0, mesh.polygon.perimeter):
         raise MeshError("boundary node off the polygon boundary")
     extract_boundary(mesh)

@@ -26,6 +26,7 @@ from .assembly import (
     _adjacent_rule,
     _far_blocks,
     _p1_gradients,
+    _per_side,
     _separated_chunks,
     _separated_kernel,
     _separated_pairs,
@@ -500,10 +501,7 @@ class ManufacturedProblem:
         return np.asarray(self.u(np.atleast_2d(pts)), dtype=float)
 
     def b_per_side(self) -> np.ndarray:
-        vals = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if vals.size == 1:
-            return np.full(self.polygon.n_sides, float(vals[0]))
-        return vals
+        return _per_side(self.polygon, self.b, "b")
 
     def corner_jumps(self) -> np.ndarray:
         """Per-corner weight (incoming - outgoing tangential derivative)."""
@@ -922,11 +920,8 @@ def benchmark_g_l2(problem: BenchmarkProblem) -> float:
     g = problem.g
     if callable(g):
         raise VenttselError("callable benchmark g norms are not implemented")
-    vals = np.atleast_1d(np.asarray(g, dtype=float))
-    poly = problem.polygon
-    if vals.size == 1:
-        return float(abs(vals[0])) * math.sqrt(poly.perimeter)
-    return math.sqrt(float(np.sum(vals**2 * poly.side_lengths)))
+    vals = _per_side(problem.polygon, g, "g")
+    return math.sqrt(float(np.sum(vals**2 * problem.polygon.side_lengths)))
 
 
 # --- errors ------------------------------------------------------------------------

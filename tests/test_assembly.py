@@ -115,6 +115,26 @@ def test_problem_spec_validation():
             ProblemSpec(s=0.5, b=bad_b, f=0.0, g=0.0)
 
 
+def test_per_side_rule_rejects_wrong_sizes(square, square_mesh, square_bm):
+    # one rule expands b and g: one number or one per side, nothing else
+    from venttsel.verify import BenchmarkProblem, benchmark_g_l2, make_manufactured
+
+    assert assembly._per_side(square, 2.0, "b").tolist() == [2.0] * 4
+    assert assembly._per_side(square, [1, 2, 3, 4], "g").tolist() == [1.0, 2.0, 3.0, 4.0]
+    for call in (
+        lambda: boundary_mass(square_bm, [1.0, 2.0]),
+        lambda: make_manufactured("cubic", square, 0.25, [1.0, 2.0]).b_per_side(),
+    ):
+        with pytest.raises(AssemblyError, match="per-side b needs 4 values, got 2"):
+            call()
+    for call in (
+        lambda: load_vector(square_mesh, 0.0, [1.0, 2.0, 3.0]),
+        lambda: benchmark_g_l2(BenchmarkProblem("sq", square, 0.5, 1.0, 1.0, [1.0, 2.0, 3.0])),
+    ):
+        with pytest.raises(AssemblyError, match="per-side g needs 4 values, got 3"):
+            call()
+
+
 def test_nonlocal_s_range(square_bm):
     for s in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(AssemblyError):

@@ -132,8 +132,16 @@ def test_contains_and_boundary_distance(lshape):
     pts = np.array([[0.5, 0.5], [1.5, 1.5], [1.5, 0.5], [-0.1, 0.3]])
     inside = lshape.contains_points(pts)
     assert inside.tolist() == [True, False, True, False]
-    d = lshape.distance_to_boundary(np.array([[0.5, 0.5]]))
+    d = lshape.nearest_side(np.array([[0.5, 0.5]]))[2]
     assert d[0] == pytest.approx(0.5)
+
+
+def test_nan_point_not_on_boundary(square):
+    # a NaN point is at no finite distance from any side
+    side, t, dist = square.nearest_side(np.array([[np.nan, 0.0], [0.3, 0.0]]))
+    assert side.tolist() == [0, 0] and t[1] == 0.3 and dist.tolist() == [np.inf, 0.0]
+    with pytest.raises(GeometryError, match="is not on the boundary"):
+        square.locate_boundary_point(np.array([[np.nan, 0.0]]))
 
 
 def test_cusp_rejected():

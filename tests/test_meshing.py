@@ -136,7 +136,7 @@ def test_polygon_vertices_are_mesh_nodes(lshape_mesh):
 
 def test_boundary_nodes_on_boundary(lshape_mesh):
     bidx = np.nonzero(lshape_mesh.boundary_node_flags)[0]
-    d = lshape_mesh.polygon.distance_to_boundary(lshape_mesh.nodes[bidx])
+    d = lshape_mesh.polygon.nearest_side(lshape_mesh.nodes[bidx])[2]
     assert d.max() <= 1e-12
 
 
@@ -202,6 +202,23 @@ def test_missing_polygon_vertex_rejected(square):
         [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
     )
     with pytest.raises(MeshError, match="polygon vertex 2 is not a mesh node"):
+        extract_boundary(m)
+
+
+def test_clockwise_mesh_rejected(square):
+    # every triangle reversed: the boundary cycle runs clockwise and meets the
+    # corners in the order 0, 3, 2, 1, so no side runs between corner j and j + 1
+    m = triangulate(square, 0.25)
+    reversed_mesh = _bare_mesh(square, m.nodes, m.triangles[:, ::-1])
+    with pytest.raises(MeshError, match="counterclockwise order"):
+        extract_boundary(reversed_mesh)
+
+
+def test_off_boundary_segment_rejected(square):
+    # the corners are nodes and in order, but the segment from (1, 0) to
+    # (0.5, 0.6) cuts across the square
+    m = _bare_mesh(square, [[0, 0], [1, 0], [0.5, 0.6], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 4], [2, 3, 4]])
+    with pytest.raises(MeshError, match="boundary segment 1 is off the polygon boundary"):
         extract_boundary(m)
 
 
@@ -434,6 +451,31 @@ def test_graded_lshape_meshes_pinned(lshape, h, n_nodes, n_triangles, n_boundary
     # Ruppert passes take circumcentres in qhull's simplex order, so these
     # meshes move under edits that change that order or the candidate rules
     m = triangulate(lshape, h, 1.0 / (1.0 - 0.42))
+    assert (m.n_nodes, m.n_triangles, int(m.boundary_node_flags.sum())) == (n_nodes, n_triangles, n_boundary)
+    x, y = m.nodes.T
+    assert np.allclose([x.sum(), y.sum(), (x * y).sum()], [sum_x, sum_y, sum_xy], rtol=1e-12, atol=0.0)
+
+
+_QUAD = [(0, 0), (3, 0.4), (2.5, 2.2), (0.3, 1.7)]
+_PENTAGON = [(0, 0), (2.1, 0.3), (2.6, 1.7), (1.2, 2.4), (-0.3, 1.5)]
+
+
+@pytest.mark.parametrize(
+    "vertices, h, q, n_nodes, n_triangles, n_boundary, sum_x, sum_y, sum_xy",
+    [
+        (_QUAD, 0.125, 1.0, 369, 663, 73, 545.1375, 382.29630962462545, 597.0859101609535),
+        (_QUAD, 0.25, 1.0 / (1.0 - 0.42), 131, 202, 58, 193.29410185154524, 136.5497606142487, 218.82159357129004),
+        (_QUAD, 0.125, 1.0 / (1.0 - 0.42), 466, 810, 120, 697.5738863054843, 486.5951490942317, 778.486190096675),
+        (_PENTAGON, 0.125, 1.0, 380, 689, 69, 414.45624999999995, 434.02406119219467, 501.88218815369356),
+        (_PENTAGON, 0.25, 1.0 / (1.0 - 0.42), 153, 242, 62, 165.14106878120344, 168.3129128780969, 196.84036222987726),
+        (_PENTAGON, 0.125, 1.0 / (1.0 - 0.42), 518, 906, 128, 569.6497177886829, 581.8419242126553, 687.7163565046992),
+    ],
+)
+def test_slanted_meshes_pinned(vertices, h, q, n_nodes, n_triangles, n_boundary, sum_x, sum_y, sum_xy):
+    # on axis-aligned sides a projection multiplies by 0 and +-1 exactly, so
+    # only slanted sides show a change in the rounding of the nearest-side
+    # rule that the seed pruning and the Ruppert splits read
+    m = triangulate(build_polygon(vertices), h, q)
     assert (m.n_nodes, m.n_triangles, int(m.boundary_node_flags.sum())) == (n_nodes, n_triangles, n_boundary)
     x, y = m.nodes.T
     assert np.allclose([x.sum(), y.sum(), (x * y).sum()], [sum_x, sum_y, sum_xy], rtol=1e-12, atol=0.0)

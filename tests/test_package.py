@@ -47,7 +47,7 @@ def test_types_store_only_defining_fields(lshape, lshape_mesh):
     # object can contradict itself; the derived values are pinned to the bit
     stored = {
         Polygon: ["vertices", "reoriented"],
-        BoundaryMesh: ["mesh", "boundary_nodes", "side_ids", "corner_nodes", "_cache"],
+        BoundaryMesh: ["mesh", "boundary_nodes", "corner_nodes", "_cache"],
         SingularTerm: ["polygon", "corner_index", "coefficient"],
         DiscreteSystem: ["local", "Theta", "load", "mesh", "spec"],
         WeightWindow: ["lower", "lower_closed"],
@@ -60,6 +60,8 @@ def test_types_store_only_defining_fields(lshape, lshape_mesh):
         SingularTerm(polygon=lshape, corner_index=3, exponent=2.0 / 3.0)
     with pytest.raises(TypeError):
         WeightWindow(lower=0.0, upper=0.4)
+    with pytest.raises(TypeError):
+        BoundaryMesh(mesh=lshape_mesh, boundary_nodes=np.arange(32), side_ids=np.zeros(32), corner_nodes=np.arange(6))
     assert WeightWindow.upper == 0.5
 
     right = repr(math.pi / 2)
@@ -77,6 +79,8 @@ def test_types_store_only_defining_fields(lshape, lshape_mesh):
     assert repr(bm.arclength_coords.tolist()) == repr([0.25 * k for k in range(32)])
     assert bm.node_pairs.tolist() == [[k, (k + 1) % 32] for k in range(32)]
     assert np.array_equal(bm.node_pairs[:, 0], bm.boundary_nodes)
+    assert bm.side_ids.dtype == np.intp
+    assert bm.side_ids.tolist() == [0] * 8 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5] * 8
 
     term = make_singular_term(lshape, 3)
     assert repr(term.exponent) == "0.6666666666666666"

@@ -175,9 +175,19 @@ def test_pointwise_array_corner_rule(square):
         theta_pointwise_oracle(square, _TRACES["cubic"], pts, 0.6, 1e-6)
 
 
-def test_pointwise_retry(square):
-    # the order-16 pass misses 1e-14 at this point; the order-24 pass meets it
-    trace, x, s, tol, golden = _TRACES["wave"], (0.0, 0.81), 0.5, 1e-14, 4.2980933672585016
+@pytest.mark.parametrize(
+    "trace, x, s, tol, golden",
+    [
+        # the order-16 pass misses 1e-14 at this point; the order-24 pass meets it
+        ("wave", (0.0, 0.81), 0.5, 1e-14, 4.2980933672585016),
+        # at a tolerance a caller would use: the first pass's estimate 3.60e-8
+        # misses the limit 3.48e-8 just, and the second pass's 3.02e-8 meets it
+        ("harmonic", (0.1, 1.0), 0.8, 1e-8, 2.47890030582888),
+    ],
+    ids=["wave", "harmonic"],
+)
+def test_pointwise_retry(square, trace, x, s, tol, golden):
+    trace = _TRACES[trace]
     first, first_err = theta_pointwise_oracle(square, trace, x, s, 1.0, return_error=True)
     assert first_err > tol * (1.0 + abs(first))
     value, err = theta_pointwise_oracle(square, trace, x, s, tol, return_error=True)
