@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,9 @@ from . import analysis, singular, solver, verify
 from .assembly import NodalField, _float_array, assemble_system
 from .errors import ConfigError, VenttselError
 from .geometry import Polygon, build_polygon, sigma_window
-from .meshing import triangulate, write_field, write_mesh
+from .meshing import _atomic_write, triangulate, write_field, write_mesh
 
 log = logging.getLogger("venttsel")
-
-_PRESETS = ("constant", "cubic", "harmonic")
-_BENCHMARKS = ("lshape_benchmark",)
 
 
 @dataclass(eq=False)
@@ -106,6 +102,10 @@ def validate_config(raw: dict) -> RunConfig:
         )
     if bvals.size not in (1, polygon.n_sides):
         raise ConfigError("b_shape", f"b must be scalar or one value per side ({polygon.n_sides})")
+    if polygon.reoriented and bvals.size > 1:
+        # b[k] is for the config's side from vertex k to k + 1; the stored
+        # polygon lists the vertices reversed, so its side k is config side n - 2 - k
+        b = np.roll(bvals[::-1], -1).tolist()
 
     sigma = need("sigma", "auto")
     window = sigma_window(polygon)
@@ -122,10 +122,9 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("sigma_window", "weight window is empty for this polygon")
 
     problem = need("problem")
-    if problem not in _PRESETS + _BENCHMARKS:
-        raise ConfigError(
-            "problem_unknown", f"problem must be one of {_PRESETS + _BENCHMARKS}, got {problem!r}"
-        )
+    problems = (*verify.PRESETS, "lshape_benchmark")
+    if problem not in problems:
+        raise ConfigError("problem_unknown", f"problem must be one of {problems}, got {problem!r}")
 
     mesh_cfg = need("mesh", {})
     h = _number(mesh_cfg.get("h", 0.25), "mesh_h", "mesh.h")
@@ -171,28 +170,15 @@ def validate_config(raw: dict) -> RunConfig:
     )
 
 
-# --- atomic writers ---------------------------------------------------------
-
-
-def _atomic_write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# --- outputs ----------------------------------------------------------------
 
 
 def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _problem_for(config: RunConfig):
-    if config.problem in _PRESETS:
+    if config.problem in verify.PRESETS:
         return verify.make_manufactured(config.problem, config.polygon, config.s, config.b)
     bench = verify.lshape_benchmark()
     if bench.polygon.vertices.shape != config.polygon.vertices.shape or not np.allclose(
@@ -222,9 +208,7 @@ def _cmd_solve(config: RunConfig) -> dict:
     u, report = solver.solve(system, tol=config.tol, maxit=config.maxit)
     rep = analysis.norm_report(u, system.Theta, config.sigma_value)
     out = config.out_dir
-    _atomic_write(
-        os.path.join(out, "norms.csv"), analysis.NORM_CSV_HEADER + "\n" + rep.csv_row() + "\n"
-    )
+    _atomic_write(os.path.join(out, "norms.csv"), [analysis.NORM_CSV_HEADER + "\n" + rep.csv_row() + "\n"])
     summary = {
         "problem": config.problem,
         "s": config.s,
@@ -256,7 +240,7 @@ def _cmd_converge(config: RunConfig) -> dict:
         solver_tol=config.tol,
     )
     out = config.out_dir
-    _atomic_write(os.path.join(out, "convergence.csv"), table.to_csv())
+    _atomic_write(os.path.join(out, "convergence.csv"), [table.to_csv()])
     rates = {
         col: verify.rate_estimate(table, col)
         for col in ("err_l2_bulk", "err_h1_bulk", "err_l2_bdry", "err_h1_bdry")

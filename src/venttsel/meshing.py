@@ -29,7 +29,10 @@ such triangles, and no Delaunay refinement needs one.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,12 +68,12 @@ class Mesh:
 
     nodes     : (N, 2) coordinates; boundary layout nodes come first
     triangles : (T, 3) node indices, counterclockwise
-    boundary_node_flags : (N,) bool
+    Derived from these and cached: boundary, the BoundaryMesh of the one
+    boundary cycle, and boundary_node_flags, (N,) bool, True at its nodes.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_node_flags: np.ndarray
     polygon: Polygon
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -97,6 +100,12 @@ class Mesh:
     @cached_property
     def boundary(self) -> "BoundaryMesh":
         return extract_boundary(self)
+
+    @cached_property
+    def boundary_node_flags(self) -> np.ndarray:
+        flags = np.zeros(self.n_nodes, dtype=bool)
+        flags[self.boundary.boundary_nodes] = True
+        return flags
 
     def min_angle_deg(self) -> float:
         return float(np.degrees(_min_angles(_edge_lengths(self.tri_verts)).min()))
@@ -338,7 +347,7 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
             return mesh
     scale = max(1.0, float(np.abs(polygon.vertices).max()))
 
-    last = None
+    mesh = None
     clean = False
     for _ in range(_MAX_PASSES):
         bpts = _boundary_points(polygon, side_offsets)
@@ -362,7 +371,7 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
         simp, verts, cent, areas = _cull_and_orient(polygon, simp, pts[simp])
         if abs(areas.sum() - polygon.area) > 1e-9 * polygon.area:
             raise MeshError("culled triangulation does not tile the polygon")
-        last = (pts, simp, B)
+        mesh = Mesh(nodes=pts, triangles=simp, polygon=polygon)
 
         bad = _quality_marks(polygon, h, q, verts, cent)
         if not bad.any():
@@ -376,9 +385,8 @@ def triangulate(polygon: Polygon, h: float, q: float = 1.0) -> Mesh:
         if len(new_pts):
             interior = np.vstack([interior, new_pts]) if len(interior) else new_pts
 
-    if last is None:
+    if mesh is None:
         raise MeshError("triangulation failed to produce a mesh")
-    mesh = _new_mesh(polygon, *last)
     if not clean:
         warnings.warn(
             f"mesh refinement budget exhausted (min angle {mesh.min_angle_deg():.2f} deg)",
@@ -435,7 +443,7 @@ def _lattice_mesh(polygon, h, bpts, seeds, grid, depth):
     # lattice triangles are equilateral with side h, so only the band's are marked
     if _quality_marks(polygon, h, 1.0, verts, cent).any():
         return None
-    mesh = _new_mesh(polygon, pts, np.concatenate([simp, lattice]), B)
+    mesh = Mesh(nodes=pts, triangles=np.concatenate([simp, lattice]), polygon=polygon)
     if abs(mesh.areas.sum() - polygon.area) > 1e-9 * polygon.area:
         return None
     return mesh
@@ -492,12 +500,6 @@ def _quality_marks(polygon: Polygon, h: float, q: float, verts: np.ndarray, cent
     lengths = _edge_lengths(verts)
     target = _SIZE_FACTOR * _local_size(polygon, h, q, cent)
     return (_min_angles(lengths) < math.radians(_MIN_ANGLE_DEG) - 1e-12) | (lengths.max(axis=1) > target)
-
-
-def _new_mesh(polygon: Polygon, pts: np.ndarray, simp: np.ndarray, B: int) -> Mesh:
-    flags = np.zeros(len(pts), dtype=bool)
-    flags[:B] = True
-    return Mesh(nodes=pts, triangles=simp, boundary_node_flags=flags, polygon=polygon)
 
 
 def _process_candidates(polygon, side_offsets, cc, radius, h, q, scale):
@@ -613,7 +615,7 @@ def refine(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 by edge midpoints; old nodes keep indices."""
     simp = mesh.triangles
     N = mesh.n_nodes
-    _, uniq, inv, counts = _edges(simp, N)
+    _, uniq, inv, _ = _edges(simp, N)
     mid_index = N + np.arange(len(uniq))
     ei, ej = uniq // N, uniq % N
     mid_coords = 0.5 * (mesh.nodes[ei] + mesh.nodes[ej])
@@ -628,14 +630,7 @@ def refine(mesh: Mesh) -> Mesh:
             m,
         ]
     )
-    new_nodes = np.vstack([mesh.nodes, mid_coords])
-    new_flags = np.concatenate([mesh.boundary_node_flags, counts == 1])
-    return Mesh(
-        nodes=new_nodes,
-        triangles=children,
-        boundary_node_flags=new_flags,
-        polygon=mesh.polygon,
-    )
+    return Mesh(nodes=np.vstack([mesh.nodes, mid_coords]), triangles=children, polygon=mesh.polygon)
 
 
 # --- consistency checks and plain-text dumps ----------------------------------
@@ -643,27 +638,44 @@ def refine(mesh: Mesh) -> Mesh:
 
 def check_mesh(mesh: Mesh):
     """Raise MeshError if basic mesh invariants are violated: positive areas
-    tiling the polygon, flagged nodes on its boundary, and extract_boundary's
-    rules (no edge in three triangles, one cycle through every polygon vertex)."""
+    tiling the polygon, extract_boundary's rules (no edge in three triangles,
+    one cycle through every polygon vertex) and the cycle's nodes on the
+    polygon boundary."""
     if np.any(mesh.areas <= 0):
         raise MeshError("non-positive triangle area")
     if abs(mesh.areas.sum() - mesh.polygon.area) > 1e-10 * mesh.polygon.area:
         raise MeshError("triangle areas do not sum to the polygon area")
-    bidx = np.nonzero(mesh.boundary_node_flags)[0]
-    d = mesh.polygon.nearest_side(mesh.nodes[bidx])[2]
-    if len(d) and d.max() > 1e-12 * max(1.0, mesh.polygon.perimeter):
+    d = mesh.polygon.nearest_side(mesh.nodes[mesh.boundary.boundary_nodes])[2]
+    if d.max() > 1e-12 * max(1.0, mesh.polygon.perimeter):
         raise MeshError("boundary node off the polygon boundary")
-    extract_boundary(mesh)
+
+
+def _atomic_write(path, pieces):
+    """Write the strings of `pieces` to `path` through a temporary file in its
+    directory and one rename, so a failure leaves neither behind."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mkstemp makes the file private (0600); give it the mode open() gives
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_mesh(path, mesh: Mesh):
     """Plain-text dump: `nodes N triangles T`, N lines `x y`, T lines `i j k`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"nodes {mesh.n_nodes} triangles {mesh.n_triangles}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{int(i)} {int(j)} {int(k)}\n")
+    head = [f"nodes {mesh.n_nodes} triangles {mesh.n_triangles}\n"]
+    nodes = (f"{float(x)!r} {float(y)!r}\n" for x, y in mesh.nodes)
+    triangles = (f"{int(i)} {int(j)} {int(k)}\n" for i, j, k in mesh.triangles)
+    _atomic_write(path, itertools.chain(head, nodes, triangles))
 
 
 def read_mesh(path):
@@ -704,7 +716,4 @@ def _read_rows(path, lines, first: int, count: int, parse, width: int) -> np.nda
 def write_field(path, values: np.ndarray):
     """Plain-text nodal field dump: `field N` then one value per line."""
     values = np.asarray(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"field {len(values)}\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+    _atomic_write(path, itertools.chain([f"field {len(values)}\n"], (f"{float(v)!r}\n" for v in values)))

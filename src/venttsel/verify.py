@@ -54,6 +54,7 @@ __all__ = [
     "theta_pointwise_oracle",
     "theta_entry_oracle",
     "operator_laws",
+    "PRESETS",
     "ManufacturedProblem",
     "make_manufactured",
     "BenchmarkProblem",
@@ -442,12 +443,7 @@ def operator_laws(bm: BoundaryMesh, s: float, theta: np.ndarray) -> list[dict]:
     mesh = bm.mesh
     law = 0.0
     for t in (0.5, 3.0):
-        scaled = Mesh(
-            nodes=t * mesh.nodes,
-            triangles=mesh.triangles,
-            boundary_node_flags=mesh.boundary_node_flags,
-            polygon=build_polygon(t * mesh.polygon.vertices),
-        )
+        scaled = Mesh(nodes=t * mesh.nodes, triangles=mesh.triangles, polygon=build_polygon(t * mesh.polygon.vertices))
         theta_t = nonlocal_matrix(scaled.boundary, s)
         law = max(law, np.abs(theta_t - t ** (1.0 - 2.0 * s) * theta).max() / scale)
     values = {
@@ -470,9 +466,50 @@ def operator_laws(bm: BoundaryMesh, s: float, theta: np.ndarray) -> list[dict]:
 # --- manufactured problems -------------------------------------------------------
 
 
+def _cubic_hess(p):
+    H = np.zeros((len(p), 2, 2))
+    H[:, 0, 0] = 6.0 * p[:, 0]
+    H[:, 1, 1] = 6.0 * p[:, 1]
+    return H
+
+
+def _harmonic_hess(p):
+    ex, sy, cy = np.exp(p[:, 0]), np.sin(p[:, 1]), np.cos(p[:, 1])
+    H = np.empty((len(p), 2, 2))
+    H[:, 0, 0] = ex * sy
+    H[:, 0, 1] = H[:, 1, 0] = ex * cy
+    H[:, 1, 1] = -ex * sy
+    return H
+
+
+# Manufactured presets: name -> (u, grad u, Hessian, Laplacian), each a function
+# of (P, 2) points. The Laplacian is its own entry: for `cubic`, 6 (x + y) and
+# the Hessian's trace 6x + 6y round differently
+PRESETS = {
+    "constant": (
+        lambda p: np.ones(len(p)),
+        lambda p: np.zeros((len(p), 2)),
+        lambda p: np.zeros((len(p), 2, 2)),
+        lambda p: np.zeros(len(p)),
+    ),
+    "cubic": (
+        lambda p: p[:, 0] ** 3 + p[:, 1] ** 3,
+        lambda p: 3.0 * p**2,
+        _cubic_hess,
+        lambda p: 6.0 * (p[:, 0] + p[:, 1]),
+    ),
+    "harmonic": (
+        lambda p: np.exp(p[:, 0]) * np.sin(p[:, 1]),
+        lambda p: np.column_stack([np.exp(p[:, 0]) * np.sin(p[:, 1]), np.exp(p[:, 0]) * np.cos(p[:, 1])]),
+        _harmonic_hess,
+        lambda p: np.zeros(len(p)),
+    ),
+}
+
+
 @dataclass(eq=False)
 class ManufacturedProblem:
-    """Exact solution with analytically derived data.
+    """Exact solution `PRESETS[name]` with analytically derived data.
 
     The boundary source g is constructed from the boundary identity
     g = -(tangential second derivative) + (normal derivative) + b u + theta(u)
@@ -488,17 +525,22 @@ class ManufacturedProblem:
     polygon: Polygon
     s: float
     b: object
-    u: Callable
-    grad_u: Callable
-    hess_u: Callable
-    lap_u: Callable
     g_route: str  # "exact" | "pointwise" | "load_table"
 
+    def u(self, pts):
+        return PRESETS[self.name][0](np.atleast_2d(pts))
+
+    def grad_u(self, pts):
+        return PRESETS[self.name][1](np.atleast_2d(pts))
+
+    def hess_u(self, pts):
+        return PRESETS[self.name][2](np.atleast_2d(pts))
+
     def f(self, pts):
-        return -np.asarray(self.lap_u(np.atleast_2d(pts)), dtype=float)
+        return -np.asarray(PRESETS[self.name][3](np.atleast_2d(pts)), dtype=float)
 
     def trace(self, pts):
-        return np.asarray(self.u(np.atleast_2d(pts)), dtype=float)
+        return np.asarray(self.u(pts), dtype=float)
 
     def b_per_side(self) -> np.ndarray:
         return _per_side(self.polygon, self.b, "b")
@@ -603,72 +645,16 @@ def make_manufactured(preset: str, polygon: Polygon, s: float, b) -> Manufacture
     `harmonic` (u = e^x sin y). The boundary data of `cubic` and `harmonic`
     come from the pointwise table for s < 1/2 and from the form-based load
     table otherwise; `constant` has its exact data."""
-    if preset == "constant":
-        return ManufacturedProblem(
-            name="constant",
-            polygon=polygon,
-            s=s,
-            b=b,
-            u=lambda p: np.ones(len(np.atleast_2d(p))),
-            grad_u=lambda p: np.zeros((len(np.atleast_2d(p)), 2)),
-            hess_u=lambda p: np.zeros((len(np.atleast_2d(p)), 2, 2)),
-            lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
-            g_route="exact",
-        )
-    route = "pointwise" if s < 0.5 else "load_table"
-    if preset == "cubic":
-        def hess(p):
-            p = np.atleast_2d(p)
-            H = np.zeros((len(p), 2, 2))
-            H[:, 0, 0] = 6.0 * p[:, 0]
-            H[:, 1, 1] = 6.0 * p[:, 1]
-            return H
-
-        return ManufacturedProblem(
-            name="cubic",
-            polygon=polygon,
-            s=s,
-            b=b,
-            u=lambda p: np.atleast_2d(p)[:, 0] ** 3 + np.atleast_2d(p)[:, 1] ** 3,
-            grad_u=lambda p: 3.0 * np.atleast_2d(p) ** 2,
-            hess_u=hess,
-            lap_u=lambda p: 6.0 * (np.atleast_2d(p)[:, 0] + np.atleast_2d(p)[:, 1]),
-            g_route=route,
-        )
-    if preset == "harmonic":
-        def hessh(p):
-            p = np.atleast_2d(p)
-            ex, sy, cy = np.exp(p[:, 0]), np.sin(p[:, 1]), np.cos(p[:, 1])
-            H = np.empty((len(p), 2, 2))
-            H[:, 0, 0] = ex * sy
-            H[:, 0, 1] = H[:, 1, 0] = ex * cy
-            H[:, 1, 1] = -ex * sy
-            return H
-
-        return ManufacturedProblem(
-            name="harmonic",
-            polygon=polygon,
-            s=s,
-            b=b,
-            u=lambda p: np.exp(np.atleast_2d(p)[:, 0]) * np.sin(np.atleast_2d(p)[:, 1]),
-            grad_u=lambda p: np.column_stack(
-                [
-                    np.exp(np.atleast_2d(p)[:, 0]) * np.sin(np.atleast_2d(p)[:, 1]),
-                    np.exp(np.atleast_2d(p)[:, 0]) * np.cos(np.atleast_2d(p)[:, 1]),
-                ]
-            ),
-            hess_u=hessh,
-            lap_u=lambda p: np.zeros(len(np.atleast_2d(p))),
-            g_route=route,
-        )
-    raise VenttselError(f"unknown manufactured preset {preset!r}")
+    if preset not in PRESETS:
+        raise VenttselError(f"unknown manufactured preset {preset!r}")
+    route = "exact" if preset == "constant" else "pointwise" if s < 0.5 else "load_table"
+    return ManufacturedProblem(name=preset, polygon=polygon, s=s, b=b, g_route=route)
 
 
 @dataclass(eq=False)
 class BenchmarkProblem:
-    """Named problem without an exact solution (fine-grid reference studies)."""
+    """Problem without an exact solution (fine-grid reference studies)."""
 
-    name: str
     polygon: Polygon
     s: float
     b: object
@@ -682,14 +668,7 @@ class BenchmarkProblem:
 def lshape_benchmark() -> BenchmarkProblem:
     """L-shaped domain, f = 1, g = 0, b = 1, s = 1/2."""
     poly = build_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-    return BenchmarkProblem(
-        name="lshape",
-        polygon=poly,
-        s=0.5,
-        b=1.0,
-        f=1.0,
-        g=0.0,
-    )
+    return BenchmarkProblem(polygon=poly, s=0.5, b=1.0, f=1.0, g=0.0)
 
 
 # --- form-based load table --------------------------------------------------------

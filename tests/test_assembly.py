@@ -30,7 +30,6 @@ def _single_triangle_mesh():
     return Mesh(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary_node_flags=np.array([True, True, True]),
         polygon=poly,
     )
 
@@ -46,7 +45,6 @@ def test_stiffness_row_sums_and_translation(square_mesh):
     shifted = Mesh(
         nodes=square_mesh.nodes + np.array([3.0, -2.0]),
         triangles=square_mesh.triangles,
-        boundary_node_flags=square_mesh.boundary_node_flags,
         polygon=build_polygon(square_mesh.polygon.vertices + np.array([3.0, -2.0])),
     )
     assert np.abs((bulk_stiffness(shifted) - A).toarray()).max() <= 1e-12
@@ -129,7 +127,7 @@ def test_per_side_rule_rejects_wrong_sizes(square, square_mesh, square_bm):
             call()
     for call in (
         lambda: load_vector(square_mesh, 0.0, [1.0, 2.0, 3.0]),
-        lambda: benchmark_g_l2(BenchmarkProblem("sq", square, 0.5, 1.0, 1.0, [1.0, 2.0, 3.0])),
+        lambda: benchmark_g_l2(BenchmarkProblem(square, 0.5, 1.0, 1.0, [1.0, 2.0, 3.0])),
     ):
         with pytest.raises(AssemblyError, match="per-side g needs 4 values, got 3"):
             call()

@@ -40,6 +40,11 @@ def test_solve_constant_preset(tmp_path, capsys):
     assert (tmp_path / "out" / "norms.csv").exists()
     assert (tmp_path / "out" / "mesh.txt").exists()
     assert (tmp_path / "out" / "solution.txt").exists()
+    # every output gets the mode of a file that open() creates
+    mode = path.stat().st_mode & 0o777
+    assert {f.name: f.stat().st_mode & 0o777 for f in (tmp_path / "out").iterdir()} == dict.fromkeys(
+        ["mesh.txt", "norms.csv", "solution.txt", "solve.json"], mode
+    )
 
 
 def test_solve_norms_all_finite(tmp_path):
@@ -57,6 +62,26 @@ def test_solve_deterministic_output(tmp_path):
     first = (tmp_path / "out" / "norms.csv").read_bytes()
     assert main(["solve", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "norms.csv").read_bytes() == first
+
+
+def test_clockwise_polygon_keeps_per_side_b(tmp_path):
+    # b[k] belongs to the config's side from vertex k to vertex k + 1, also
+    # when the list runs clockwise and the stored polygon is its reverse
+    cw = [[0, 2], [1, 2], [1, 1], [2, 1], [2, 0], [0, 0]]
+    runs = {"cw": (cw, [1, 2, 3, 4, 5, 6]), "ccw": (LSHAPE, [5, 4, 3, 2, 1, 6])}
+    outputs = {}
+    for name, (polygon, b) in runs.items():
+        path = _write_config(
+            tmp_path, f"{name}.json", polygon=polygon, b=b, problem="lshape_benchmark", mesh={"h": 0.25}
+        )
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        summary = json.loads((tmp_path / name / "solve.json").read_text())
+        summary.pop("solve_seconds")
+        outputs[name] = (summary, (tmp_path / name / "norms.csv").read_bytes())
+    assert outputs["cw"] == outputs["ccw"]
+    assert validate_config({"polygon": cw, "s": 0.5, "b": [1, 2, 3, 4, 5, 6], "problem": "constant"}).b == [
+        5.0, 4.0, 3.0, 2.0, 1.0, 6.0
+    ]
 
 
 def test_converge_cubic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -128,6 +129,19 @@ def test_mesh_dump_roundtrip(tmp_path, square_mesh):
     assert np.allclose(nodes, square_mesh.nodes, atol=0)
 
 
+@pytest.mark.parametrize("writer", ["write_mesh", "write_field"])
+def test_dumps_are_atomic(tmp_path, square_mesh, writer):
+    # a value that does not format fails the dump part-way: neither the file
+    # nor its temporary remains
+    bad = np.array([[0.0, 1.0], [2.0, "x"]], dtype=object)
+    with pytest.raises(ValueError):
+        if writer == "write_mesh":
+            write_mesh(tmp_path / "mesh.txt", dataclasses.replace(square_mesh, nodes=bad, _cache={}))
+        else:
+            meshing.write_field(tmp_path / "field.txt", bad.ravel())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_polygon_vertices_are_mesh_nodes(lshape_mesh):
     for v in lshape_mesh.polygon.vertices:
         d = np.linalg.norm(lshape_mesh.nodes - v[None, :], axis=1).min()
@@ -150,7 +164,6 @@ def test_disconnected_boundary_rejected(square):
     m = Mesh(
         nodes=nodes,
         triangles=tris,
-        boundary_node_flags=np.ones(6, dtype=bool),
         polygon=square,
     )
     with pytest.raises(MeshError):
@@ -164,7 +177,6 @@ def _bare_mesh(polygon, nodes, tris):
     return Mesh(
         nodes=nodes,
         triangles=np.asarray(tris),
-        boundary_node_flags=np.ones(len(nodes), dtype=bool),
         polygon=polygon,
     )
 

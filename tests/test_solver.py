@@ -276,7 +276,6 @@ def test_preconditioner_fill_independent_of_numbering(square, rng, caplog):
     renumbered = Mesh(
         nodes=mesh.nodes[order],
         triangles=new_number[mesh.triangles],
-        boundary_node_flags=mesh.boundary_node_flags[order],
         polygon=square,
     )
     spec = ProblemSpec(s=0.7, b=1.0, f=lambda p: 1.0 + np.atleast_2d(p)[:, 0], g=0.5)
